@@ -7,6 +7,7 @@ feeds the mapper directly; an optional resynthesis round trip is available
 for comparison).
 """
 
+import dataclasses
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -65,8 +66,7 @@ class PipelineConfig:
             "stft": [self.stft.frame_len, self.stft.hop, self.stft.fft_size, self.stft.window],
             "mel": [self.mel.n_mels, self.mel.f_min, self.mel.f_max, self.mel.mode],
             "context": self.context,
-            "wpe": [self.wpe.taps, self.wpe.delay, self.wpe.iterations,
-                    self.wpe.variance_floor, self.wpe.delta],
+            "wpe": dataclasses.asdict(self.wpe),
             "magnitude_floor": self.magnitude_floor,
             "resynthesize": self.resynthesize,
             "model_dims": None if self.model is None else self.model.layer_dims,
@@ -110,8 +110,14 @@ def enhance_utterance(waveform: Waveform, config: PipelineConfig) -> EnhancedUtt
 
 
 def _enhance_entry(args):
+    """(outcome, seconds) for one utterance; a failure is returned, not raised."""
     noisy_path, config = args
-    return enhance_utterance(load_wav(noisy_path), config)
+    started = time.perf_counter()
+    try:
+        outcome = enhance_utterance(load_wav(noisy_path), config)
+    except (SpecmapError, OSError) as exc:
+        outcome = exc
+    return outcome, time.perf_counter() - started
 
 
 @dataclass
@@ -167,28 +173,15 @@ def batch_enhance(
             record["waveform"] = wave_rel
         records.append(record)
 
+    tasks = [(manifest.resolve(e.noisy_wav), config) for e in entries]
     if jobs <= 1:
-        for entry in entries:
-            started = time.perf_counter()
-            try:
-                outcome = enhance_utterance(load_wav(manifest.resolve(entry.noisy_wav)), config)
-            except (SpecmapError, OSError) as exc:
-                outcome = exc
-            handle(entry, outcome, time.perf_counter() - started)
+        for entry, task in zip(entries, tasks):
+            handle(entry, *_enhance_entry(task))
     else:
-        tasks = [(manifest.resolve(e.noisy_wav), config) for e in entries]
-        started = time.perf_counter()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending = [(e, pool.submit(_enhance_entry, t)) for e, t in zip(entries, tasks)]
-            outcomes = []
-            for entry, future in pending:
-                try:
-                    outcomes.append((entry, future.result()))
-                except (SpecmapError, OSError) as exc:
-                    outcomes.append((entry, exc))
-        elapsed = (time.perf_counter() - started) / max(1, len(entries))
-        for entry, outcome in outcomes:
-            handle(entry, outcome, elapsed)
+            results = list(pool.map(_enhance_entry, tasks))
+        for entry, (outcome, seconds) in zip(entries, results):
+            handle(entry, outcome, seconds)
 
     log_path = out_root / "run_log.jsonl"
     with open(log_path, "w", encoding="utf-8") as fh:

@@ -56,35 +56,89 @@ class WpeResult:
     variance: np.ndarray      # (frames, bins) floored variance from the last iteration
     objective: np.ndarray     # (iterations, bins) optimized cost after each iteration
     fallback_bins: tuple = ()
+    """Sorted bins whose normal equations failed a solve check in any
+    iteration (see solve_normal_equations); each got a zero filter for that
+    iteration."""
+
+
+# Failure codes of solve_normal_equations, in the order the checks run.
+SOLVE_FAILURES = (
+    None,
+    "normal equations contain non-finite entries",
+    "matrix is not Hermitian",
+    "solver produced non-finite coefficients",
+    "solver residual too large",
+)
+_NONFINITE_INPUT, _NOT_HERMITIAN, _NONFINITE_SOLUTION, _LARGE_RESIDUAL = 1, 2, 3, 4
+
+
+def _lapack_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One LAPACK call over the (n, K, K) stack; raises LinAlgError if any is singular."""
+    return np.linalg.solve(matrices, rhs[..., None])[..., 0]
+
+
+def solve_normal_equations(normal: np.ndarray, rhs: np.ndarray, delta: np.ndarray):
+    """Solve (R_b + delta_b*I) g_b = r_b for a stack of Hermitian systems.
+
+    normal is (n, K, K), rhs (n, K), delta (n,). Returns (filters, failure):
+    filters is (n, K), failure an int8 (n,) code into SOLVE_FAILURES, 0 where
+    the system solved. A system fails on non-finite input, a Hermitian gap
+    above 1e-9*max(1, max|R|), non-finite coefficients, or a residual above
+    1e-6*(|r| + 1); its filter is zero. All systems go through one LAPACK
+    solve; if that raises LinAlgError (a singular system), each is solved on
+    its own, falling back to least squares where the direct solve fails.
+    """
+    R = np.asarray(normal, dtype=np.complex128)
+    r = np.asarray(rhs, dtype=np.complex128)
+    n_sys, k = r.shape
+    failure = np.zeros(n_sys, dtype=np.int8)
+    finite = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(r).all(axis=1)
+    failure[~finite] = _NONFINITE_INPUT
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite system, already rejected
+        hermitian_gap = np.abs(R - R.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    scale = np.maximum(1.0, np.abs(R).max(axis=(1, 2), initial=0.0))
+    failure[(failure == 0) & (hermitian_gap > 1e-9 * scale)] = _NOT_HERMITIAN
+
+    A = R + np.asarray(delta)[:, None, None] * np.eye(k)
+    rejected = failure != 0
+    if rejected.any():
+        # Rejected systems get a trivial stand-in so they cannot make the stack singular.
+        r = r.copy()
+        A[rejected], r[rejected] = np.eye(k), 0.0
+    try:
+        g = _lapack_solve(A, r)
+    except np.linalg.LinAlgError:
+        g = np.empty((n_sys, k), dtype=np.complex128)
+        for b in range(n_sys):
+            try:
+                g[b] = np.linalg.solve(A[b], r[b])
+            except np.linalg.LinAlgError:
+                g[b] = np.linalg.lstsq(A[b], r[b], rcond=None)[0]
+
+    failure[(failure == 0) & ~np.isfinite(g).all(axis=1)] = _NONFINITE_SOLUTION
+    g[failure != 0] = 0.0
+    residual = np.linalg.norm((A @ g[..., None])[..., 0] - r, axis=1)
+    too_large = residual > 1e-6 * (np.linalg.norm(r, axis=1) + 1.0)
+    failure[(failure == 0) & too_large] = _LARGE_RESIDUAL
+    g[failure == _LARGE_RESIDUAL] = 0.0
+    return g, failure
 
 
 def solve_hermitian(matrix: np.ndarray, rhs: np.ndarray, delta: float = 0.0) -> np.ndarray:
     """Solve (R + delta*I) g = r for Hermitian R.
 
-    Falls back to a least-squares solve when the direct solve fails, and
-    raises NumericError if even that leaves a large residual.
+    A batch of one for solve_normal_equations: falls back to a least-squares
+    solve when the direct solve fails, and raises NumericError on the
+    failures that function reports.
     """
     R = np.asarray(matrix, dtype=np.complex128)
     r = np.asarray(rhs, dtype=np.complex128)
-    if not (np.all(np.isfinite(R)) and np.all(np.isfinite(r))):
-        raise NumericError("normal equations contain non-finite entries")
     if R.ndim != 2 or R.shape[0] != R.shape[1] or r.shape != (R.shape[0],):
         raise NumericError(f"expected square system, got R {R.shape} and r {r.shape}")
-    hermitian_gap = np.max(np.abs(R - R.conj().T)) if R.size else 0.0
-    if hermitian_gap > 1e-9 * max(1.0, float(np.max(np.abs(R)))):
-        raise NumericError(f"matrix is not Hermitian (asymmetry {hermitian_gap:.3e})")
-
-    A = R + delta * np.eye(R.shape[0])
-    try:
-        g = np.linalg.solve(A, r)
-    except np.linalg.LinAlgError:
-        g = np.linalg.lstsq(A, r, rcond=None)[0]
-    if not np.all(np.isfinite(g)):
-        raise NumericError("solver produced non-finite coefficients")
-    residual = float(np.linalg.norm(A @ g - r))
-    if residual > 1e-6 * (float(np.linalg.norm(r)) + 1.0):
-        raise NumericError(f"solver residual {residual:.3e} too large")
-    return g
+    g, failure = solve_normal_equations(R[None], r[None], np.array([delta]))
+    if failure[0]:
+        raise NumericError(SOLVE_FAILURES[failure[0]])
+    return g[0]
 
 
 def _delayed_context(data: np.ndarray, taps: int, delay: int) -> np.ndarray:
@@ -115,9 +169,12 @@ def _smoothed_power(signal: np.ndarray, half_width: int) -> np.ndarray:
 def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult:
     """Dereverberate a (frames x bins) complex spectrogram.
 
-    Per bin and iteration: re-estimate the floored variance from the current
-    dereverberated signal, solve the weighted normal equations for the
-    prediction filter, and subtract the predicted tail. Frames without a
+    Each iteration re-estimates the floored variance from the current
+    dereverberated signal, builds every bin's weighted normal equations as
+    one (bins, taps, taps) stack, solves the stack with one batched call to
+    solve_normal_equations, and subtracts the predicted tail. That call makes
+    the same per-bin checks as solve_hermitian; a bin that fails one gets a
+    zero filter and is listed in fallback_bins. Frames without a
     complete context (t < delay + taps - 1) pass through unchanged, as does
     the whole utterance when it is shorter than taps + delay + 1 frames.
     """
@@ -142,9 +199,10 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
 
     first_valid = delay + taps - 1
     context = _delayed_context(data, taps, delay)          # (B, K, Tv)
+    context_h = context.conj().transpose(0, 2, 1)          # (B, Tv, K), loop-invariant
+    weighted = np.empty_like(context)                      # refilled in place each iteration
     targets = data[first_valid:, :]                        # (Tv, B)
     enhanced = data.copy()
-    filters = np.zeros((n_bins, taps), dtype=np.complex128)
     objective = np.empty((config.iterations, n_bins))
     delta_per_bin: Optional[np.ndarray] = None
     fallback: set[int] = set()
@@ -155,8 +213,8 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
             _smoothed_power(enhanced, config.variance_context), config.variance_floor
         )
         lam = variance[first_valid:, :]                    # (Tv, B)
-        weighted = context / lam.T[:, None, :]             # (B, K, Tv)
-        normal = weighted @ context.conj().transpose(0, 2, 1)   # (B, K, K)
+        np.divide(context, lam.T[:, None, :], out=weighted)
+        normal = weighted @ context_h                      # (B, K, K)
         rhs = np.einsum("bkt,tb->bk", weighted, targets.conj())
 
         if delta_per_bin is None:
@@ -165,12 +223,8 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
             else:
                 delta_per_bin = 1e-6 * np.einsum("bkk->b", normal).real / taps
 
-        for b in range(n_bins):
-            try:
-                filters[b] = solve_hermitian(normal[b], rhs[b], delta_per_bin[b])
-            except NumericError:
-                filters[b] = 0.0
-                fallback.add(b)
+        filters, failure = solve_normal_equations(normal, rhs, delta_per_bin)
+        fallback.update(np.flatnonzero(failure).tolist())
 
         prediction = np.einsum("bk,bkt->tb", filters.conj(), context)
         enhanced[first_valid:, :] = targets - prediction

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -12,6 +13,7 @@ from specmap.featio import read_features
 from specmap.mel import log_mel, mel_matrix
 from specmap.mlp import map_features
 from specmap.pipeline import PipelineConfig, batch_enhance, enhance_utterance
+from specmap.runconfig import config_hash
 from specmap.stft import log_magnitude, stft
 from specmap.wpe import WpeConfig, wpe_dereverberate
 
@@ -195,6 +197,42 @@ def test_batch_enhance_parallel_matches_serial(tiny_corpus, tmp_path):
         a = (tmp_path / "serial" / serial.features[utterance]).read_bytes()
         b = (tmp_path / "parallel" / parallel.features[utterance]).read_bytes()
         assert a == b
+
+
+def test_batch_enhance_parallel_logs_per_utterance_seconds(tiny_corpus, tmp_path):
+    manifest = tiny_corpus
+    entries = manifest.split_entries("test")
+    broken = manifest.resolve(entries[0].noisy_wav)
+    original = broken.read_bytes()
+    config = _pipeline_config(manifest, "wpe_only")
+    try:
+        broken.write_bytes(b"RIFFgarbage")
+        runs = {jobs: batch_enhance(manifest, config, tmp_path / f"jobs{jobs}", split="test",
+                                    jobs=jobs, save_waveforms=False)
+                for jobs in (1, 2)}
+    finally:
+        broken.write_bytes(original)
+    for jobs, result in runs.items():
+        records = [json.loads(l) for l in result.log_path.read_text().splitlines()]
+        assert [r["id"] for r in records] == [e.id for e in entries]
+        ok_seconds = [r["seconds"] for r in records[1:]]
+        assert all(r["status"] == "ok" for r in records[1:]) and min(ok_seconds) > 0
+        # A file that fails to parse costs far less than enhancing one.
+        assert records[0]["status"] == "failed" and records[0]["seconds"] < min(ok_seconds)
+    assert runs[1].features == runs[2].features
+    for rel in runs[1].features.values():
+        assert (tmp_path / "jobs1" / rel).read_bytes() == (tmp_path / "jobs2" / rel).read_bytes()
+
+
+def test_config_hash_covers_every_wpe_field(tiny_corpus):
+    changed = {"taps": 11, "delay": 4, "iterations": 2, "variance_floor": 1e-9,
+               "delta": 1e-3, "variance_context": 0}
+    assert set(changed) == {f.name for f in dataclasses.fields(WpeConfig)}
+    base = _pipeline_config(tiny_corpus, "wpe_only")
+    digest = config_hash(base.describe())
+    for name, value in changed.items():
+        variant = dataclasses.replace(base, wpe=dataclasses.replace(base.wpe, **{name: value}))
+        assert config_hash(variant.describe()) != digest, name
 
 
 def test_batch_enhance_records_failures_and_continues(tiny_corpus, tmp_path):

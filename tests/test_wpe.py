@@ -5,7 +5,14 @@ from conftest import make_reverberant_pair
 from specmap.errors import NumericError
 from specmap.metrics import log_spectral_distortion
 from specmap.stft import StftConfig, log_magnitude, stft
-from specmap.wpe import WpeConfig, solve_hermitian, wpe_dereverberate
+from specmap.wpe import (
+    WpeConfig,
+    _delayed_context,
+    _smoothed_power,
+    solve_hermitian,
+    solve_normal_equations,
+    wpe_dereverberate,
+)
 
 
 def gaussian_elimination(matrix, rhs):
@@ -211,19 +218,105 @@ def test_idempotence_tendency():
 def test_solver_failure_falls_back_to_zero_filter(monkeypatch):
     import specmap.wpe as wpe_module
 
-    original = wpe_module.solve_hermitian
+    original = wpe_module._lapack_solve
 
-    def flaky(matrix, rhs, delta=0.0):
-        if flaky.calls == 2:
-            flaky.calls += 1
-            raise NumericError("forced failure")
+    def flaky(matrices, rhs):
+        coefficients = original(matrices, rhs)
+        if flaky.calls == 0:
+            coefficients[2] = np.nan
         flaky.calls += 1
-        return original(matrix, rhs, delta)
+        return coefficients
 
     flaky.calls = 0
-    monkeypatch.setattr(wpe_module, "solve_hermitian", flaky)
+    monkeypatch.setattr(wpe_module, "_lapack_solve", flaky)
     rng = np.random.default_rng(8)
     data = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
     result = wpe_module.wpe_dereverberate(data, WpeConfig(taps=3, delay=2, iterations=1))
     assert result.fallback_bins == (2,)
     assert np.all(result.filters[2] == 0)
+
+
+def per_bin_reference(data, config):
+    """WPE with one np.linalg.solve per bin and iteration, the loop the batched solve replaced."""
+    n_bins, taps = data.shape[1], config.taps
+    first_valid = config.delay + taps - 1
+    context = _delayed_context(data, taps, config.delay)
+    targets = data[first_valid:]
+    enhanced = data.copy()
+    filters = np.zeros((n_bins, taps), dtype=complex)
+    delta = None
+    for _ in range(config.iterations):
+        variance = np.maximum(
+            _smoothed_power(enhanced, config.variance_context), config.variance_floor
+        )
+        lam = variance[first_valid:]
+        weighted = context / lam.T[:, None, :]
+        normal = weighted @ context.conj().transpose(0, 2, 1)
+        rhs = np.einsum("bkt,tb->bk", weighted, targets.conj())
+        if delta is None:
+            if config.delta is not None:
+                delta = np.full(n_bins, float(config.delta))
+            else:
+                delta = 1e-6 * np.einsum("bkk->b", normal).real / taps
+        for b in range(n_bins):
+            A = normal[b] + delta[b] * np.eye(taps)
+            try:
+                filters[b] = np.linalg.solve(A, rhs[b])
+            except np.linalg.LinAlgError:
+                filters[b] = np.linalg.lstsq(A, rhs[b], rcond=None)[0]
+        enhanced[first_valid:] = targets - np.einsum("bk,bkt->tb", filters.conj(), context)
+    return enhanced, filters
+
+
+def test_batched_solve_matches_per_bin_reference():
+    # The criterion-3 reverb-only utterances.
+    config = WpeConfig()
+    for seed in range(20):
+        _, reverberant, _ = make_reverberant_pair(seed, t60=0.5, seconds=1.5)
+        data = stft(reverberant, StftConfig()).data
+        result = wpe_dereverberate(data, config)
+        enhanced, filters = per_bin_reference(data, config)
+        assert result.fallback_bins == ()
+        assert np.array_equal(result.filters, filters)
+        assert np.array_equal(result.enhanced, enhanced)
+
+
+def test_singular_bin_takes_per_bin_path_and_matches_reference(monkeypatch):
+    import specmap.wpe as wpe_module
+
+    original = wpe_module._lapack_solve
+    raised = []
+
+    def spy(matrices, rhs):
+        try:
+            return original(matrices, rhs)
+        except np.linalg.LinAlgError:
+            raised.append(len(matrices))
+            raise
+
+    monkeypatch.setattr(wpe_module, "_lapack_solve", spy)
+    _, reverberant, _ = make_reverberant_pair(0)
+    data = stft(reverberant, StftConfig()).data.copy()
+    data[:, 5] = 0.0
+    config = WpeConfig(delta=0.0)
+    result = wpe_module.wpe_dereverberate(data, config)
+    enhanced, filters = per_bin_reference(data, config)
+    assert raised == [data.shape[1]] * config.iterations
+    assert result.fallback_bins == ()
+    assert np.all(result.filters[5] == 0)
+    assert np.array_equal(result.filters, filters)
+    assert np.array_equal(result.enhanced, enhanced)
+
+
+def test_batched_solver_isolates_failing_systems():
+    rng = np.random.default_rng(9)
+    base = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    normal = base @ base.conj().transpose(0, 2, 1) + np.eye(3)
+    rhs = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    normal[1, 0, 0] = np.nan
+    normal[3, 0, 1] += 1.0  # breaks Hermitian symmetry
+    filters, failure = solve_normal_equations(normal, rhs, np.zeros(5))
+    assert failure.tolist() == [0, 1, 0, 2, 0]
+    assert np.all(filters[[1, 3]] == 0)
+    for b in (0, 2, 4):
+        assert np.array_equal(filters[b], solve_hermitian(normal[b], rhs[b]))
