@@ -95,7 +95,10 @@ def utterance_stats(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarr
 
 
 def apply_mvn(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    return (x - mean) / np.sqrt(var)
+    """(x - mean) / sqrt(var) as a new array; x is not modified."""
+    out = x - mean
+    out /= np.sqrt(var)
+    return out
 
 
 def invert_mvn(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:

@@ -109,15 +109,28 @@ def enhance_utterance(waveform: Waveform, config: PipelineConfig) -> EnhancedUtt
     return EnhancedUtterance(_mapped_mel(config, dnn_input), enhanced_wave)
 
 
-def _enhance_entry(args):
+def _enhance_entry(noisy_path, config: PipelineConfig):
     """(outcome, seconds) for one utterance; a failure is returned, not raised."""
-    noisy_path, config = args
     started = time.perf_counter()
     try:
         outcome = enhance_utterance(load_wav(noisy_path), config)
     except (SpecmapError, OSError) as exc:
         outcome = exc
     return outcome, time.perf_counter() - started
+
+
+# Set once per worker process by the pool initializer, so that a task carries
+# only its WAV path and the config, model weights included, is sent once.
+_worker_config: Optional[PipelineConfig] = None
+
+
+def _init_worker(config: PipelineConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _worker_entry(noisy_path):
+    return _enhance_entry(noisy_path, _worker_config)
 
 
 @dataclass
@@ -173,13 +186,15 @@ def batch_enhance(
             record["waveform"] = wave_rel
         records.append(record)
 
-    tasks = [(manifest.resolve(e.noisy_wav), config) for e in entries]
+    paths = [manifest.resolve(e.noisy_wav) for e in entries]
     if jobs <= 1:
-        for entry, task in zip(entries, tasks):
-            handle(entry, *_enhance_entry(task))
+        for entry, path in zip(entries, paths):
+            handle(entry, *_enhance_entry(path, config))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_enhance_entry, tasks))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(config,)
+        ) as pool:
+            results = list(pool.map(_worker_entry, paths))
         for entry, (outcome, seconds) in zip(entries, results):
             handle(entry, outcome, seconds)
 

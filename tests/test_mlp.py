@@ -15,6 +15,7 @@ from specmap.mlp import (
     loss_and_gradients,
     make_dropout_masks,
     map_features,
+    sigmoid,
     train,
     train_step,
 )
@@ -302,3 +303,109 @@ def test_map_features_utterance_reference_needs_filterbank():
     mapped = map_features(model, log_spec, context=0, mel_filterbank=filterbank)
     assert mapped.denormalized is not None
     assert mapped.inversion_mean.shape == (2,)
+
+
+# Slow references for the in-place hot path: the two-branch logistic and the
+# out-of-place adagrad update that sigmoid() and train_step() replaced. The
+# fast paths must agree with them bit for bit.
+
+def reference_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return np.clip(out, 1e-300, np.nextafter(1.0, 0.0))
+
+
+def reference_forward_output(model, x, masks=None):
+    activation = x
+    for layer in range(len(model.weights) - 1):
+        activation = reference_sigmoid(activation @ model.weights[layer] + model.biases[layer])
+        if masks is not None:
+            activation = activation * masks[layer]
+    z = activation @ model.weights[-1] + model.biases[-1]
+    return reference_sigmoid(z) if model.output_activation == "sigmoid" else z
+
+
+def reference_train_step(model, batch, reference, config, state, masks=None):
+    loss, grads_w, grads_b = loss_and_gradients(model, batch, reference, masks)
+    for layer in range(len(model.weights)):
+        state.accum_w[layer] += grads_w[layer] ** 2
+        state.accum_b[layer] += grads_b[layer] ** 2
+        model.weights[layer] -= (
+            config.learning_rate * grads_w[layer]
+            / np.sqrt(state.accum_w[layer] + config.adagrad_epsilon)
+        )
+        model.biases[layer] -= (
+            config.learning_rate * grads_b[layer]
+            / np.sqrt(state.accum_b[layer] + config.adagrad_epsilon)
+        )
+    return loss
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_sigmoid_matches_two_branch_reference_bitwise():
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+                      36.7, -36.7, 709.8, -709.8, 1e-300, -1e-300])
+    rng = np.random.default_rng(30)
+    for x in (edges, rng.normal(scale=8.0, size=(298, 40)), rng.normal(scale=8.0, size=(64, 128))):
+        untouched = x.copy()
+        fast = sigmoid(x)
+        assert_same_bits(x, untouched)  # the argument is left alone
+        assert_same_bits(fast, reference_sigmoid(x))
+        in_place = x.copy()
+        assert sigmoid(in_place, out=in_place) is in_place
+        assert_same_bits(in_place, fast)
+
+
+def test_sigmoid_propagates_nan():
+    x = np.array([np.nan, -np.nan, 0.5, -0.5])
+    fast = sigmoid(x)
+    assert np.isnan(fast[:2]).all()
+    assert_same_bits(fast[2:], reference_sigmoid(x)[2:])
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "linear"])
+@pytest.mark.parametrize("with_dropout", [False, True])
+def test_forward_matches_reference_bitwise(activation, with_dropout):
+    rng = np.random.default_rng(31)
+    model = init_model([30, 24, 24, 5], activation, seed=32)
+    model.biases = [rng.normal(size=b.shape) for b in model.biases]
+    x = rng.normal(scale=3.0, size=(17, 30))
+    masks = make_dropout_masks(rng, [24, 24], 17, 0.25) if with_dropout else None
+    untouched = [x.copy()] + ([m.copy() for m in masks] if masks else [])
+    output = forward(model, x, masks).output
+    assert_same_bits(output, reference_forward_output(model, x, masks))
+    for before, after in zip(untouched, [x] + (masks or [])):
+        assert_same_bits(before, after)
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+def test_train_step_matches_out_of_place_adagrad_bitwise(dropout_rate):
+    rng = np.random.default_rng(33)
+    fast = init_model([12, 9, 9, 4], "sigmoid", seed=34)
+    slow = init_model([12, 9, 9, 4], "sigmoid", seed=34)
+    fast_state, slow_state = AdagradState(fast), AdagradState(slow)
+    config = TrainConfig(learning_rate=0.05)
+    for _ in range(20):
+        x = rng.normal(size=(8, 12))
+        y = rng.uniform(0.1, 0.9, size=(8, 4))
+        masks = make_dropout_masks(rng, [9, 9], 8, dropout_rate) if dropout_rate else None
+        inputs = [x, y] + (masks or [])
+        untouched = [a.copy() for a in inputs]
+        fast_loss = train_step(fast, x, y, config, fast_state, masks)
+        for before, after in zip(untouched, inputs):
+            assert_same_bits(before, after)
+        assert fast_loss == reference_train_step(slow, x, y, config, slow_state, masks)
+    pairs = [
+        (fast.weights, slow.weights), (fast.biases, slow.biases),
+        (fast_state.accum_w, slow_state.accum_w), (fast_state.accum_b, slow_state.accum_b),
+    ]
+    for fast_arrays, slow_arrays in pairs:
+        for a, b in zip(fast_arrays, slow_arrays):
+            assert_same_bits(a, b)
