@@ -202,9 +202,10 @@ class SpectralFeatureMapper(ParamsMixin):
         """Map utterances to mel features in the reference (log-mel) domain."""
         check_fitted(self, ("model_",))
         filterbank = mel_filterbank if mel_filterbank is not None else getattr(self, "_mel_filterbank", None)
+        model = self.model_.as_float32()  # cast once, not per utterance
         outputs = []
         for log_spec in X:
-            mapped = map_features(self.model_, np.asarray(log_spec), self.context, filterbank)
+            mapped = map_features(model, np.asarray(log_spec), self.context, filterbank)
             if mapped.denormalized is None:
                 raise ConfigError(
                     "utterance-MVN references need a mel filterbank to invert; pass one"

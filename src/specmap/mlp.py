@@ -1,14 +1,18 @@
 """Sigmoid multilayer perceptron with adagrad training and early stopping.
 
 The mapper network takes normalized log-magnitude context windows and
-produces 40 mel features per frame. Everything runs in float64 on the CPU.
-Training and mapping are bit-reproducible for a fixed seed, sequential
-execution and a fixed BLAS thread count: the GEMMs split their sums by
-thread, so the paper-size forward pass differs by about 3e-16 between one
-and two OpenBLAS threads.
+produces 40 mel features per frame, on the CPU. Training runs in float64.
+Mapping runs in float32 through a float32 copy of the model, the precision
+that checkpoints store, so a model kept in memory and the same model
+reloaded from its checkpoint map every utterance to the same bits.
+Training and mapping are byte-identical on reruns for a fixed seed,
+sequential execution and a fixed BLAS thread count: the GEMMs split their
+sums by thread, so between one and two OpenBLAS threads the paper-size
+forward pass differs by about 3e-16 in float64 and its float32 mapping by
+about 2e-7 (2.7e-6 nats on log-mel features).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,18 +31,24 @@ from .validation import as_float_matrix, check_choice, check_positive
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
 
-_SIGMOID_CEIL = np.nextafter(1.0, 0.0)
-_SIGMOID_FLOOR = 1e-300
+# (floor, ceiling) of the sigmoid per dtype. Each bound is representable in
+# its dtype: a float64 ceiling would round up to 1.0 in float32 and the
+# float64 floor of 1e-300 down to 0.
+_SIGMOID_CLAMPS = {
+    np.dtype(np.float64): (1e-300, np.nextafter(1.0, 0.0)),
+    np.dtype(np.float32): (np.finfo(np.float32).tiny, np.nextafter(np.float32(1), np.float32(0))),
+}
 
 
 def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Numerically stable logistic, clamped into the open interval (0, 1).
 
     One pass over t = exp(-|x|): 1/(1+t) where x >= 0, t/(1+t) elsewhere,
-    so no exp ever overflows. The result is computed in float64. Without
-    `out` the argument is left unchanged; `out=x` (float64, same shape)
-    overwrites x with the result, which saves an allocation on a
-    temporary the caller owns. NaN inputs give NaN outputs.
+    so no exp ever overflows. Without `out` the result is a new float64
+    array and the argument is left unchanged. `out=x` (float64 or float32,
+    same shape) overwrites x with the result, computed in x's dtype, which
+    saves an allocation on a temporary the caller owns. The float32 clamp
+    is [float32 tiny, largest float32 below 1]. NaN inputs give NaN outputs.
     """
     if out is None:
         x = np.asarray(x, dtype=np.float64)
@@ -50,7 +60,7 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     denom = out + 1.0
     np.copyto(out, 1.0, where=pos)
     np.divide(out, denom, out=out)
-    return np.clip(out, _SIGMOID_FLOOR, _SIGMOID_CEIL, out=out)
+    return np.clip(out, *_SIGMOID_CLAMPS[out.dtype], out=out)
 
 
 @dataclass
@@ -92,6 +102,20 @@ class MlpModel:
     def set_parameters(self, weights, biases) -> None:
         self.weights = [w.copy() for w in weights]
         self.biases = [b.copy() for b in biases]
+
+    def as_float32(self) -> "MlpModel":
+        """This model with float32 parameters, for mapping; itself when already float32.
+
+        The cast rounds as save_model does, so the copy of a trained model
+        and the copy of its reloaded checkpoint hold the same bits.
+        """
+        if all(p.dtype == np.float32 for p in self.weights + self.biases):
+            return self
+        return replace(
+            self,
+            weights=[w.astype(np.float32) for w in self.weights],
+            biases=[b.astype(np.float32) for b in self.biases],
+        )
 
 
 def init_model(
@@ -135,16 +159,28 @@ class ForwardState:
 def forward(model: MlpModel, batch: np.ndarray, dropout_masks=None) -> ForwardState:
     """Activations of every layer for one batch; the batch is not modified.
 
-    Each layer adds its bias to the fresh product a @ W and applies the
-    sigmoid to it in place, so the sum and the activation need no arrays
-    of their own.
+    Computes in the dtype of the model's weights. With float64 weights
+    (training) every operation runs in float64. With float32 weights
+    (mapping, see MlpModel.as_float32) the checked float64 batch is cast to
+    float32 once and every layer runs in float32; dropout masks belong to
+    training and are rejected there. Each layer adds its bias to the fresh
+    product a @ W and applies the sigmoid to it in place, so the sum and the
+    activation need no arrays of their own.
     """
-    x = as_float_matrix(batch, "batch")
+    return _forward(model, as_float_matrix(batch, "batch"), dropout_masks)
+
+
+def _forward(model: MlpModel, x: np.ndarray, dropout_masks=None) -> ForwardState:
+    """forward() on a float64 matrix already checked to be finite."""
     if x.shape[1] != model.input_dim:
         raise ShapeError(f"batch has dim {x.shape[1]}, model expects {model.input_dim}")
     n_hidden = len(model.weights) - 1
     if dropout_masks is not None and len(dropout_masks) != n_hidden:
         raise ShapeError(f"expected {n_hidden} dropout masks, got {len(dropout_masks)}")
+    if model.weights[0].dtype == np.float32:
+        if dropout_masks is not None:
+            raise ConfigError("dropout masks are for training; a float32 model only maps")
+        x = x.astype(np.float32)
 
     hidden, masked = [], []
     activation = x
@@ -174,7 +210,7 @@ def loss_and_gradients(model: MlpModel, batch, reference, dropout_masks=None):
     """Mean-squared-error loss and backpropagated parameter gradients."""
     x = as_float_matrix(batch, "batch")
     y = as_float_matrix(reference, "reference")
-    state = forward(model, x, dropout_masks)
+    state = _forward(model, x, dropout_masks)
     out = state.output
     if out.shape != y.shape:
         raise ShapeError(f"output {out.shape} vs reference {y.shape}")
@@ -274,7 +310,7 @@ def evaluate_cost(model: MlpModel, inputs: np.ndarray, references: np.ndarray, c
         raise ShapeError("inputs and references must have the same frame count")
     total = 0.0
     for start in range(0, x.shape[0], chunk):
-        out = forward(model, x[start:start + chunk]).output
+        out = _forward(model, x[start:start + chunk]).output
         total += float(np.sum((out - y[start:start + chunk]) ** 2))
     return total / max(1, y.size)
 
@@ -407,7 +443,13 @@ def map_features(
     mel_filterbank: Optional[np.ndarray] = None,
     magnitude_floor: float = 1e-10,
 ) -> MappedFeatures:
-    """Run one utterance of log-magnitude frames through the mapper."""
+    """Run one utterance of log-magnitude frames through the mapper.
+
+    The mapping runs in float32 through model.as_float32(), so pass a
+    float32 model to skip the per-call cast. Context assembly,
+    normalization and denormalization run in float64, and every returned
+    array is float64. The inputs are not modified.
+    """
     if model.norm_spec is None:
         raise ConfigError("model has no normalization spec; train or load one first")
     assembled = assemble_context(log_spec, context)
@@ -417,8 +459,11 @@ def map_features(
             f"{assembled.shape[1]}, model expects {model.input_dim}"
         )
     spec = model.norm_spec
-    normalized_in = normalize(assembled, spec, "input") if assembled.size else assembled
-    output = forward(model, normalized_in).output if len(assembled) else np.zeros((0, model.output_dim))
+    if len(assembled):
+        normalized_in = normalize(assembled, spec, "input")
+        output = forward(model.as_float32(), normalized_in).output.astype(np.float64)
+    else:
+        output = np.zeros((0, model.output_dim))
 
     if spec.reference_mode == "global_minmax_01":
         return MappedFeatures(output, denormalize(output, spec, "reference"))

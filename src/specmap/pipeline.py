@@ -8,6 +8,7 @@ for comparison).
 """
 
 import dataclasses
+import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -55,10 +56,26 @@ class PipelineConfig:
                     f"over {self.stft.n_bins} bins ({expected})"
                 )
         self._filterbank = mel_matrix(self.mel)
+        self._mapper = self._model_id = None
 
     @property
     def filterbank(self) -> np.ndarray:
         return self._filterbank
+
+    @property
+    def mapper(self) -> Optional[MlpModel]:
+        """The float32 copy of the model that every mapping runs through.
+
+        Cast and hashed once per config, not per utterance: for the
+        paper-size model the two take about 80 ms together. Both happen on
+        first use rather than at construction, so that a caller which
+        builds a new config while an old one is alive does not hold two
+        float32 copies at once.
+        """
+        if self._mapper is None and self.model is not None:
+            self._mapper = self.model.as_float32()
+            self._model_id = _identify_model(self._mapper)
+        return self._mapper
 
     def describe(self) -> dict:
         return {
@@ -69,8 +86,22 @@ class PipelineConfig:
             "wpe": dataclasses.asdict(self.wpe),
             "magnitude_floor": self.magnitude_floor,
             "resynthesize": self.resynthesize,
-            "model_dims": None if self.model is None else self.model.layer_dims,
+            "model": None if self.mapper is None else self._model_id,
         }
+
+
+def _identify_model(mapper: MlpModel) -> dict:
+    """Dims, output activation and a sha256 of the float32 parameters and normalization."""
+    digest = hashlib.sha256()
+    for param in mapper.weights + mapper.biases:
+        digest.update(memoryview(np.ascontiguousarray(param, dtype="<f4")))
+    norm = None if mapper.norm_spec is None else mapper.norm_spec.to_dict()
+    digest.update(json.dumps(norm, sort_keys=True).encode("utf-8"))
+    return {
+        "dims": mapper.layer_dims,
+        "output_activation": mapper.output_activation,
+        "sha256": digest.hexdigest(),
+    }
 
 
 @dataclass
@@ -82,7 +113,7 @@ class EnhancedUtterance:
 def _mapped_mel(config: PipelineConfig, spectrogram) -> np.ndarray:
     logmag = log_magnitude(spectrogram, config.magnitude_floor)
     mapped = map_features(
-        config.model, logmag, config.context, config.filterbank, config.magnitude_floor
+        config.mapper, logmag, config.context, config.filterbank, config.magnitude_floor
     )
     if mapped.denormalized is None:
         raise ConfigError("model reference normalization cannot be inverted at mapping time")

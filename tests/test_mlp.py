@@ -409,3 +409,71 @@ def test_train_step_matches_out_of_place_adagrad_bitwise(dropout_rate):
     for fast_arrays, slow_arrays in pairs:
         for a, b in zip(fast_arrays, slow_arrays):
             assert_same_bits(a, b)
+
+
+# Float32 mapping: the float32 sigmoid, forward pass and model copy. The
+# float64 paths above stay bit-identical; map_features is checked against
+# the float64 forward in tests/test_pipeline.py.
+
+def test_float32_sigmoid_stays_float32_in_open_interval():
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 88.7, -88.7, 104.0, -104.0, 800.0, -800.0],
+                     dtype=np.float32)
+    out = edges.copy()
+    assert sigmoid(out, out=out) is out
+    assert out.dtype == np.float32
+    assert np.all(out > 0.0) and np.all(out < 1.0)
+    assert out[2] == np.nextafter(np.float32(1), np.float32(0))
+    assert out[3] == np.finfo(np.float32).tiny
+    nan = np.array([np.nan, -np.nan, 0.5, -0.5], dtype=np.float32)
+    sigmoid(nan, out=nan)
+    assert nan.dtype == np.float32 and np.isnan(nan[:2]).all()
+
+
+def test_float32_sigmoid_agrees_with_float64():
+    x = np.random.default_rng(35).normal(scale=8.0, size=(298, 40))
+    narrow = x.astype(np.float32)
+    sigmoid(narrow, out=narrow)
+    assert np.max(np.abs(narrow - sigmoid(x))) <= 1e-7
+
+
+def test_sigmoid_without_out_computes_in_float64():
+    x = np.random.default_rng(36).normal(scale=8.0, size=(5, 7)).astype(np.float32)
+    assert_same_bits(sigmoid(x), reference_sigmoid(x.astype(np.float64)))
+
+
+def test_as_float32_copy_keeps_metadata_and_leaves_the_model_alone():
+    model = init_model([9, 5, 2], "linear", seed=2, norm_spec=_minmax_spec(9))
+    copy = model.as_float32()
+    assert all(p.dtype == np.float32 for p in copy.weights + copy.biases)
+    assert all(p.dtype == np.float64 for p in model.weights + model.biases)
+    assert copy.norm_spec is model.norm_spec
+    assert (copy.output_activation, copy.hidden_activation, copy.seed) == ("linear", "sigmoid", 2)
+    assert copy.as_float32() is copy
+    for wide, narrow in zip(model.weights, copy.weights):
+        assert np.array_equal(narrow, wide.astype(np.float32))
+
+
+def test_float32_forward_runs_in_float32_and_rejects_dropout():
+    rng = np.random.default_rng(37)
+    model = init_model([30, 24, 24, 5], "sigmoid", seed=32)
+    x = rng.normal(scale=3.0, size=(17, 30))
+    narrow = model.as_float32()
+    state = forward(narrow, x)
+    assert all(h.dtype == np.float32 for h in state.hidden) and state.output.dtype == np.float32
+    assert np.max(np.abs(state.output - forward(model, x).output)) <= 1e-6
+    with pytest.raises(ConfigError):
+        forward(narrow, x, make_dropout_masks(rng, [24, 24], 17, 0.25))
+    x[3, 4] = np.nan
+    with pytest.raises(NumericError):
+        forward(narrow, x)
+
+
+def test_train_step_rejects_nan_batch():
+    model = init_model([3, 4, 2], "sigmoid", seed=38)
+    batch = np.ones((4, 3))
+    batch[1, 2] = np.nan
+    before = [w.copy() for w in model.weights]
+    with pytest.raises(NumericError, match="non-finite"):
+        train_step(model, batch, np.full((4, 2), 0.5), TrainConfig(), AdagradState(model))
+    for w_before, w_after in zip(before, model.weights):
+        assert np.array_equal(w_before, w_after)

@@ -12,30 +12,44 @@ from specmap.errors import ConfigError, ShapeError
 from specmap.estimators import SpectralFeatureMapper
 from specmap import pipeline
 from specmap.featio import load_model, read_features, save_model
+from specmap.features import (
+    assemble_context,
+    denormalize,
+    fit_normalizer,
+    invert_mvn,
+    normalize,
+    utterance_stats,
+)
 from specmap.mel import log_mel, mel_matrix
-from specmap.mlp import map_features
+from specmap.mlp import forward, init_model, map_features
 from specmap.pipeline import PipelineConfig, batch_enhance, enhance_utterance
 from specmap.runconfig import config_hash
 from specmap.stft import log_magnitude, stft
 from specmap.wpe import WpeConfig, wpe_dereverberate
 
 
-def _toy_mapper(manifest, n_train=4):
-    """Tiny mapper fitted on a few utterances of the shared corpus."""
+def _split_features(manifest, split):
+    """Noisy log-magnitude inputs and clean reference features of one split."""
     stft_cfg = manifest.stft_config()
     floor = manifest.feature_config["magnitude_floor"]
-    filterbank = mel_matrix(manifest.mel_config())
-    entries = manifest.split_entries("train")[:n_train]
+    entries = manifest.split_entries(split)
     xs = [
         log_magnitude(stft(load_wav(manifest.resolve(e.noisy_wav)), stft_cfg), floor)
         for e in entries
     ]
     ys = [read_features(manifest.resolve(e.reference_features)) for e in entries]
+    return xs, ys
+
+
+def _toy_mapper(manifest, n_train=4):
+    """Tiny mapper fitted on a few utterances of the shared corpus."""
+    filterbank = mel_matrix(manifest.mel_config())
+    xs, ys = _split_features(manifest, "train")
     mapper = SpectralFeatureMapper(
         hidden_units=(16, 16), context=1, recipe="original",
         batch_size=64, learning_rate=0.1, max_epochs=4, seed=0,
     )
-    mapper.fit(xs, ys, mel_filterbank=filterbank)
+    mapper.fit(xs[:n_train], ys[:n_train], mel_filterbank=filterbank)
     return mapper
 
 
@@ -275,10 +289,9 @@ def test_parallel_tasks_carry_the_wav_path_not_the_model(tiny_corpus, toy_mapper
 
 
 def test_reloaded_mapper_agrees_with_in_memory_model(tiny_corpus, toy_mapper, tmp_path):
-    # Checkpoints hold float32 weights while training keeps float64, so the
-    # CLI path (reloaded) and the estimator path (in memory) differ slightly.
-    # Measured worst case: 2.6e-7 nats on log-mel features, for this model,
-    # a [2827,128,128,40] one and the paper-size [2827,2048,2048,40] one.
+    # Checkpoints hold float32 weights and mapping runs in float32, so the
+    # CLI path (reloaded) and the estimator path (in memory) map through
+    # the same float32 parameters and agree bit for bit.
     manifest = tiny_corpus
     model = toy_mapper.model_
     save_model(tmp_path / "mapper.sfmd", model)
@@ -291,7 +304,7 @@ def test_reloaded_mapper_agrees_with_in_memory_model(tiny_corpus, toy_mapper, tm
             for m in (model, reloaded)
         ]
         worst = max(worst, float(np.max(np.abs(outputs[0] - outputs[1]))))
-    assert 0.0 < worst <= 1e-6
+    assert worst == 0.0
 
 
 def test_config_hash_covers_every_wpe_field(tiny_corpus):
@@ -303,6 +316,83 @@ def test_config_hash_covers_every_wpe_field(tiny_corpus):
     for name, value in changed.items():
         variant = dataclasses.replace(base, wpe=dataclasses.replace(base.wpe, **{name: value}))
         assert config_hash(variant.describe()) != digest, name
+
+
+def test_config_hash_names_the_mapper_weights(tiny_corpus, toy_mapper, tmp_path):
+    model = toy_mapper.model_
+    digest = config_hash(_pipeline_config(tiny_corpus, "dnn_only", model=model).describe())
+    other = init_model(model.layer_dims, model.output_activation, seed=99, norm_spec=model.norm_spec)
+    assert config_hash(_pipeline_config(tiny_corpus, "dnn_only", model=other).describe()) != digest
+    save_model(tmp_path / "mapper.sfmd", model)
+    reloaded, _ = load_model(tmp_path / "mapper.sfmd")
+    assert config_hash(_pipeline_config(tiny_corpus, "dnn_only", model=reloaded).describe()) == digest
+
+
+def reference_map(model, log_spec, context, filterbank, floor):
+    """The float64 mapping that map_features ran before it mapped in float32."""
+    spec = model.norm_spec
+    output = forward(model, normalize(assemble_context(log_spec, context), spec, "input")).output
+    if spec.reference_mode == "global_minmax_01":
+        return output, denormalize(output, spec, "reference")
+    proxy_mel = np.log(np.maximum(np.exp(2.0 * log_spec) @ filterbank.T, floor))
+    mean, var = utterance_stats(proxy_mel, spec.epsilon)
+    return output, invert_mvn(output, mean, var)
+
+
+@pytest.fixture(scope="module")
+def mappers(tiny_corpus, toy_mapper):
+    """(model, context) for the toy mapper, [2827,128,128,40] in both recipes, paper size."""
+    filterbank = mel_matrix(tiny_corpus.mel_config())
+    train_x, train_y = _split_features(tiny_corpus, "train")
+    dev_x, dev_y = _split_features(tiny_corpus, "dev")
+    found = {"toy": (toy_mapper.model_, toy_mapper.context)}
+    for recipe in ("original", "enhanced"):
+        mapper = SpectralFeatureMapper(
+            hidden_units=(128, 128), context=5, recipe=recipe,
+            batch_size=128, learning_rate=0.05, max_epochs=3, seed=0,
+        )
+        mapper.fit(train_x, train_y, dev_x, dev_y, mel_filterbank=filterbank)
+        found[recipe] = (mapper.model_, 5)
+    norm = fit_normalizer([assemble_context(x, 5) for x in train_x], train_y)
+    found["paper"] = (init_model([2827, 2048, 2048, 40], "sigmoid", seed=0, norm_spec=norm), 5)
+    return found
+
+
+@pytest.mark.parametrize("name", ["toy", "original", "enhanced", "paper"])
+def test_float32_mapping_matches_float64_forward(tiny_corpus, mappers, name):
+    # Measured worst cases over the 12 test utterances, one or two OpenBLAS
+    # threads: 1.1e-6 on the network output (enhanced recipe) and 7.4e-6
+    # nats on log-mel features (paper-size mapper).
+    model, context = mappers[name]
+    filterbank = mel_matrix(tiny_corpus.mel_config())
+    floor = tiny_corpus.feature_config["magnitude_floor"]
+    params = [p.copy() for p in model.weights + model.biases]
+    for log_spec in _split_features(tiny_corpus, "test")[0]:
+        untouched = log_spec.copy()
+        mapped = map_features(model, log_spec, context, filterbank, floor)
+        narrow = map_features(model.as_float32(), log_spec, context, filterbank, floor)
+        assert np.array_equal(mapped.denormalized, narrow.denormalized)  # always float32
+        output, features = reference_map(model, log_spec, context, filterbank, floor)
+        assert mapped.normalized.dtype == np.float64 and mapped.denormalized.dtype == np.float64
+        assert np.max(np.abs(mapped.normalized - output)) <= 2e-6
+        assert np.max(np.abs(mapped.denormalized - features)) <= 1.5e-5
+        assert np.array_equal(log_spec, untouched)
+    for before, after in zip(params, model.weights + model.biases):
+        assert after.dtype == np.float64 and np.array_equal(before, after)
+
+
+def test_pipeline_and_estimator_map_the_same_bits(tiny_corpus, toy_mapper):
+    # enhance_utterance maps through the config's float32 copy, cast once
+    # per config; SpectralFeatureMapper.transform casts the float64 model.
+    manifest = tiny_corpus
+    config = _pipeline_config(manifest, "dnn_only", model=toy_mapper.model_)
+    assert config.mapper.weights[0].dtype == np.float32
+    assert config.mapper.as_float32() is config.mapper
+    for entry in manifest.split_entries("test"):
+        wave = load_wav(manifest.resolve(entry.noisy_wav))
+        logmag = log_magnitude(stft(wave, config.stft), config.magnitude_floor)
+        (estimated,) = toy_mapper.transform([logmag], config.filterbank)
+        assert np.array_equal(enhance_utterance(wave, config).features, estimated)
 
 
 def test_batch_enhance_records_failures_and_continues(tiny_corpus, tmp_path):
