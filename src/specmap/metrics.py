@@ -53,17 +53,15 @@ def segmental_snr(
     n_segments = len(ref) // seg_len
     if n_segments == 0:
         raise ShapeError(f"signal too short for {segment_ms} ms segments")
-    values = np.empty(n_segments)
-    for i in range(n_segments):
-        sl = slice(i * seg_len, (i + 1) * seg_len)
-        signal_energy = float(np.sum(ref[sl] ** 2))
-        error_energy = float(np.sum((ref[sl] - est[sl]) ** 2))
-        if error_energy == 0.0:
-            values[i] = ceil_db
-        elif signal_energy == 0.0:
-            values[i] = floor_db
-        else:
-            values[i] = min(max(10.0 * np.log10(signal_energy / error_energy), floor_db), ceil_db)
+    length = n_segments * seg_len
+    signal = ref[:length].reshape(n_segments, seg_len)
+    error = (ref[:length] - est[:length]).reshape(n_segments, seg_len)
+    signal_energy = np.sum(signal ** 2, axis=1)
+    error_energy = np.sum(error ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.clip(10.0 * np.log10(signal_energy / error_energy), floor_db, ceil_db)
+    values[signal_energy == 0.0] = floor_db
+    values[error_energy == 0.0] = ceil_db
     return float(np.mean(values))
 
 

@@ -77,6 +77,17 @@ class PipelineConfig:
             self._model_id = _identify_model(self._mapper)
         return self._mapper
 
+    def __getstate__(self) -> dict:
+        """Pickled state, as sent to batch workers, with the float32 mapper as the model.
+
+        Workers map only through the float32 copy, so the float64 model is
+        left out. as_float32() of the copy is the copy itself, so an
+        unpickled config maps and hashes as this one does.
+        """
+        state = self.__dict__.copy()
+        state["model"] = self.mapper
+        return state
+
     def describe(self) -> dict:
         return {
             "mode": self.mode,

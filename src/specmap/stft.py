@@ -126,14 +126,23 @@ def istft(spectrogram: Spectrogram) -> Waveform:
         return Waveform(np.zeros(0), spectrogram.sample_rate)
 
     window = config.window_values()
-    out_len = (n_frames - 1) * config.hop + config.frame_len
-    numerator = np.zeros(out_len)
-    denominator = np.zeros(out_len)
-    segments = np.fft.irfft(spectrogram.data, n=config.fft_size, axis=1)[:, : config.frame_len]
-    for t in range(n_frames):
-        start = t * config.hop
-        numerator[start:start + config.frame_len] += segments[t] * window
-        denominator[start:start + config.frame_len] += window ** 2
+    hop, frame_len = config.hop, config.frame_len
+    out_len = (n_frames - 1) * hop + frame_len
+    n_chunks = -(-frame_len // hop)
+    # Hop-sized blocks of the output: chunk j of frame t lands in block t + j.
+    numerator = np.zeros((n_frames - 1 + n_chunks, hop))
+    denominator = np.zeros_like(numerator)
+    segments = np.fft.irfft(spectrogram.data, n=config.fft_size, axis=1)[:, :frame_len]
+    weighted = segments * window
+    squared = window ** 2
+    # Last chunk first, so that every sample sums its frames in increasing t.
+    for j in reversed(range(n_chunks)):
+        lo = j * hop
+        width = min(hop, frame_len - lo)
+        numerator[j:j + n_frames, :width] += weighted[:, lo:lo + width]
+        denominator[j:j + n_frames, :width] += squared[lo:lo + width]
+    numerator = numerator.reshape(-1)[:out_len]
+    denominator = denominator.reshape(-1)[:out_len]
     # Clamping the normalizer bounds the gain on the outermost samples, where
     # coverage tapers to zero and inconsistent (modified) frames would blow up.
     floor = 1e-2 * denominator.max()

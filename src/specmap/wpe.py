@@ -4,6 +4,11 @@ Each frequency bin is treated independently: a length-K prediction filter
 estimates the late reverberant part of frame t from the observed frames
 t-D ... t-D-K+1, weighted by an iteratively re-estimated signal variance.
 Subtracting the prediction leaves the early/direct component.
+
+The complex arithmetic runs on real arrays: the delayed taps and the target
+of every bin are stored once as real and imaginary rows of one float64
+stack, so that an iteration's covariance build is one batched real GEMM and
+its prediction one small batched real GEMM.
 """
 
 import logging
@@ -141,16 +146,53 @@ def solve_hermitian(matrix: np.ndarray, rhs: np.ndarray, delta: float = 0.0) -> 
     return g[0]
 
 
-def _delayed_context(data: np.ndarray, taps: int, delay: int) -> np.ndarray:
-    """Context tensor (bins, taps, valid_frames): tap k holds y[t - delay - k]."""
+def _tap_stack(data: np.ndarray, taps: int, delay: int) -> np.ndarray:
+    """Real stack (bins, 2*taps + 2, valid_frames) of the delayed taps and the target.
+
+    Row k < taps holds Re y[t - delay - k], row taps + k its Im, and the last
+    two rows Re y[t] and Im y[t], for t from delay + taps - 1 on.
+    """
     n_frames, n_bins = data.shape
     first_valid = delay + taps - 1
     n_valid = n_frames - first_valid
-    context = np.empty((n_bins, taps, n_valid), dtype=np.complex128)
+    parts = data.view(np.float64).reshape(n_frames, n_bins, 2).transpose(1, 2, 0)
+    stack = np.empty((n_bins, 2 * taps + 2, n_valid))
     for k in range(taps):
         start = first_valid - delay - k
-        context[:, k, :] = data[start:start + n_valid, :].T
-    return context
+        stack[:, k, :] = parts[:, 0, start:start + n_valid]
+        stack[:, taps + k, :] = parts[:, 1, start:start + n_valid]
+    stack[:, 2 * taps:, :] = parts[:, :, first_valid:]
+    return stack
+
+
+def _normal_equations(stack: np.ndarray, inverse_variance: np.ndarray, weighted: np.ndarray):
+    """Every bin's normal matrix (bins, K, K) and rhs (bins, K) from one real GEMM.
+
+    inverse_variance is (bins, valid_frames); weighted, (bins, 2K, valid_frames),
+    is overwritten with the taps scaled by it. In complex terms the matrix is
+    sum_t x[t] x[t]^H / lam[t] and the rhs sum_t x[t] conj(y[t]) / lam[t].
+    """
+    k = weighted.shape[1] // 2
+    np.multiply(stack[:, :2 * k], inverse_variance[:, None, :], out=weighted)
+    gram = weighted @ stack.transpose(0, 2, 1)            # (B, 2K, 2K + 2)
+    re, im = gram[:, :k], gram[:, k:]
+    normal = np.empty((len(gram), k, k), dtype=np.complex128)
+    np.add(re[:, :, :k], im[:, :, k:2 * k], out=normal.real)
+    np.subtract(im[:, :, :k], re[:, :, k:2 * k], out=normal.imag)
+    rhs = np.empty((len(gram), k), dtype=np.complex128)
+    np.add(re[:, :, 2 * k], im[:, :, 2 * k + 1], out=rhs.real)
+    np.subtract(im[:, :, 2 * k], re[:, :, 2 * k + 1], out=rhs.imag)
+    return normal, rhs
+
+
+def _prediction(filters: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Re and Im of sum_k conj(g_k) x_k, as (bins, 2, valid_frames)."""
+    k = filters.shape[1]
+    coefficients = np.empty((len(filters), 2, 2 * k))
+    coefficients[:, 0, :k] = coefficients[:, 1, k:] = filters.real
+    coefficients[:, 0, k:] = filters.imag
+    np.negative(filters.imag, out=coefficients[:, 1, :k])
+    return coefficients @ stack[:, :2 * k]
 
 
 def _smoothed_power(signal: np.ndarray, half_width: int) -> np.ndarray:
@@ -169,17 +211,23 @@ def _smoothed_power(signal: np.ndarray, half_width: int) -> np.ndarray:
 def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult:
     """Dereverberate a (frames x bins) complex spectrogram.
 
-    Each iteration re-estimates the floored variance from the current
-    dereverberated signal, builds every bin's weighted normal equations as
-    one (bins, taps, taps) stack, solves the stack with one batched call to
-    solve_normal_equations, and subtracts the predicted tail. That call makes
-    the same per-bin checks as solve_hermitian; a bin that fails one gets a
-    zero filter and is listed in fallback_bins. Frames without a
+    The observation is first laid out as one real (bins, 2*taps + 2, frames)
+    stack: the real parts of the taps, their imaginary parts, and the real
+    and imaginary part of the target frame. Each iteration re-estimates the
+    floored variance from the current dereverberated signal, scales the tap
+    rows by its reciprocal, and reads every bin's normal matrix and rhs out
+    of the blocks of one batched real GEMM of those rows against the stack.
+    It solves the (bins, taps, taps) systems with one batched call to
+    solve_normal_equations, predicts the tail with one batched real GEMM of
+    the filters against the tap rows, and subtracts it in place. The solve
+    makes the same per-bin checks as solve_hermitian; a bin that fails one
+    gets a zero filter and is listed in fallback_bins. Frames without a
     complete context (t < delay + taps - 1) pass through unchanged, as does
     the whole utterance when it is shorter than taps + delay + 1 frames.
     """
     is_spec = isinstance(observation, Spectrogram)
     data = observation.data if is_spec else as_complex_matrix(observation, "observation")
+    data = np.ascontiguousarray(data)  # the real views below need C order
     n_frames, n_bins = data.shape
     taps, delay = config.taps, config.delay
 
@@ -198,11 +246,12 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
         )
 
     first_valid = delay + taps - 1
-    context = _delayed_context(data, taps, delay)          # (B, K, Tv)
-    context_h = context.conj().transpose(0, 2, 1)          # (B, Tv, K), loop-invariant
-    weighted = np.empty_like(context)                      # refilled in place each iteration
-    targets = data[first_valid:, :]                        # (Tv, B)
+    stack = _tap_stack(data, taps, delay)                  # (B, 2K + 2, Tv)
+    weighted = np.empty((n_bins, 2 * taps, stack.shape[2]))  # refilled each iteration
     enhanced = data.copy()
+    # Re/Im views (frames, bins, 2) of the observation and of the output.
+    observed_parts = data.view(np.float64).reshape(n_frames, n_bins, 2)
+    enhanced_parts = enhanced.view(np.float64).reshape(n_frames, n_bins, 2)
     objective = np.empty((config.iterations, n_bins))
     delta_per_bin: Optional[np.ndarray] = None
     fallback: set[int] = set()
@@ -213,9 +262,7 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
             _smoothed_power(enhanced, config.variance_context), config.variance_floor
         )
         lam = variance[first_valid:, :]                    # (Tv, B)
-        np.divide(context, lam.T[:, None, :], out=weighted)
-        normal = weighted @ context_h                      # (B, K, K)
-        rhs = np.einsum("bkt,tb->bk", weighted, targets.conj())
+        normal, rhs = _normal_equations(stack, 1.0 / np.ascontiguousarray(lam.T), weighted)
 
         if delta_per_bin is None:
             if config.delta is not None:
@@ -226,8 +273,11 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
         filters, failure = solve_normal_equations(normal, rhs, delta_per_bin)
         fallback.update(np.flatnonzero(failure).tolist())
 
-        prediction = np.einsum("bk,bkt->tb", filters.conj(), context)
-        enhanced[first_valid:, :] = targets - prediction
+        np.subtract(
+            observed_parts[first_valid:],
+            _prediction(filters, stack).transpose(2, 0, 1),
+            out=enhanced_parts[first_valid:],
+        )
         residual = np.abs(enhanced[first_valid:, :]) ** 2 / lam
         objective[iteration] = (
             residual.sum(axis=0)

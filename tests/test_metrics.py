@@ -95,6 +95,45 @@ def test_segsnr_clamps_floor():
     assert value == pytest.approx((first + second) / 2.0)
 
 
+def segsnr_loop_reference(estimate, reference, sample_rate, segment_ms=10.0,
+                          floor_db=-10.0, ceil_db=35.0):
+    """The per-segment loop segmental_snr replaced."""
+    est, ref = np.asarray(estimate, dtype=float), np.asarray(reference, dtype=float)
+    seg_len = int(round(sample_rate * segment_ms / 1000.0))
+    n_segments = len(ref) // seg_len
+    values = np.empty(n_segments)
+    for i in range(n_segments):
+        sl = slice(i * seg_len, (i + 1) * seg_len)
+        signal_energy = float(np.sum(ref[sl] ** 2))
+        error_energy = float(np.sum((ref[sl] - est[sl]) ** 2))
+        if error_energy == 0.0:
+            values[i] = ceil_db
+        elif signal_energy == 0.0:
+            values[i] = floor_db
+        else:
+            values[i] = min(max(10.0 * np.log10(signal_energy / error_energy), floor_db), ceil_db)
+    return float(np.mean(values))
+
+
+def test_segsnr_matches_loop_reference_bitwise():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(160, 4000))  # mostly with a trailing partial segment
+        clean = rng.normal(size=n) * rng.choice([1e-3, 1.0, 300.0])
+        estimate = clean + rng.choice([1e-6, 0.1, 3.0]) * rng.normal(size=n)
+        segments = n // 160
+        for i in rng.choice(segments, size=min(3, segments), replace=False):
+            clean[i * 160:(i + 1) * 160] = 0.0      # zero signal, nonzero error
+        for i in rng.choice(segments, size=min(3, segments), replace=False):
+            estimate[i * 160:(i + 1) * 160] = clean[i * 160:(i + 1) * 160]  # zero error
+        if segments > 1:
+            clean[:160] = estimate[:160] = 0.0      # zero signal and zero error
+        for segment_ms in (10.0, 7.5):
+            assert segmental_snr(estimate, clean, 16000, segment_ms) == segsnr_loop_reference(
+                estimate, clean, 16000, segment_ms
+            )
+
+
 def test_segsnr_errors():
     with pytest.raises(ShapeError):
         segmental_snr(np.zeros(100), np.zeros(99), 16000)

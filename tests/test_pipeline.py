@@ -280,12 +280,26 @@ def test_parallel_tasks_carry_the_wav_path_not_the_model(tiny_corpus, toy_mapper
     pooled = batch_enhance(manifest, config, tmp_path / "pooled", split="dev", jobs=2)
     serial = batch_enhance(manifest, config, tmp_path / "serial", split="dev", jobs=1)
     (pool,) = _InlinePool.created
-    weight_bytes = toy_mapper.model_.weights[0].tobytes()
-    assert weight_bytes in pickle.dumps(pool.initargs)  # the model is sent once per worker
+    weight_bytes = toy_mapper.model_.as_float32().weights[0].tobytes()
+    assert weight_bytes in pickle.dumps(pool.initargs)  # the mapper is sent once per worker
     assert len(pool.tasks) == len(manifest.split_entries("dev"))
     assert all(weight_bytes not in task and len(task) < 1000 for task in pool.tasks)
     for rel in serial.features.values():
         assert (tmp_path / "pooled" / rel).read_bytes() == (tmp_path / "serial" / rel).read_bytes()
+
+
+def test_pickled_config_carries_only_the_float32_mapper(tiny_corpus):
+    model = init_model([3 * 257, 256, 256, 40], "linear", seed=3)
+    config = _pipeline_config(tiny_corpus, "dnn_only", model=model)
+    digest = config_hash(config.describe())
+    both_models = len(pickle.dumps(config.__dict__))  # the state with float64 and float32 models
+    sent = pickle.dumps(config)
+    assert len(sent) <= 0.55 * both_models
+    restored = pickle.loads(sent)
+    assert restored.model is restored.mapper
+    assert all(p.dtype == np.float32 for p in restored.model.weights + restored.model.biases)
+    assert config_hash(restored.describe()) == digest
+    assert config.model is model  # pickling leaves the config itself alone
 
 
 def test_reloaded_mapper_agrees_with_in_memory_model(tiny_corpus, toy_mapper, tmp_path):

@@ -70,6 +70,39 @@ def test_roundtrip_interior(window, frame_len, hop):
     assert err / np.linalg.norm(wave.samples[lo:hi]) <= 1e-6
 
 
+def istft_loop_reference(spectrogram):
+    """The per-frame overlap-add loop istft replaced."""
+    config = spectrogram.config
+    window = config.window_values()
+    out_len = (spectrogram.n_frames - 1) * config.hop + config.frame_len
+    numerator = np.zeros(out_len)
+    denominator = np.zeros(out_len)
+    segments = np.fft.irfft(spectrogram.data, n=config.fft_size, axis=1)[:, : config.frame_len]
+    for t in range(spectrogram.n_frames):
+        start = t * config.hop
+        numerator[start:start + config.frame_len] += segments[t] * window
+        denominator[start:start + config.frame_len] += window ** 2
+    floor = 1e-2 * denominator.max()
+    return numerator / np.maximum(denominator, max(floor, 1e-300))
+
+
+@pytest.mark.parametrize(
+    "window,frame_len,hop",
+    [("hann", 400, 160), ("hann", 400, 100), ("hann", 400, 200), ("hann", 256, 96),
+     ("hamming", 400, 160), ("hamming", 256, 64), ("hamming", 300, 300),
+     ("rectangular", 256, 256), ("rectangular", 256, 100)],
+)
+def test_istft_matches_loop_reference_bitwise(window, frame_len, hop):
+    config = StftConfig(frame_len=frame_len, hop=hop, fft_size=512, window=window)
+    rng = np.random.default_rng(frame_len * 1000 + hop)
+    for n_samples in (frame_len, frame_len + 3 * hop + 7, 6400):
+        spec = stft(Waveform(rng.normal(size=n_samples), 16000), config)
+        # A modified spectrogram, as enhancement produces, is not consistent.
+        modified = Spectrogram(spec.data * rng.uniform(0.2, 1.5, spec.data.shape), config, 16000)
+        for s in (spec, modified):
+            assert np.array_equal(istft(s).samples, istft_loop_reference(s))
+
+
 def test_all_zero_spectrogram_synthesizes_silence():
     config = StftConfig()
     spec = Spectrogram(np.zeros((5, config.n_bins), dtype=complex), config, 16000)
