@@ -6,51 +6,23 @@ the output directory so a rerun from that directory reproduces the run.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from .errors import ConfigError, SpecmapError, UsageError
-from .featio import load_model, read_features, save_model
-from .features import assemble_context, fit_normalizer, normalize
-from .mlp import TrainConfig, init_model, train
+from .estimators import RECIPES, SpectralFeatureMapper, training_features
+from .featio import load_model, save_model
 from .pipeline import MODES, PipelineConfig, batch_enhance
 from .report import SystemEvaluation, build_report, evaluate_system, write_plot_data, write_report_csv, write_report_json
 from .runconfig import parse_kv_file, resolve_config, write_resolved
-from .seeding import derive_seed
-from .stft import log_magnitude, stft
-from .audio import load_wav
-from .wpe import WpeConfig, wpe_dereverberate
+from .validation import check_choice
+from .wpe import WpeConfig
 
-SIMULATE_DEFAULTS = {
-    "sample_rate": 16000,
-    "utterance_seconds": 1.5,
-    "n_train": 20,
-    "n_dev": 5,
-    "n_test": 5,
-    "snr_grid": [-6.0, -3.0, 0.0, 3.0, 6.0, 9.0],
-    "add_noise": True,
-    "noise_color": "pink",
-    "reverb": True,
-    "t60": 0.5,
-    "rir_seconds": 0.5,
-    "direct_delay": 0,
-    "n_rirs": 3,
-    "n_noises": 2,
-    "frame_len": 400,
-    "hop": 160,
-    "fft_size": 512,
-    "window": "hann",
-    "n_mels": 40,
-    "f_min": 0.0,
-    "f_max": 8000.0,
-    "mel_mode": "power",
-    "magnitude_floor": 1e-10,
-    "seed": 0,
-}
+SIMULATE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(corpus_mod.CorpusConfig)}
+WPE_DEFAULTS = {f"wpe_{f.name}": f.default for f in dataclasses.fields(WpeConfig)}
 
 TRAIN_DEFAULTS = {
     "recipe": "original",
@@ -64,11 +36,7 @@ TRAIN_DEFAULTS = {
     "adagrad_epsilon": 1e-8,
     "increase_threshold": 0.01,
     "improvement_threshold": 0.001,
-    "wpe_taps": 10,
-    "wpe_delay": 3,
-    "wpe_iterations": 3,
-    "wpe_variance_floor": 1e-10,
-    "wpe_variance_context": 1,
+    **WPE_DEFAULTS,
     "seed": 0,
 }
 
@@ -78,11 +46,7 @@ ENHANCE_DEFAULTS = {
     "jobs": 1,
     "save_waveforms": True,
     "resynthesize": False,
-    "wpe_taps": 10,
-    "wpe_delay": 3,
-    "wpe_iterations": 3,
-    "wpe_variance_floor": 1e-10,
-    "wpe_variance_context": 1,
+    **WPE_DEFAULTS,
     "seed": 0,
 }
 
@@ -110,36 +74,15 @@ def _resolve(defaults, args):
     return config
 
 
+def _wpe_config(config) -> WpeConfig:
+    return WpeConfig(**{name[len("wpe_"):]: config[name] for name in WPE_DEFAULTS})
+
+
 def cmd_simulate(args) -> int:
     config = _resolve(SIMULATE_DEFAULTS, args)
+    corpus_config = corpus_mod.CorpusConfig(**config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus_config = corpus_mod.CorpusConfig(
-        sample_rate=config["sample_rate"],
-        utterance_seconds=config["utterance_seconds"],
-        n_train=config["n_train"],
-        n_dev=config["n_dev"],
-        n_test=config["n_test"],
-        snr_grid=tuple(config["snr_grid"]),
-        add_noise=config["add_noise"],
-        noise_color=config["noise_color"],
-        reverb=config["reverb"],
-        t60=config["t60"],
-        rir_seconds=config["rir_seconds"],
-        direct_delay=config["direct_delay"],
-        n_rirs=config["n_rirs"],
-        n_noises=config["n_noises"],
-        frame_len=config["frame_len"],
-        hop=config["hop"],
-        fft_size=config["fft_size"],
-        window=config["window"],
-        n_mels=config["n_mels"],
-        f_min=config["f_min"],
-        f_max=config["f_max"],
-        mel_mode=config["mel_mode"],
-        magnitude_floor=config["magnitude_floor"],
-        seed=config["seed"],
-    )
     manifest = corpus_mod.build_corpus(corpus_config, out_dir)
     write_resolved(config, out_dir)
     per_split = {s: len(manifest.split_entries(s)) for s in corpus_mod.SPLITS}
@@ -148,83 +91,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _training_matrices(manifest, entries, config):
-    stft_cfg = manifest.stft_config()
-    floor = manifest.feature_config.get("magnitude_floor", 1e-10)
-    wpe_cfg = WpeConfig(
-        taps=config["wpe_taps"],
-        delay=config["wpe_delay"],
-        iterations=config["wpe_iterations"],
-        variance_floor=config["wpe_variance_floor"],
-        variance_context=config["wpe_variance_context"],
-    )
-    inputs, refs = [], []
-    for entry in entries:
-        spec = stft(load_wav(manifest.resolve(entry.noisy_wav)), stft_cfg)
-        if config["input_processing"] == "wpe":
-            spec = wpe_dereverberate(spec, wpe_cfg).enhanced
-        inputs.append(assemble_context(log_magnitude(spec, floor), config["context"]))
-        refs.append(read_features(manifest.resolve(entry.reference_features)))
-    return inputs, refs
-
-
 def cmd_train(args) -> int:
     config = _resolve(TRAIN_DEFAULTS, args)
-    if config["recipe"] not in ("original", "enhanced"):
-        raise ConfigError(f"recipe must be 'original' or 'enhanced', got {config['recipe']!r}")
-    if config["input_processing"] not in ("noisy", "wpe"):
-        raise ConfigError("input_processing must be 'noisy' or 'wpe'")
+    check_choice(config["input_processing"], ("noisy", "wpe"), "input_processing")
+    wpe_config = _wpe_config(config)  # checked even when the inputs skip WPE
+    wpe = wpe_config if config["input_processing"] == "wpe" else None
+    mapper = SpectralFeatureMapper(hidden_units=config["hidden"])
+    mapper.set_params(**{k: v for k, v in config.items() if k in mapper.get_params()})
     manifest = corpus_mod.CorpusManifest.load(args.manifest)
-    train_entries = manifest.split_entries("train")
-    dev_entries = manifest.split_entries("dev")
-    if not train_entries:
-        raise ConfigError("manifest has no train split")
-    if config["recipe"] == "enhanced" and not dev_entries:
-        raise ConfigError(
-            "the enhanced recipe cross-validates each epoch and needs a dev split in the manifest"
-        )
+    mapper.fit(
+        *training_features(manifest, "train", wpe), *training_features(manifest, "dev", wpe)
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_in, train_ref = _training_matrices(manifest, train_entries, config)
-    dev_in, dev_ref = _training_matrices(manifest, dev_entries, config)
-
-    if config["recipe"] == "original":
-        input_mode, reference_mode = "global_mvn", "global_minmax_01"
-        output_activation, dropout, early_stop = "sigmoid", 0.0, False
-    else:
-        input_mode, reference_mode = "utterance_mvn", "utterance_mvn"
-        output_activation, dropout, early_stop = "linear", config["dropout_rate"], True
-
-    norm = fit_normalizer(train_in, train_ref, input_mode, reference_mode)
-    x = np.vstack([normalize(m, norm, "input") for m in train_in])
-    y = np.vstack([normalize(m, norm, "reference") for m in train_ref])
-    dev_x = np.vstack([normalize(m, norm, "input") for m in dev_in]) if dev_in else None
-    dev_y = np.vstack([normalize(m, norm, "reference") for m in dev_ref]) if dev_ref else None
-
-    model = init_model(
-        [x.shape[1], *config["hidden"], y.shape[1]],
-        output_activation,
-        derive_seed(config["seed"], "init"),
-        norm,
-    )
-    train_config = TrainConfig(
-        batch_size=config["batch_size"],
-        learning_rate=config["learning_rate"],
-        max_epochs=config["max_epochs"],
-        dropout_rate=dropout,
-        adagrad_epsilon=config["adagrad_epsilon"],
-        early_stop=early_stop,
-        increase_threshold=config["increase_threshold"],
-        improvement_threshold=config["improvement_threshold"],
-        rng_seed=derive_seed(config["seed"], "train"),
-    )
-    model, history = train(model, x, y, train_config, dev_x, dev_y)
-
     checkpoint = out_dir / "model.sfmd"
     save_model(
         checkpoint,
-        model,
+        mapper.model_,
         config={
             "context": config["context"],
             "recipe": config["recipe"],
@@ -233,8 +117,8 @@ def cmd_train(args) -> int:
             "sample_rate": manifest.sample_rate,
         },
     )
-    history_path = out_dir / "history.json"
-    with open(history_path, "w", encoding="utf-8") as fh:
+    history = mapper.history_
+    with open(out_dir / "history.json", "w", encoding="utf-8") as fh:
         json.dump(history.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_resolved(config, out_dir)
@@ -272,13 +156,7 @@ def cmd_enhance(args) -> int:
         stft=manifest.stft_config(),
         mel=manifest.mel_config(),
         context=context,
-        wpe=WpeConfig(
-            taps=config["wpe_taps"],
-            delay=config["wpe_delay"],
-            iterations=config["wpe_iterations"],
-            variance_floor=config["wpe_variance_floor"],
-            variance_context=config["wpe_variance_context"],
-        ),
+        wpe=_wpe_config(config),
         model=model,
         magnitude_floor=feature_config.get("magnitude_floor", 1e-10),
         resynthesize=config["resynthesize"],
@@ -345,7 +223,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the feature mapper")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint output directory")
-    p.add_argument("--recipe", choices=("original", "enhanced"))
+    p.add_argument("--recipe", choices=RECIPES)
     _add_common(p)
     p.set_defaults(func=cmd_train, _recipe_flag=True)
 

@@ -15,16 +15,42 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .audio import load_wav
 from .errors import ConfigError, ShapeError
+from .featio import read_features
 from .features import assemble_context, fit_normalizer, normalize
 from .mel import MelConfig, log_mel, mel_matrix
 from .mlp import TrainConfig, init_model, map_features, train
 from .seeding import derive_seed
-from .stft import Spectrogram, StftConfig, log_magnitude, stft
+from .stft import DEFAULT_MAGNITUDE_FLOOR, Spectrogram, StftConfig, log_magnitude, stft
 from .validation import check_choice, check_fitted
 from .wpe import WpeConfig, wpe_dereverberate
 
 RECIPES = ("original", "enhanced")
+
+
+def input_features(waveform, stft_config: StftConfig, wpe: Optional[WpeConfig], floor: float):
+    """Mapper input of one utterance: STFT, WPE when a config is given, log-magnitude."""
+    spectrogram = stft(waveform, stft_config)
+    if wpe is not None:
+        spectrogram = wpe_dereverberate(spectrogram, wpe).enhanced
+    return log_magnitude(spectrogram, floor)
+
+
+def training_features(manifest, split: str, wpe: Optional[WpeConfig] = None):
+    """(inputs, references) of one manifest split, as SpectralFeatureMapper.fit takes them.
+
+    Inputs come from the noisy WAVs through input_features, references are
+    the split's stored reference features.
+    """
+    stft_config = manifest.stft_config()
+    floor = manifest.feature_config.get("magnitude_floor", DEFAULT_MAGNITUDE_FLOOR)
+    inputs, references = [], []
+    for entry in manifest.split_entries(split):
+        waveform = load_wav(manifest.resolve(entry.noisy_wav))
+        inputs.append(input_features(waveform, stft_config, wpe, floor))
+        references.append(read_features(manifest.resolve(entry.reference_features)))
+    return inputs, references
 
 
 class ParamsMixin:
@@ -154,7 +180,9 @@ class SpectralFeatureMapper(ParamsMixin):
         """X: list of (T x bins) log-magnitude arrays; y: list of (T x 40) mel refs."""
         check_choice(self.recipe, RECIPES, "recipe")
         if not X or not y or len(X) != len(y):
-            raise ConfigError("fit needs paired, nonempty X and y utterance lists")
+            raise ConfigError(
+                f"fit needs paired, nonempty X and y utterance lists, got {len(X)} and {len(y)}"
+            )
         for xs, ys in zip(X, y):
             if np.asarray(xs).shape[0] != np.asarray(ys).shape[0]:
                 raise ShapeError("input and reference utterances must align frame for frame")
@@ -295,16 +323,15 @@ class CascadeEnhancer(ParamsMixin):
         stft_cfg = self._stft_config()
         sample_rate = X[0].sample_rate
         filterbank = mel_matrix(self._mel_config(sample_rate))
+        wpe = None
+        if self.mode == "wpe_dnn":
+            wpe = (self.wpe if self.wpe is not None else WpeDereverberator())._config()
 
         def prepare(waves_noisy, waves_clean):
-            inputs, refs = [], []
-            for noisy, clean in zip(waves_noisy, waves_clean):
-                spec = stft(noisy, stft_cfg)
-                if self.mode == "wpe_dnn":
-                    wpe_est = self.wpe if self.wpe is not None else WpeDereverberator()
-                    spec = wpe_dereverberate(spec, wpe_est._config()).enhanced
-                inputs.append(log_magnitude(spec, self.magnitude_floor))
-                refs.append(log_mel(stft(clean, stft_cfg), filterbank, self.magnitude_floor))
+            inputs = [input_features(w, stft_cfg, wpe, self.magnitude_floor) for w in waves_noisy]
+            refs = [
+                log_mel(stft(w, stft_cfg), filterbank, self.magnitude_floor) for w in waves_clean
+            ]
             return inputs, refs
 
         train_in, train_ref = prepare(X, y)

@@ -200,12 +200,6 @@ def _forward(model: MlpModel, x: np.ndarray, dropout_masks=None) -> ForwardState
     return ForwardState(hidden, masked, output)
 
 
-def mse_cost(output: np.ndarray, reference: np.ndarray) -> float:
-    if output.shape != reference.shape:
-        raise ShapeError(f"output {output.shape} vs reference {reference.shape}")
-    return float(np.mean((output - reference) ** 2))
-
-
 def loss_and_gradients(model: MlpModel, batch, reference, dropout_masks=None):
     """Mean-squared-error loss and backpropagated parameter gradients."""
     x = as_float_matrix(batch, "batch")

@@ -91,8 +91,8 @@ class PipelineConfig:
     def describe(self) -> dict:
         return {
             "mode": self.mode,
-            "stft": [self.stft.frame_len, self.stft.hop, self.stft.fft_size, self.stft.window],
-            "mel": [self.mel.n_mels, self.mel.f_min, self.mel.f_max, self.mel.mode],
+            "stft": dataclasses.asdict(self.stft),
+            "mel": dataclasses.asdict(self.mel),
             "context": self.context,
             "wpe": dataclasses.asdict(self.wpe),
             "magnitude_floor": self.magnitude_floor,

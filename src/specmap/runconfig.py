@@ -2,7 +2,8 @@
 
 Precedence (lowest to highest): built-in defaults, config file, environment
 variables prefixed SPECMAP_, --set key=value flags. Values are coerced to
-the type of the default; list-valued keys take comma-separated items.
+the type of the default; list-valued keys take comma-separated items, and
+a key whose default is None takes `none` or a float.
 """
 
 import hashlib
@@ -41,6 +42,8 @@ def parse_overrides(pairs) -> dict:
 
 
 def _coerce(key: str, raw: str, default):
+    if default is None and raw.lower() == "none":
+        return None
     if isinstance(default, bool):
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
@@ -51,12 +54,12 @@ def _coerce(key: str, raw: str, default):
     try:
         if isinstance(default, int):
             return int(raw)
-        if isinstance(default, float):
+        if isinstance(default, float) or default is None:
             return float(raw)
         if isinstance(default, (list, tuple)):
             items = [item.strip() for item in raw.split(",") if item.strip()]
             element = default[0] if len(default) else 0.0
-            return [type(element)(item) for item in items]
+            return type(default)(type(element)(item) for item in items)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
     return raw
@@ -104,6 +107,8 @@ def write_resolved(config: dict, out_dir) -> Path:
             value = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
         elif isinstance(value, bool):
             value = "true" if value else "false"
+        elif value is None:
+            value = "none"
         lines.append(f"{key}={value}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -7,13 +7,7 @@ so that adding a new consumer never shifts the streams of existing ones.
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(master: int, label: str) -> int:
     digest = hashlib.sha256(f"{int(master)}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
-
-
-def rng_for(master: int, label: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master, label))

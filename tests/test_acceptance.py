@@ -14,7 +14,7 @@ from conftest import make_reverberant_pair, relative_error
 from specmap.audio import Waveform, load_wav
 from specmap.cli import main as cli_main
 from specmap.corpus import CorpusConfig, build_corpus
-from specmap.estimators import SpectralFeatureMapper
+from specmap.estimators import SpectralFeatureMapper, training_features
 from specmap.featio import read_features
 from specmap.mel import log_mel, mel_matrix
 from specmap.metrics import log_spectral_distortion, mel_mse
@@ -198,18 +198,8 @@ def grid_setup(tmp_path_factory):
     floor = manifest.feature_config["magnitude_floor"]
     wpe_cfg = WpeConfig()
 
-    def features(split, processing):
-        inputs, refs = [], []
-        for entry in manifest.split_entries(split):
-            spec = stft(load_wav(manifest.resolve(entry.noisy_wav)), stft_cfg)
-            if processing == "wpe":
-                spec = wpe_dereverberate(spec, wpe_cfg).enhanced
-            inputs.append(log_magnitude(spec, floor))
-            refs.append(read_features(manifest.resolve(entry.reference_features)))
-        return inputs, refs
-
-    train_x, train_y = features("train", "noisy")
-    dev_x, dev_y = features("dev", "noisy")
+    train_x, train_y = training_features(manifest, "train")
+    dev_x, dev_y = training_features(manifest, "dev")
     mapper = SpectralFeatureMapper(**MAPPER_SETTINGS)
     mapper.fit(train_x, train_y, dev_x, dev_y, mel_filterbank=filterbank)
 
@@ -221,8 +211,8 @@ def grid_setup(tmp_path_factory):
         mapped_dev.append(mel_mse(mapper.transform([x])[0], reference))
     dev_reduction = 1.0 - np.mean(mapped_dev) / np.mean(baseline_dev)
 
-    matched_x, _ = features("train", "wpe")
-    matched_dev_x, _ = features("dev", "wpe")
+    matched_x, _ = training_features(manifest, "train", wpe_cfg)
+    matched_dev_x, _ = training_features(manifest, "dev", wpe_cfg)
     matched = SpectralFeatureMapper(**MAPPER_SETTINGS)
     matched.fit(matched_x, train_y, matched_dev_x, dev_y, mel_filterbank=filterbank)
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from specmap import estimators
 from specmap.cli import main
 from specmap.featio import load_model, read_features
 from specmap.mlp import early_stop_decision
@@ -123,6 +124,53 @@ def test_train_enhanced_recipe_records_consistent_history(cli_corpus, tmp_path):
     assert history["stop_reason"] == expected_reason
     if expected_reason != "max_epochs":
         assert history["best_epoch"] == len(costs) - 1
+
+
+def test_rerun_from_config_resolved_reproduces_artifacts(cli_corpus, tmp_path):
+    manifest = str(cli_corpus / "manifest.json")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([
+        "train", "--manifest", manifest, "--out", str(first), "--seed", "6",
+        "--set", "input_processing=wpe", *TRAIN_OVERRIDES,
+    ]) == 0
+    assert main([
+        "train", "--manifest", manifest, "--out", str(second),
+        "--config", str(first / "config.resolved"),
+    ]) == 0
+    corpus = tmp_path / "corpus"
+    assert main(["simulate", "--out", str(corpus), "--config", str(cli_corpus / "config.resolved")]) == 0
+    for name in ("model.sfmd", "history.json", "config.resolved"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    for name in ("manifest.json", "config.resolved"):
+        assert (cli_corpus / name).read_bytes() == (corpus / name).read_bytes(), name
+
+
+def test_wpe_delta_override_reaches_wpe_config(cli_corpus, tmp_path, monkeypatch):
+    deltas = []
+    dereverberate = estimators.wpe_dereverberate
+
+    def recording(spectrogram, config):
+        deltas.append(config.delta)
+        return dereverberate(spectrogram, config)
+
+    monkeypatch.setattr(estimators, "wpe_dereverberate", recording)
+    out = tmp_path / "m"
+    assert main([
+        "train", "--manifest", str(cli_corpus / "manifest.json"), "--out", str(out),
+        "--set", "input_processing=wpe", "--set", "wpe_delta=1e-3", *TRAIN_OVERRIDES,
+    ]) == 0
+    assert deltas and set(deltas) == {1e-3}
+    assert "wpe_delta=0.001" in (out / "config.resolved").read_text()
+
+
+@pytest.mark.parametrize("value, named", [("-1", "delta"), ("abc", "wpe_delta")])
+def test_bad_wpe_delta_is_a_config_error(cli_corpus, tmp_path, capsys, value, named):
+    code = main([
+        "train", "--manifest", str(cli_corpus / "manifest.json"), "--out", str(tmp_path / "m"),
+        "--set", f"wpe_delta={value}", *TRAIN_OVERRIDES,
+    ])
+    assert code == 1
+    assert named in capsys.readouterr().err
 
 
 def test_enhance_baseline_needs_no_checkpoint(cli_corpus, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from specmap.audio import load_wav
 from specmap.corpus import CorpusConfig, build_corpus
 from specmap.errors import ConfigError, ShapeError
-from specmap.estimators import SpectralFeatureMapper
+from specmap.estimators import SpectralFeatureMapper, training_features
 from specmap import pipeline
 from specmap.featio import load_model, read_features, save_model
 from specmap.features import (
@@ -28,23 +28,10 @@ from specmap.stft import log_magnitude, stft
 from specmap.wpe import WpeConfig, wpe_dereverberate
 
 
-def _split_features(manifest, split):
-    """Noisy log-magnitude inputs and clean reference features of one split."""
-    stft_cfg = manifest.stft_config()
-    floor = manifest.feature_config["magnitude_floor"]
-    entries = manifest.split_entries(split)
-    xs = [
-        log_magnitude(stft(load_wav(manifest.resolve(e.noisy_wav)), stft_cfg), floor)
-        for e in entries
-    ]
-    ys = [read_features(manifest.resolve(e.reference_features)) for e in entries]
-    return xs, ys
-
-
 def _toy_mapper(manifest, n_train=4):
     """Tiny mapper fitted on a few utterances of the shared corpus."""
     filterbank = mel_matrix(manifest.mel_config())
-    xs, ys = _split_features(manifest, "train")
+    xs, ys = training_features(manifest, "train")
     mapper = SpectralFeatureMapper(
         hidden_units=(16, 16), context=1, recipe="original",
         batch_size=64, learning_rate=0.1, max_epochs=4, seed=0,
@@ -321,15 +308,27 @@ def test_reloaded_mapper_agrees_with_in_memory_model(tiny_corpus, toy_mapper, tm
     assert worst == 0.0
 
 
-def test_config_hash_covers_every_wpe_field(tiny_corpus):
-    changed = {"taps": 11, "delay": 4, "iterations": 2, "variance_floor": 1e-9,
-               "delta": 1e-3, "variance_context": 0}
-    assert set(changed) == {f.name for f in dataclasses.fields(WpeConfig)}
+def test_config_hash_covers_every_stft_mel_and_wpe_field(tiny_corpus):
+    changed = {
+        "stft": {"frame_len": 320, "hop": 80, "fft_size": 1024, "window": "hamming"},
+        "mel": {"n_mels": 41, "f_min": 50.0, "f_max": 3000.0, "sample_rate": 8000,
+                "fft_size": 1024, "mode": "magnitude"},
+        "wpe": {"taps": 11, "delay": 4, "iterations": 2, "variance_floor": 1e-9,
+                "delta": 1e-3, "variance_context": 0},
+    }
     base = _pipeline_config(tiny_corpus, "wpe_only")
+    # f_max at the Nyquist of 8 kHz: 16 and 8 kHz filterbanks then differ only in sample_rate
+    base = dataclasses.replace(base, mel=dataclasses.replace(base.mel, f_max=4000.0))
     digest = config_hash(base.describe())
-    for name, value in changed.items():
-        variant = dataclasses.replace(base, wpe=dataclasses.replace(base.wpe, **{name: value}))
-        assert config_hash(variant.describe()) != digest, name
+    for section, values in changed.items():
+        assert set(values) == {f.name for f in dataclasses.fields(getattr(base, section))}
+        for name, value in values.items():
+            # stft and mel must agree on fft_size, so it changes in both
+            sections = ("stft", "mel") if name == "fft_size" else (section,)
+            variant = dataclasses.replace(base, **{
+                s: dataclasses.replace(getattr(base, s), **{name: value}) for s in sections
+            })
+            assert config_hash(variant.describe()) != digest, (section, name)
 
 
 def test_config_hash_names_the_mapper_weights(tiny_corpus, toy_mapper, tmp_path):
@@ -357,8 +356,8 @@ def reference_map(model, log_spec, context, filterbank, floor):
 def mappers(tiny_corpus, toy_mapper):
     """(model, context) for the toy mapper, [2827,128,128,40] in both recipes, paper size."""
     filterbank = mel_matrix(tiny_corpus.mel_config())
-    train_x, train_y = _split_features(tiny_corpus, "train")
-    dev_x, dev_y = _split_features(tiny_corpus, "dev")
+    train_x, train_y = training_features(tiny_corpus, "train")
+    dev_x, dev_y = training_features(tiny_corpus, "dev")
     found = {"toy": (toy_mapper.model_, toy_mapper.context)}
     for recipe in ("original", "enhanced"):
         mapper = SpectralFeatureMapper(
@@ -381,7 +380,7 @@ def test_float32_mapping_matches_float64_forward(tiny_corpus, mappers, name):
     filterbank = mel_matrix(tiny_corpus.mel_config())
     floor = tiny_corpus.feature_config["magnitude_floor"]
     params = [p.copy() for p in model.weights + model.biases]
-    for log_spec in _split_features(tiny_corpus, "test")[0]:
+    for log_spec in training_features(tiny_corpus, "test")[0]:
         untouched = log_spec.copy()
         mapped = map_features(model, log_spec, context, filterbank, floor)
         narrow = map_features(model.as_float32(), log_spec, context, filterbank, floor)

@@ -15,6 +15,7 @@ DEFAULTS = {
     "name": "hann",
     "grid": [-6.0, 9.0],
     "enabled": True,
+    "delta": None,
 }
 
 
@@ -46,6 +47,8 @@ def test_resolution_order_and_coercion(tmp_path):
     assert resolved["enabled"] is False
     assert resolved["grid"] == [0.0, 3.0, 6.0]
     assert resolved["name"] == "hann"      # default survives
+    assert resolved["delta"] is None
+    assert resolve_config(DEFAULTS, overrides=["delta=1e-3"])["delta"] == 1e-3
 
 
 def test_unknown_override_key_is_error():
@@ -61,6 +64,9 @@ def test_bad_literal_is_error(tmp_path):
     with pytest.raises(ConfigError):
         resolve_config(DEFAULTS, path)
     path.write_text("enabled=maybe\n")
+    with pytest.raises(ConfigError):
+        resolve_config(DEFAULTS, path)
+    path.write_text("delta=abc\n")
     with pytest.raises(ConfigError):
         resolve_config(DEFAULTS, path)
 
@@ -80,4 +86,5 @@ def test_write_resolved_roundtrip(tmp_path):
     assert parsed["count"] == "3"
     assert parsed["enabled"] == "true"
     assert parsed["grid"] == "-6,9"
+    assert parsed["delta"] == "none"
     assert resolve_config(DEFAULTS, path) == resolved
