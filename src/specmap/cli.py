@@ -24,20 +24,18 @@ from .wpe import WpeConfig
 SIMULATE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(corpus_mod.CorpusConfig)}
 WPE_DEFAULTS = {f"wpe_{f.name}": f.default for f in dataclasses.fields(WpeConfig)}
 
+MAPPER_DEFAULTS = SpectralFeatureMapper().get_params()
+
+
+def _train_key(param: str) -> str:
+    """The train config key of a SpectralFeatureMapper parameter."""
+    return "hidden" if param == "hidden_units" else param
+
+
 TRAIN_DEFAULTS = {
-    "recipe": "original",
+    **{_train_key(name): value for name, value in MAPPER_DEFAULTS.items()},
     "input_processing": "noisy",  # or "wpe": train on dereverberated inputs (matched)
-    "hidden": [2048, 2048],
-    "context": 5,
-    "batch_size": 256,
-    "learning_rate": 0.01,
-    "max_epochs": 50,
-    "dropout_rate": 0.2,
-    "adagrad_epsilon": 1e-8,
-    "increase_threshold": 0.01,
-    "improvement_threshold": 0.001,
     **WPE_DEFAULTS,
-    "seed": 0,
 }
 
 ENHANCE_DEFAULTS = {
@@ -68,9 +66,11 @@ def _add_common(parser):
 
 
 def _resolve(defaults, args):
+    """The merged config, with the flags that name a config key applied last."""
     config = resolve_config(defaults, args.config, args.overrides)
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
+    for key in ("seed", "recipe", "mode", "jobs"):
+        if getattr(args, key, None) is not None:
+            config[key] = getattr(args, key)
     return config
 
 
@@ -96,8 +96,7 @@ def cmd_train(args) -> int:
     check_choice(config["input_processing"], ("noisy", "wpe"), "input_processing")
     wpe_config = _wpe_config(config)  # checked even when the inputs skip WPE
     wpe = wpe_config if config["input_processing"] == "wpe" else None
-    mapper = SpectralFeatureMapper(hidden_units=config["hidden"])
-    mapper.set_params(**{k: v for k, v in config.items() if k in mapper.get_params()})
+    mapper = SpectralFeatureMapper(**{name: config[_train_key(name)] for name in MAPPER_DEFAULTS})
     manifest = corpus_mod.CorpusManifest.load(args.manifest)
     mapper.fit(
         *training_features(manifest, "train", wpe), *training_features(manifest, "dev", wpe)
@@ -132,10 +131,7 @@ def cmd_train(args) -> int:
 
 def cmd_enhance(args) -> int:
     config = _resolve(ENHANCE_DEFAULTS, args)
-    mode = args.mode or config["mode"]
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    config["mode"] = mode
+    mode = config["mode"]
     manifest = corpus_mod.CorpusManifest.load(args.manifest)
     model = None
     context = 5
@@ -150,7 +146,6 @@ def cmd_enhance(args) -> int:
                 "checkpoint was trained with a different feature configuration than the manifest"
             )
 
-    feature_config = manifest.feature_config
     pipeline_config = PipelineConfig(
         mode=mode,
         stft=manifest.stft_config(),
@@ -158,7 +153,7 @@ def cmd_enhance(args) -> int:
         context=context,
         wpe=_wpe_config(config),
         model=model,
-        magnitude_floor=feature_config.get("magnitude_floor", 1e-10),
+        magnitude_floor=manifest.magnitude_floor,
         resynthesize=config["resynthesize"],
     )
     out_dir = Path(args.out)
@@ -225,7 +220,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="checkpoint output directory")
     p.add_argument("--recipe", choices=RECIPES)
     _add_common(p)
-    p.set_defaults(func=cmd_train, _recipe_flag=True)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enhance", help="run one enhancement mode over a split")
     p.add_argument("--manifest", required=True)
@@ -256,10 +251,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "_recipe_flag", False) and args.recipe:
-            args.overrides = (args.overrides or []) + [f"recipe={args.recipe}"]
-        if getattr(args, "command", None) == "enhance" and args.jobs is not None:
-            args.overrides = (args.overrides or []) + [f"jobs={args.jobs}"]
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -23,6 +23,11 @@ from .validation import check_choice, check_nonnegative, check_positive
 
 SPLITS = ("train", "dev", "test")
 DEFAULT_SNR_GRID = (-6.0, -3.0, 0.0, 3.0, 6.0, 9.0)
+# The CorpusConfig fields a manifest records: the front end of its references.
+FEATURE_KEYS = (
+    "frame_len", "hop", "fft_size", "window", "n_mels", "f_min", "f_max", "mel_mode",
+    "magnitude_floor",
+)
 
 
 @dataclass(frozen=True)
@@ -246,9 +251,9 @@ class ManifestEntry:
     def from_dict(cls, payload: dict) -> "ManifestEntry":
         recipe = MixRecipe(
             clean_id=payload["clean_id"],
-            noise_id=payload.get("noise_id"),
-            rir_id=payload.get("rir_id"),
-            snr_db=payload.get("snr_db"),
+            noise_id=payload["noise_id"],
+            rir_id=payload["rir_id"],
+            snr_db=payload["snr_db"],
             split=payload["split"],
         )
         return cls(
@@ -276,22 +281,18 @@ class CorpusManifest:
     def resolve(self, relative: str) -> Path:
         return self.root / relative
 
+    def _corpus_config(self) -> "CorpusConfig":
+        return CorpusConfig(sample_rate=self.sample_rate, **self.feature_config)
+
     def stft_config(self) -> StftConfig:
-        fc = self.feature_config
-        return StftConfig(
-            frame_len=fc["frame_len"], hop=fc["hop"], fft_size=fc["fft_size"], window=fc["window"]
-        )
+        return self._corpus_config().stft_config()
 
     def mel_config(self) -> MelConfig:
-        fc = self.feature_config
-        return MelConfig(
-            n_mels=fc["n_mels"],
-            f_min=fc["f_min"],
-            f_max=fc["f_max"],
-            sample_rate=self.sample_rate,
-            fft_size=fc["fft_size"],
-            mode=fc["mel_mode"],
-        )
+        return self._corpus_config().mel_config()
+
+    @property
+    def magnitude_floor(self) -> float:
+        return self.feature_config["magnitude_floor"]
 
     def save(self, path=None) -> Path:
         path = Path(path) if path else self.root / "manifest.json"
@@ -314,14 +315,20 @@ class CorpusManifest:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-        if payload.get("schema_version") != 1:
-            raise ManifestError(f"{path}: unsupported manifest schema")
-        return cls(
-            root=path.parent,
-            sample_rate=int(payload["sample_rate"]),
-            feature_config=payload["feature_config"],
-            entries=[ManifestEntry.from_dict(e) for e in payload["entries"]],
-        )
+        if not isinstance(payload, dict) or payload.get("schema_version") != 1:
+            raise ManifestError(f"{path}: not a schema-1 manifest object")
+        try:
+            feature_config = payload["feature_config"]
+            if not isinstance(feature_config, dict) or set(feature_config) != set(FEATURE_KEYS):
+                raise ManifestError(f"{path}: feature_config must hold exactly {FEATURE_KEYS}")
+            return cls(
+                root=path.parent,
+                sample_rate=int(payload["sample_rate"]),
+                feature_config=feature_config,
+                entries=[ManifestEntry.from_dict(e) for e in payload["entries"]],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ManifestError(f"{path}: malformed manifest ({exc!r})") from exc
 
 
 @dataclass(frozen=True)
@@ -382,17 +389,7 @@ class CorpusConfig:
         )
 
     def feature_config_dict(self) -> dict:
-        return {
-            "frame_len": self.frame_len,
-            "hop": self.hop,
-            "fft_size": self.fft_size,
-            "window": self.window,
-            "n_mels": self.n_mels,
-            "f_min": self.f_min,
-            "f_max": self.f_max,
-            "mel_mode": self.mel_mode,
-            "magnitude_floor": self.magnitude_floor,
-        }
+        return {k: getattr(self, k) for k in FEATURE_KEYS}
 
 
 def _snr_label(snr_db: Optional[float]) -> str:

@@ -21,8 +21,9 @@ from .featio import read_features
 from .features import assemble_context, fit_normalizer, normalize
 from .mel import MelConfig, log_mel, mel_matrix
 from .mlp import TrainConfig, init_model, map_features, train
+from .pipeline import MODES, PipelineConfig, enhance_utterance
 from .seeding import derive_seed
-from .stft import DEFAULT_MAGNITUDE_FLOOR, Spectrogram, StftConfig, log_magnitude, stft
+from .stft import Spectrogram, StftConfig, log_magnitude, stft
 from .validation import check_choice, check_fitted
 from .wpe import WpeConfig, wpe_dereverberate
 
@@ -44,7 +45,7 @@ def training_features(manifest, split: str, wpe: Optional[WpeConfig] = None):
     the split's stored reference features.
     """
     stft_config = manifest.stft_config()
-    floor = manifest.feature_config.get("magnitude_floor", DEFAULT_MAGNITUDE_FLOOR)
+    floor = manifest.magnitude_floor
     inputs, references = [], []
     for entry in manifest.split_entries(split):
         waveform = load_wav(manifest.resolve(entry.noisy_wav))
@@ -116,10 +117,7 @@ class WpeDereverberator(ParamsMixin):
         self.variance_context = variance_context
 
     def _config(self) -> WpeConfig:
-        return WpeConfig(
-            self.taps, self.delay, self.iterations, self.variance_floor,
-            self.delta, self.variance_context,
-        )
+        return WpeConfig(**self.get_params(deep=False))
 
     def fit(self, X=None, y=None):
         self._config()  # validate parameters
@@ -231,15 +229,10 @@ class SpectralFeatureMapper(ParamsMixin):
         check_fitted(self, ("model_",))
         filterbank = mel_filterbank if mel_filterbank is not None else getattr(self, "_mel_filterbank", None)
         model = self.model_.as_float32()  # cast once, not per utterance
-        outputs = []
-        for log_spec in X:
-            mapped = map_features(model, np.asarray(log_spec), self.context, filterbank)
-            if mapped.denormalized is None:
-                raise ConfigError(
-                    "utterance-MVN references need a mel filterbank to invert; pass one"
-                )
-            outputs.append(mapped.denormalized)
-        return outputs
+        return [
+            map_features(model, np.asarray(log_spec), self.context, filterbank).denormalized
+            for log_spec in X
+        ]
 
     def predict(self, X):
         return self.transform(X)
@@ -288,10 +281,7 @@ class CascadeEnhancer(ParamsMixin):
     def _mel_config(self, sample_rate: int) -> MelConfig:
         return MelConfig(self.n_mels, self.f_min, self.f_max, sample_rate, self.fft_size)
 
-    def _pipeline_config(self, sample_rate: int):
-        from .pipeline import MODES, PipelineConfig
-
-        check_choice(self.mode, MODES, "mode")
+    def _pipeline_config(self, sample_rate: int) -> PipelineConfig:
         mapper = self.mapper
         model = None
         context = 5
@@ -312,7 +302,7 @@ class CascadeEnhancer(ParamsMixin):
 
     def fit(self, X, y=None, X_dev=None, y_dev=None):
         """X: noisy waveforms; y: aligned clean waveforms (needed for dnn modes)."""
-        check_choice(self.mode, ("baseline", "wpe_only", "dnn_only", "wpe_dnn"), "mode")
+        check_choice(self.mode, MODES, "mode")
         if self.mode in ("baseline", "wpe_only"):
             return self
         if y is None:
@@ -342,8 +332,6 @@ class CascadeEnhancer(ParamsMixin):
         return self
 
     def transform(self, X) -> list[np.ndarray]:
-        from .pipeline import enhance_utterance
-
         if not X:
             return []
         config = self._pipeline_config(X[0].sample_rate)

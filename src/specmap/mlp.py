@@ -12,7 +12,7 @@ forward pass differs by about 3e-16 in float64 and its float32 mapping by
 about 2e-7 (2.7e-6 nats on log-mel features).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -338,21 +338,7 @@ class TrainHistory:
     best_epoch: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "train_cost": self.train_cost,
-            "dev_cost": self.dev_cost,
-            "stop_reason": self.stop_reason,
-            "best_epoch": self.best_epoch,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TrainHistory":
-        return cls(
-            train_cost=list(payload["train_cost"]),
-            dev_cost=list(payload["dev_cost"]),
-            stop_reason=payload["stop_reason"],
-            best_epoch=int(payload["best_epoch"]),
-        )
+        return asdict(self)
 
 
 def train(
@@ -420,12 +406,13 @@ class MappedFeatures:
     For minmax-normalized references the inversion is exact via the stored
     range. For utterance-MVN references the clean utterance statistics are
     unknown at mapping time, so the inversion uses the statistics of the
-    degraded input's own mel features as a stand-in; those statistics are
-    returned so callers can redo the inversion with better ones.
+    degraded input's own mel features, in the references' mel mode, as a
+    stand-in; those statistics are returned so callers can redo the
+    inversion with better ones.
     """
 
     normalized: np.ndarray
-    denormalized: Optional[np.ndarray]
+    denormalized: np.ndarray
     inversion_mean: Optional[np.ndarray] = None
     inversion_var: Optional[np.ndarray] = None
 
@@ -436,23 +423,29 @@ def map_features(
     context: int,
     mel_filterbank: Optional[np.ndarray] = None,
     magnitude_floor: float = 1e-10,
+    mel_mode: str = "power",
 ) -> MappedFeatures:
     """Run one utterance of log-magnitude frames through the mapper.
 
     The mapping runs in float32 through model.as_float32(), so pass a
     float32 model to skip the per-call cast. Context assembly,
     normalization and denormalization run in float64, and every returned
-    array is float64. The inputs are not modified.
+    array is float64. The inputs are not modified. Utterance-MVN references
+    need the mel filterbank and mel mode (MelConfig.mode) of the references
+    to build the input's stand-in statistics.
     """
-    if model.norm_spec is None:
+    spec = model.norm_spec
+    if spec is None:
         raise ConfigError("model has no normalization spec; train or load one first")
+    check_choice(mel_mode, ("power", "magnitude"), "mel_mode")
+    if spec.reference_mode != "global_minmax_01" and mel_filterbank is None:
+        raise ConfigError("utterance-MVN references need a mel filterbank to invert; pass one")
     assembled = assemble_context(log_spec, context)
     if assembled.shape[1] != model.input_dim:
         raise ShapeError(
             f"context {context} over {np.asarray(log_spec).shape[1]} bins gives dim "
             f"{assembled.shape[1]}, model expects {model.input_dim}"
         )
-    spec = model.norm_spec
     if len(assembled):
         normalized_in = normalize(assembled, spec, "input")
         output = forward(model.as_float32(), normalized_in).output.astype(np.float64)
@@ -462,10 +455,9 @@ def map_features(
     if spec.reference_mode == "global_minmax_01":
         return MappedFeatures(output, denormalize(output, spec, "reference"))
 
-    if mel_filterbank is None:
-        return MappedFeatures(output, None)
-    power = np.exp(2.0 * as_float_matrix(log_spec, "log_spec"))
-    proxy_mel = np.log(np.maximum(power @ mel_filterbank.T, magnitude_floor))
+    log_spec = as_float_matrix(log_spec, "log_spec")
+    energy = np.exp(2.0 * log_spec) if mel_mode == "power" else np.exp(log_spec)
+    proxy_mel = np.log(np.maximum(energy @ mel_filterbank.T, magnitude_floor))
     mean, var = utterance_stats(proxy_mel, spec.epsilon)
     return MappedFeatures(output, invert_mvn(output, mean, var), mean, var)
 

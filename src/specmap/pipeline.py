@@ -123,12 +123,10 @@ class EnhancedUtterance:
 
 def _mapped_mel(config: PipelineConfig, spectrogram) -> np.ndarray:
     logmag = log_magnitude(spectrogram, config.magnitude_floor)
-    mapped = map_features(
-        config.mapper, logmag, config.context, config.filterbank, config.magnitude_floor
-    )
-    if mapped.denormalized is None:
-        raise ConfigError("model reference normalization cannot be inverted at mapping time")
-    return mapped.denormalized
+    return map_features(
+        config.mapper, logmag, config.context, config.filterbank, config.magnitude_floor,
+        config.mel.mode,
+    ).denormalized
 
 
 def enhance_utterance(waveform: Waveform, config: PipelineConfig) -> EnhancedUtterance:

@@ -19,6 +19,7 @@ from .audio import Waveform, load_wav
 from .errors import ConfigError, ManifestError, ShapeError, SpecmapError
 from .featio import read_features
 from .metrics import log_spectral_distortion, mel_mse, segmental_snr_gain
+from .pipeline import MODES
 from .stft import log_magnitude, stft
 from .validation import check_choice
 
@@ -127,12 +128,10 @@ def evaluate_system(
     baseline the degraded input itself plays that role. For dnn_only they
     are undefined and reported as null.
     """
-    from .pipeline import MODES  # local import to avoid a module cycle
-
     check_choice(mode, MODES, "mode")
     system_dir = Path(system_dir)
     stft_cfg = manifest.stft_config()
-    floor = manifest.feature_config.get("magnitude_floor", 1e-10)
+    floor = manifest.magnitude_floor
 
     by_snr: dict = {}
     for entry in manifest.split_entries(split):
@@ -190,6 +189,18 @@ def evaluate_system(
     return SystemEvaluation(system_name or mode, mode, split, conditions)
 
 
+def _snr_label(snr_db: Optional[float]) -> str:
+    """An SNR row's key in report.json and label in report.csv."""
+    return "none" if snr_db is None else f"{snr_db:g}"
+
+
+def _reduction(base: Optional[float], mine: Optional[float]) -> Optional[float]:
+    """Relative reduction against the baseline: 0 against a zero baseline, None if undefined."""
+    if base is None or mine is None:
+        return None
+    return 0.0 if base == 0.0 else (base - mine) / base
+
+
 @dataclass
 class ComparisonReport:
     systems: list[str]
@@ -200,22 +211,19 @@ class ComparisonReport:
     average_reductions: dict  # system -> metric -> {"of_average": v, "mean_of_conditions": v}
 
     def to_dict(self) -> dict:
-        def key(snr):
-            return "none" if snr is None else f"{snr:g}"
+        def by_label(table):
+            return {
+                s: {m: {_snr_label(k): v for k, v in row.items()} for m, row in per.items()}
+                for s, per in table.items()
+            }
 
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "systems": self.systems,
             "snr_rows": [None if s is None else float(s) for s in self.snr_rows],
-            "means": {
-                s: {m: {key(k): v for k, v in row.items()} for m, row in per.items()}
-                for s, per in self.means.items()
-            },
+            "means": by_label(self.means),
             "averages": self.averages,
-            "reductions": {
-                s: {m: {key(k): v for k, v in row.items()} for m, row in per.items()}
-                for s, per in self.reductions.items()
-            },
+            "reductions": by_label(self.reductions),
             "average_reductions": self.average_reductions,
         }
 
@@ -260,24 +268,12 @@ def build_report(evaluations: list[SystemEvaluation], baseline_name: str = "base
         reductions[ev.system] = {}
         average_reductions[ev.system] = {}
         for m in METRIC_NAMES:
-            per_snr = {}
-            for snr in snr_rows:
-                base = means[baseline_name][m][snr]
-                mine = means[ev.system][m][snr]
-                if base is None or mine is None:
-                    per_snr[snr] = None
-                elif base == 0.0:
-                    per_snr[snr] = 0.0
-                else:
-                    per_snr[snr] = (base - mine) / base
+            per_snr = {
+                snr: _reduction(means[baseline_name][m][snr], means[ev.system][m][snr])
+                for snr in snr_rows
+            }
             reductions[ev.system][m] = per_snr
-            base_avg = averages[baseline_name][m]
-            mine_avg = averages[ev.system][m]
-            of_average = None
-            if base_avg not in (None, 0.0) and mine_avg is not None:
-                of_average = (base_avg - mine_avg) / base_avg
-            elif base_avg == 0.0 and mine_avg is not None:
-                of_average = 0.0
+            of_average = _reduction(averages[baseline_name][m], averages[ev.system][m])
             condition_values = [v for v in per_snr.values() if v is not None]
             average_reductions[ev.system][m] = {
                 "of_average": of_average,
@@ -312,7 +308,7 @@ def write_report_csv(report: ComparisonReport, path) -> Path:
         writer = csv.writer(fh)
         writer.writerow(header)
         for snr in report.snr_rows:
-            row = ["none" if snr is None else f"{snr:g}"]
+            row = [_snr_label(snr)]
             for system in report.systems:
                 row += [_format(report.means[system][m][snr]) for m in METRIC_NAMES]
             for system in report.systems[1:]:

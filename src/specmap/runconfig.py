@@ -104,7 +104,7 @@ def write_resolved(config: dict, out_dir) -> Path:
     for key in sorted(config):
         value = config[key]
         if isinstance(value, (list, tuple)):
-            value = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
+            value = ",".join(map(str, value))  # str of a float round-trips, as for scalars
         elif isinstance(value, bool):
             value = "true" if value else "false"
         elif value is None:

@@ -83,6 +83,24 @@ def test_train_original_and_enhance_flow(cli_corpus, tmp_path):
     assert read_features(features[0]).shape[1] == 40
 
 
+def test_flags_override_the_config_keys_they_name(cli_corpus, tmp_path):
+    manifest = str(cli_corpus / "manifest.json")
+    train_dir = tmp_path / "model"
+    assert main([
+        "train", "--manifest", manifest, "--out", str(train_dir),
+        "--recipe", "enhanced", "--set", "recipe=original", *TRAIN_OVERRIDES,
+    ]) == 0
+    model, config = load_model(train_dir / "model.sfmd")
+    assert config["recipe"] == "enhanced" and model.output_activation == "linear"
+    enhance_dir = tmp_path / "enhanced"
+    assert main([
+        "enhance", "--manifest", manifest, "--out", str(enhance_dir),
+        "--mode", "baseline", "--jobs", "2", "--set", "mode=wpe_only", "--set", "jobs=1",
+    ]) == 0
+    resolved = (enhance_dir / "config.resolved").read_text().splitlines()
+    assert "mode=baseline" in resolved and "jobs=2" in resolved
+
+
 def test_train_enhanced_requires_dev_split(tmp_path, capsys):
     out = tmp_path / "nodev"
     assert main([

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from specmap.corpus import (
     synth_rir,
     synth_speech,
 )
+from specmap.cli import main
 from specmap.errors import ConfigError, ManifestError, NumericError
 from specmap.featio import read_features
 from specmap.stft import stft
@@ -187,6 +190,34 @@ def test_manifest_roundtrip(tiny_corpus):
     assert len(reloaded.entries) == len(tiny_corpus.entries)
     assert reloaded.feature_config == tiny_corpus.feature_config
     assert reloaded.split_entries("dev")[0].id == tiny_corpus.split_entries("dev")[0].id
+
+
+def _drop_hop(payload):
+    del payload["feature_config"]["hop"]
+
+
+def _add_feature_key(payload):
+    payload["feature_config"]["preemphasis"] = 0.97
+
+
+def _drop_noisy_wav(payload):
+    del payload["entries"][0]["noisy_wav"]
+
+
+def _as_list(payload):
+    return list(payload.values())
+
+
+@pytest.mark.parametrize("damage", [_drop_hop, _add_feature_key, _drop_noisy_wav, _as_list])
+def test_malformed_manifest_is_a_manifest_error(tiny_corpus, tmp_path, capsys, damage):
+    payload = json.loads((tiny_corpus.root / "manifest.json").read_text())
+    payload = damage(payload) or payload
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ManifestError):
+        CorpusManifest.load(path)
+    assert main(["enhance", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_build_corpus_rerun_is_byte_identical(tmp_path):

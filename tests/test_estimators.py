@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ def _toy_training_data(n_utts=3, bins=33):
 def test_get_set_params_roundtrip():
     est = WpeDereverberator(taps=7, delay=2)
     params = est.get_params()
+    assert sorted(params) == sorted(f.name for f in dataclasses.fields(WpeConfig))
     assert params["taps"] == 7 and params["delay"] == 2
     est.set_params(taps=4)
     assert est.taps == 4

@@ -297,8 +297,8 @@ def test_map_features_utterance_reference_needs_filterbank():
     spec = NormalizationSpec(input_mode="utterance_mvn", reference_mode="utterance_mvn")
     model = init_model([3, 4, 2], "linear", seed=3, norm_spec=spec)
     log_spec = np.random.default_rng(26).normal(size=(10, 3))
-    bare = map_features(model, log_spec, context=0)
-    assert bare.denormalized is None
+    with pytest.raises(ConfigError, match="filterbank"):
+        map_features(model, log_spec, context=0)
     filterbank = np.abs(np.random.default_rng(27).normal(size=(2, 3)))
     mapped = map_features(model, log_spec, context=0, mel_filterbank=filterbank)
     assert mapped.denormalized is not None

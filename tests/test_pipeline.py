@@ -341,13 +341,14 @@ def test_config_hash_names_the_mapper_weights(tiny_corpus, toy_mapper, tmp_path)
     assert config_hash(_pipeline_config(tiny_corpus, "dnn_only", model=reloaded).describe()) == digest
 
 
-def reference_map(model, log_spec, context, filterbank, floor):
+def reference_map(model, log_spec, context, filterbank, floor, mel_mode="power"):
     """The float64 mapping that map_features ran before it mapped in float32."""
     spec = model.norm_spec
     output = forward(model, normalize(assemble_context(log_spec, context), spec, "input")).output
     if spec.reference_mode == "global_minmax_01":
         return output, denormalize(output, spec, "reference")
-    proxy_mel = np.log(np.maximum(np.exp(2.0 * log_spec) @ filterbank.T, floor))
+    energy = np.exp((2.0 if mel_mode == "power" else 1.0) * log_spec)
+    proxy_mel = np.log(np.maximum(energy @ filterbank.T, floor))
     mean, var = utterance_stats(proxy_mel, spec.epsilon)
     return output, invert_mvn(output, mean, var)
 
@@ -392,6 +393,18 @@ def test_float32_mapping_matches_float64_forward(tiny_corpus, mappers, name):
         assert np.array_equal(log_spec, untouched)
     for before, after in zip(params, model.weights + model.biases):
         assert after.dtype == np.float64 and np.array_equal(before, after)
+    if model.norm_spec.reference_mode == "utterance_mvn":
+        # A magnitude-mode corpus inverts with magnitude-mel statistics, in
+        # map_features and in the pipeline that passes it MelConfig.mode.
+        power = _pipeline_config(tiny_corpus, "dnn_only", model=model, context=context)
+        config = dataclasses.replace(power, mel=dataclasses.replace(power.mel, mode="magnitude"))
+        for entry in tiny_corpus.split_entries("test"):
+            wave = load_wav(tiny_corpus.resolve(entry.noisy_wav))
+            log_spec = log_magnitude(stft(wave, config.stft), floor)
+            mapped = map_features(model, log_spec, context, filterbank, floor, "magnitude")
+            _, features = reference_map(model, log_spec, context, filterbank, floor, "magnitude")
+            assert np.max(np.abs(mapped.denormalized - features)) <= 1.5e-5
+            assert np.array_equal(enhance_utterance(wave, config).features, mapped.denormalized)
 
 
 def test_pipeline_and_estimator_map_the_same_bits(tiny_corpus, toy_mapper):

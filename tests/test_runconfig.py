@@ -80,11 +80,11 @@ def test_config_hash_stable_and_sensitive():
 
 
 def test_write_resolved_roundtrip(tmp_path):
-    resolved = dict(DEFAULTS)
+    resolved = {**DEFAULTS, "grid": [-6.0, 1.2345678]}
     path = write_resolved(resolved, tmp_path)
     parsed = parse_kv_file(path)
     assert parsed["count"] == "3"
     assert parsed["enabled"] == "true"
-    assert parsed["grid"] == "-6,9"
+    assert parsed["grid"] == "-6.0,1.2345678"
     assert parsed["delta"] == "none"
     assert resolve_config(DEFAULTS, path) == resolved
