@@ -19,7 +19,7 @@ from .audio import load_wav
 from .errors import ConfigError, ShapeError
 from .featio import read_features
 from .features import assemble_context, fit_normalizer, normalize
-from .mel import MelConfig, log_mel, mel_matrix
+from .mel import MEL_MODES, MelConfig, log_mel, mel_matrix
 from .mlp import TrainConfig, init_model, map_features, train
 from .pipeline import MODES, PipelineConfig, enhance_utterance
 from .seeding import derive_seed
@@ -174,9 +174,14 @@ class SpectralFeatureMapper(ParamsMixin):
     def _assemble(self, log_specs: Sequence[np.ndarray]) -> list[np.ndarray]:
         return [assemble_context(np.asarray(s), self.context) for s in log_specs]
 
-    def fit(self, X, y, X_dev=None, y_dev=None, mel_filterbank=None):
-        """X: list of (T x bins) log-magnitude arrays; y: list of (T x 40) mel refs."""
+    def fit(self, X, y, X_dev=None, y_dev=None, mel_filterbank=None, mel_mode="power"):
+        """X: list of (T x bins) log-magnitude arrays; y: list of (T x 40) mel refs.
+
+        mel_filterbank and mel_mode (MelConfig.mode) describe the references;
+        transform inverts utterance-MVN outputs with them.
+        """
         check_choice(self.recipe, RECIPES, "recipe")
+        check_choice(mel_mode, MEL_MODES, "mel_mode")
         if not X or not y or len(X) != len(y):
             raise ConfigError(
                 f"fit needs paired, nonempty X and y utterance lists, got {len(X)} and {len(y)}"
@@ -222,15 +227,19 @@ class SpectralFeatureMapper(ParamsMixin):
         )
         self.model_, self.history_ = train(model, train_x, train_y, config, dev_x, dev_y)
         self._mel_filterbank = mel_filterbank
+        self._mel_mode = mel_mode
         return self
 
     def transform(self, X, mel_filterbank=None) -> list[np.ndarray]:
         """Map utterances to mel features in the reference (log-mel) domain."""
         check_fitted(self, ("model_",))
         filterbank = mel_filterbank if mel_filterbank is not None else getattr(self, "_mel_filterbank", None)
+        mel_mode = getattr(self, "_mel_mode", "power")
         model = self.model_.as_float32()  # cast once, not per utterance
         return [
-            map_features(model, np.asarray(log_spec), self.context, filterbank).denormalized
+            map_features(
+                model, np.asarray(log_spec), self.context, filterbank, mel_mode=mel_mode
+            ).denormalized
             for log_spec in X
         ]
 

@@ -9,6 +9,9 @@ from .stft import DEFAULT_MAGNITUDE_FLOOR, Spectrogram
 from .validation import as_complex_matrix, check_choice, check_positive
 
 
+MEL_MODES = ("power", "magnitude")  # what the filterbank weights: |X|^2 or |X|
+
+
 def hz_to_mel(freq_hz):
     return 2595.0 * np.log10(1.0 + np.asarray(freq_hz, dtype=np.float64) / 700.0)
 
@@ -36,7 +39,7 @@ class MelConfig:
                 f"need 0 <= f_min < f_max <= sample_rate/2, got "
                 f"f_min={self.f_min}, f_max={self.f_max}, sample_rate={self.sample_rate}"
             )
-        check_choice(self.mode, ("power", "magnitude"), "mode")
+        check_choice(self.mode, MEL_MODES, "mode")
 
     @property
     def n_bins(self) -> int:
@@ -74,7 +77,7 @@ def log_mel(
 ) -> np.ndarray:
     """Natural-log filterbank energies, (n_frames x n_mels)."""
     check_positive(floor, "floor")
-    check_choice(mode, ("power", "magnitude"), "mode")
+    check_choice(mode, MEL_MODES, "mode")
     data = spectrogram.data if isinstance(spectrogram, Spectrogram) else as_complex_matrix(spectrogram)
     if filterbank.shape[1] != data.shape[1]:
         raise ShapeError(

@@ -26,6 +26,7 @@ from .features import (
     normalize,
     utterance_stats,
 )
+from .mel import MEL_MODES
 from .seeding import derive_seed
 from .validation import as_float_matrix, check_choice, check_positive
 
@@ -204,6 +205,15 @@ def loss_and_gradients(model: MlpModel, batch, reference, dropout_masks=None):
     """Mean-squared-error loss and backpropagated parameter gradients."""
     x = as_float_matrix(batch, "batch")
     y = as_float_matrix(reference, "reference")
+    return _loss_and_gradients(model, x, y, dropout_masks)
+
+
+def _loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, dropout_masks=None):
+    """loss_and_gradients() on float64 matrices already checked to be finite.
+
+    The backward pass scales each layer's fresh upstream product by the
+    mask, h and 1 - h in place, in that order.
+    """
     state = _forward(model, x, dropout_masks)
     out = state.output
     if out.shape != y.shape:
@@ -226,9 +236,11 @@ def loss_and_gradients(model: MlpModel, batch, reference, dropout_masks=None):
             break
         upstream = delta @ model.weights[layer].T
         if dropout_masks is not None:
-            upstream = upstream * dropout_masks[layer - 1]
+            upstream *= dropout_masks[layer - 1]
         h = state.hidden[layer - 1]
-        delta = upstream * h * (1.0 - h)
+        upstream *= h
+        upstream *= 1.0 - h
+        delta = upstream
     return loss, grads_w, grads_b
 
 
@@ -280,7 +292,21 @@ def train_step(
     itself, so each parameter's update allocates one temporary. The batch,
     reference and masks are not modified.
     """
-    loss, grads_w, grads_b = loss_and_gradients(model, batch, reference, dropout_masks)
+    x = as_float_matrix(batch, "batch")
+    y = as_float_matrix(reference, "reference")
+    return _train_step(model, x, y, config, state, dropout_masks)
+
+
+def _train_step(
+    model: MlpModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    config: TrainConfig,
+    state: AdagradState,
+    dropout_masks=None,
+) -> float:
+    """train_step() on float64 matrices already checked to be finite."""
+    loss, grads_w, grads_b = _loss_and_gradients(model, x, y, dropout_masks)
     if not np.isfinite(loss):
         raise NumericError(f"training diverged: batch cost is {loss}")
     params = model.weights + model.biases
@@ -380,7 +406,7 @@ def train(
             masks = None
             if config.dropout_rate > 0.0:
                 masks = make_dropout_masks(dropout_rng, hidden_dims, len(rows), config.dropout_rate)
-            batch_costs.append(train_step(model, x[rows], y[rows], config, adagrad, masks))
+            batch_costs.append(_train_step(model, x[rows], y[rows], config, adagrad, masks))
         history.train_cost.append(float(np.mean(batch_costs)))
         if has_dev:
             history.dev_cost.append(evaluate_cost(model, dev_inputs, dev_references))
@@ -437,7 +463,7 @@ def map_features(
     spec = model.norm_spec
     if spec is None:
         raise ConfigError("model has no normalization spec; train or load one first")
-    check_choice(mel_mode, ("power", "magnitude"), "mel_mode")
+    check_choice(mel_mode, MEL_MODES, "mel_mode")
     if spec.reference_mode != "global_minmax_01" and mel_filterbank is None:
         raise ConfigError("utterance-MVN references need a mel filterbank to invert; pass one")
     assembled = assemble_context(log_spec, context)

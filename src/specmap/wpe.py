@@ -9,6 +9,11 @@ The complex arithmetic runs on real arrays: the delayed taps and the target
 of every bin are stored once as real and imaginary rows of one float64
 stack, so that an iteration's covariance build is one batched real GEMM and
 its prediction one small batched real GEMM.
+
+Because the bins are independent, they run in contiguous blocks, each
+through all its iterations before the next starts, sized so that a block's
+stack and weighted taps stay in cache. Every bin's arithmetic is the same
+under any split, so the output does not depend on it, bit for bit.
 """
 
 import logging
@@ -146,17 +151,20 @@ def solve_hermitian(matrix: np.ndarray, rhs: np.ndarray, delta: float = 0.0) -> 
     return g[0]
 
 
-def _tap_stack(data: np.ndarray, taps: int, delay: int) -> np.ndarray:
+def _tap_stack(
+    data: np.ndarray, taps: int, delay: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Real stack (bins, 2*taps + 2, valid_frames) of the delayed taps and the target.
 
     Row k < taps holds Re y[t - delay - k], row taps + k its Im, and the last
-    two rows Re y[t] and Im y[t], for t from delay + taps - 1 on.
+    two rows Re y[t] and Im y[t], for t from delay + taps - 1 on. Written
+    into out when given.
     """
     n_frames, n_bins = data.shape
     first_valid = delay + taps - 1
     n_valid = n_frames - first_valid
     parts = data.view(np.float64).reshape(n_frames, n_bins, 2).transpose(1, 2, 0)
-    stack = np.empty((n_bins, 2 * taps + 2, n_valid))
+    stack = np.empty((n_bins, 2 * taps + 2, n_valid)) if out is None else out
     for k in range(taps):
         start = first_valid - delay - k
         stack[:, k, :] = parts[:, 0, start:start + n_valid]
@@ -208,46 +216,42 @@ def _smoothed_power(signal: np.ndarray, half_width: int) -> np.ndarray:
     return (padded[hi] - padded[lo]) / (hi - lo)[:, None]
 
 
-def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult:
-    """Dereverberate a (frames x bins) complex spectrogram.
+# Working set (stack plus weighted taps) that one block of bins may occupy.
+# On 3 s utterances, budgets of 4 to 12 MiB (6 to 2 blocks) timed alike, and
+# faster than both smaller blocks and one whole-utterance block, on a Xeon
+# with 2 MiB of L2 per core and one BLAS thread.
+_BLOCK_BYTES = 6 * 2**20
 
-    The observation is first laid out as one real (bins, 2*taps + 2, frames)
-    stack: the real parts of the taps, their imaginary parts, and the real
-    and imaginary part of the target frame. Each iteration re-estimates the
-    floored variance from the current dereverberated signal, scales the tap
-    rows by its reciprocal, and reads every bin's normal matrix and rhs out
-    of the blocks of one batched real GEMM of those rows against the stack.
-    It solves the (bins, taps, taps) systems with one batched call to
-    solve_normal_equations, predicts the tail with one batched real GEMM of
-    the filters against the tap rows, and subtracts it in place. The solve
-    makes the same per-bin checks as solve_hermitian; a bin that fails one
-    gets a zero filter and is listed in fallback_bins. Frames without a
-    complete context (t < delay + taps - 1) pass through unchanged, as does
-    the whole utterance when it is shorter than taps + delay + 1 frames.
+
+def _bin_blocks(n_bins: int, taps: int, n_valid: int) -> list[slice]:
+    """Contiguous, equal-width blocks of bins whose working sets fit _BLOCK_BYTES.
+
+    No block is narrower than 2 bins unless there is only one bin: over a
+    single column numpy sums the objective pairwise, not frame by frame, and
+    its rounding would depend on the split.
     """
-    is_spec = isinstance(observation, Spectrogram)
-    data = observation.data if is_spec else as_complex_matrix(observation, "observation")
-    data = np.ascontiguousarray(data)  # the real views below need C order
+    per_bin = (4 * taps + 2) * n_valid * 8  # stack (2K + 2 rows) and weighted (2K rows)
+    n_blocks = min(-(-n_bins * per_bin // _BLOCK_BYTES), n_bins // 2)
+    return [
+        slice(bins[0], bins[-1] + 1)
+        for bins in np.array_split(np.arange(n_bins), max(n_blocks, 1))
+    ]
+
+
+def _dereverberate_block(
+    data: np.ndarray, config: WpeConfig, stack: np.ndarray, weighted: np.ndarray
+):
+    """The WPE iterations on a C-ordered (frames, bins) block with complete contexts.
+
+    stack (B, 2K + 2, Tv) and weighted (B, 2K, Tv) are the block's scratch
+    buffers, overwritten. Returns (enhanced, filters, variance, objective,
+    fallback), fallback holding the block's own indices of the bins that
+    fell back.
+    """
     n_frames, n_bins = data.shape
-    taps, delay = config.taps, config.delay
-
-    def wrap(matrix: np.ndarray):
-        if is_spec:
-            return Spectrogram(matrix, observation.config, observation.sample_rate)
-        return matrix
-
-    if n_frames <= taps + delay:
-        variance = np.maximum(_smoothed_power(data, config.variance_context), config.variance_floor)
-        return WpeResult(
-            enhanced=wrap(data.copy()),
-            filters=np.zeros((n_bins, taps), dtype=np.complex128),
-            variance=variance,
-            objective=np.zeros((0, n_bins)),
-        )
-
-    first_valid = delay + taps - 1
-    stack = _tap_stack(data, taps, delay)                  # (B, 2K + 2, Tv)
-    weighted = np.empty((n_bins, 2 * taps, stack.shape[2]))  # refilled each iteration
+    taps = config.taps
+    first_valid = config.delay + taps - 1
+    _tap_stack(data, taps, config.delay, out=stack)
     enhanced = data.copy()
     # Re/Im views (frames, bins, 2) of the observation and of the output.
     observed_parts = data.view(np.float64).reshape(n_frames, n_bins, 2)
@@ -255,7 +259,6 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
     objective = np.empty((config.iterations, n_bins))
     delta_per_bin: Optional[np.ndarray] = None
     fallback: set[int] = set()
-    variance = np.zeros((n_frames, n_bins))
 
     for iteration in range(config.iterations):
         variance = np.maximum(
@@ -284,6 +287,68 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
             + np.log(lam).sum(axis=0)
             + delta_per_bin * (np.abs(filters) ** 2).sum(axis=1)
         )
+    return enhanced, filters, variance, objective, fallback
+
+
+def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult:
+    """Dereverberate a (frames x bins) complex spectrogram.
+
+    The bins run in contiguous blocks sized so that a block's working
+    buffers stay in cache through all its iterations; every bin's
+    arithmetic is the same whatever the split, so the result does not
+    depend on it. Each block is first laid out as one real
+    (bins, 2*taps + 2, frames) stack: the real parts of the taps, their
+    imaginary parts, and the real and imaginary part of the target frame.
+    Each iteration re-estimates the floored variance from the current
+    dereverberated signal, scales the tap rows by its reciprocal, and reads
+    every bin's normal matrix and rhs out of the blocks of one batched real
+    GEMM of those rows against the stack. It solves the (bins, taps, taps)
+    systems with one batched call to solve_normal_equations, predicts the
+    tail with one batched real GEMM of the filters against the tap rows,
+    and subtracts it in place. The solve makes the same per-bin checks as
+    solve_hermitian; a bin that fails one gets a zero filter and is listed
+    in fallback_bins. Frames without a complete context
+    (t < delay + taps - 1) pass through unchanged, as does the whole
+    utterance when it is shorter than taps + delay + 1 frames.
+    """
+    is_spec = isinstance(observation, Spectrogram)
+    data = observation.data if is_spec else as_complex_matrix(observation, "observation")
+    n_frames, n_bins = data.shape
+    taps, delay = config.taps, config.delay
+
+    def wrap(matrix: np.ndarray):
+        if is_spec:
+            return Spectrogram(matrix, observation.config, observation.sample_rate)
+        return matrix
+
+    if n_frames <= taps + delay:
+        variance = np.maximum(_smoothed_power(data, config.variance_context), config.variance_floor)
+        return WpeResult(
+            enhanced=wrap(data.copy()),
+            filters=np.zeros((n_bins, taps), dtype=np.complex128),
+            variance=variance,
+            objective=np.zeros((0, n_bins)),
+        )
+
+    enhanced = np.empty((n_frames, n_bins), dtype=np.complex128)
+    filters = np.empty((n_bins, taps), dtype=np.complex128)
+    variance = np.empty((n_frames, n_bins))
+    objective = np.empty((config.iterations, n_bins))
+    fallback: list[int] = []
+    n_valid = n_frames - (delay + taps - 1)
+    blocks = _bin_blocks(n_bins, taps, n_valid)
+    # One pair of scratch buffers for every block, so that a call allocates them once.
+    widest = max(bins.stop - bins.start for bins in blocks)
+    stack = np.empty((widest, 2 * taps + 2, n_valid))
+    weighted = np.empty((widest, 2 * taps, n_valid))
+    for bins in blocks:
+        width = bins.stop - bins.start
+        (
+            enhanced[:, bins], filters[bins], variance[:, bins], objective[:, bins], block_fallback
+        ) = _dereverberate_block(
+            np.ascontiguousarray(data[:, bins]), config, stack[:width], weighted[:width]
+        )
+        fallback.extend(bins.start + b for b in sorted(block_fallback))
 
     if fallback:
         log.warning("WPE fell back to zero filters on %d bin(s)", len(fallback))
@@ -292,5 +357,5 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
         filters=filters,
         variance=variance,
         objective=objective,
-        fallback_bins=tuple(sorted(fallback)),
+        fallback_bins=tuple(fallback),
     )

@@ -195,13 +195,14 @@ def grid_setup(tmp_path_factory):
     manifest = build_corpus(CorpusConfig(**GRID_CORPUS), root)
     stft_cfg = manifest.stft_config()
     filterbank = mel_matrix(manifest.mel_config())
+    mel_mode = manifest.mel_config().mode
     floor = manifest.feature_config["magnitude_floor"]
     wpe_cfg = WpeConfig()
 
     train_x, train_y = training_features(manifest, "train")
     dev_x, dev_y = training_features(manifest, "dev")
     mapper = SpectralFeatureMapper(**MAPPER_SETTINGS)
-    mapper.fit(train_x, train_y, dev_x, dev_y, mel_filterbank=filterbank)
+    mapper.fit(train_x, train_y, dev_x, dev_y, mel_filterbank=filterbank, mel_mode=mel_mode)
 
     baseline_dev, mapped_dev = [], []
     for entry, x in zip(manifest.split_entries("dev"), dev_x):
@@ -214,7 +215,9 @@ def grid_setup(tmp_path_factory):
     matched_x, _ = training_features(manifest, "train", wpe_cfg)
     matched_dev_x, _ = training_features(manifest, "dev", wpe_cfg)
     matched = SpectralFeatureMapper(**MAPPER_SETTINGS)
-    matched.fit(matched_x, train_y, matched_dev_x, dev_y, mel_filterbank=filterbank)
+    matched.fit(
+        matched_x, train_y, matched_dev_x, dev_y, mel_filterbank=filterbank, mel_mode=mel_mode
+    )
 
     configs = {
         "baseline": PipelineConfig(mode="baseline", stft=stft_cfg, mel=manifest.mel_config(),

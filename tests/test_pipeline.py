@@ -36,7 +36,10 @@ def _toy_mapper(manifest, n_train=4):
         hidden_units=(16, 16), context=1, recipe="original",
         batch_size=64, learning_rate=0.1, max_epochs=4, seed=0,
     )
-    mapper.fit(xs[:n_train], ys[:n_train], mel_filterbank=filterbank)
+    mapper.fit(
+        xs[:n_train], ys[:n_train], mel_filterbank=filterbank,
+        mel_mode=manifest.mel_config().mode,
+    )
     return mapper
 
 
@@ -131,7 +134,7 @@ def test_clean_trained_toy_model_beats_untrained(tiny_corpus):
         hidden_units=(24, 24), context=1, recipe="original",
         batch_size=32, learning_rate=0.2, max_epochs=30, seed=0,
     )
-    mapper.fit(xs, ys, mel_filterbank=filterbank)
+    mapper.fit(xs, ys, mel_filterbank=filterbank, mel_mode=manifest.mel_config().mode)
 
     wave = load_wav(manifest.resolve(entries[0].clean_wav))
     reference = ys[0]
@@ -365,7 +368,10 @@ def mappers(tiny_corpus, toy_mapper):
             hidden_units=(128, 128), context=5, recipe=recipe,
             batch_size=128, learning_rate=0.05, max_epochs=3, seed=0,
         )
-        mapper.fit(train_x, train_y, dev_x, dev_y, mel_filterbank=filterbank)
+        mapper.fit(
+            train_x, train_y, dev_x, dev_y, mel_filterbank=filterbank,
+            mel_mode=tiny_corpus.mel_config().mode,
+        )
         found[recipe] = (mapper.model_, 5)
     norm = fit_normalizer([assemble_context(x, 5) for x in train_x], train_y)
     found["paper"] = (init_model([2827, 2048, 2048, 40], "sigmoid", seed=0, norm_spec=norm), 5)
@@ -418,6 +424,31 @@ def test_pipeline_and_estimator_map_the_same_bits(tiny_corpus, toy_mapper):
         wave = load_wav(manifest.resolve(entry.noisy_wav))
         logmag = log_magnitude(stft(wave, config.stft), config.magnitude_floor)
         (estimated,) = toy_mapper.transform([logmag], config.filterbank)
+        assert np.array_equal(enhance_utterance(wave, config).features, estimated)
+
+
+def test_estimator_inverts_in_the_references_mel_mode(tmp_path):
+    # The enhanced recipe inverts utterance-MVN outputs with the input's own
+    # mel statistics; on a magnitude-mel corpus transform must take them in
+    # magnitude mode, as the pipeline does, not with the power-mel proxy.
+    manifest = build_corpus(
+        CorpusConfig(utterance_seconds=1.0, n_train=3, n_dev=2, n_test=1, n_rirs=2,
+                     n_noises=2, mel_mode="magnitude", seed=3),
+        tmp_path,
+    )
+    mapper = SpectralFeatureMapper(
+        hidden_units=(16, 16), context=1, recipe="enhanced",
+        batch_size=64, learning_rate=0.05, max_epochs=2, seed=0,
+    )
+    mapper.fit(
+        *training_features(manifest, "train"), *training_features(manifest, "dev"),
+        mel_filterbank=mel_matrix(manifest.mel_config()), mel_mode=manifest.mel_config().mode,
+    )
+    config = _pipeline_config(manifest, "dnn_only", model=mapper.model_)
+    test_inputs, _ = training_features(manifest, "test")
+    for entry, log_spec in zip(manifest.split_entries("test"), test_inputs):
+        wave = load_wav(manifest.resolve(entry.noisy_wav))
+        (estimated,) = mapper.transform([log_spec])
         assert np.array_equal(enhance_utterance(wave, config).features, estimated)
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from specmap.metrics import log_spectral_distortion
 from specmap.stft import StftConfig, log_magnitude, stft
 from specmap.wpe import (
     WpeConfig,
+    WpeResult,
+    _bin_blocks,
     _normal_equations,
     _prediction,
     _smoothed_power,
@@ -354,7 +359,13 @@ def test_singular_bin_takes_per_bin_path_and_matches_reference(monkeypatch):
     config = WpeConfig(delta=0.0)
     result = wpe_module.wpe_dereverberate(data, config)
     enhanced, filters = per_bin_reference(data, config)
-    assert raised == [data.shape[1]] * config.iterations
+    # Only the block of bins that holds the zero bin falls back, once per iteration.
+    n_valid = data.shape[0] - (config.delay + config.taps - 1)
+    (block,) = [
+        bins for bins in _bin_blocks(data.shape[1], config.taps, n_valid)
+        if bins.start <= 5 < bins.stop
+    ]
+    assert raised == [block.stop - block.start] * config.iterations
     assert result.fallback_bins == ()
     assert np.all(result.filters[5] == 0)
     assert np.array_equal(result.filters, filters)
@@ -399,3 +410,105 @@ def test_real_stack_matches_complex_assembly():
         assert_close(result.enhanced, enhanced)
         assert_close(result.objective, objective)
         assert result.fallback_bins == fallback_bins
+
+
+@pytest.mark.parametrize("n_bins", [1, 2, 3, 5, 257])
+@pytest.mark.parametrize("budget", [1, 6 * 2**20, 2**62])
+def test_bin_blocks_cover_every_bin_in_equal_blocks_of_two_or_more(monkeypatch, n_bins, budget):
+    import specmap.wpe as wpe_module
+
+    monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
+    blocks = _bin_blocks(n_bins, 10, 286)
+    widths = [bins.stop - bins.start for bins in blocks]
+    assert blocks[0].start == 0 and blocks[-1].stop == n_bins
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert max(widths) - min(widths) <= 1
+    assert min(widths) >= min(2, n_bins)
+    if budget == 1:
+        assert len(blocks) == max(1, n_bins // 2)
+    if budget == 2**62:
+        assert len(blocks) == 1
+
+
+def assert_split_does_not_matter(monkeypatch, data, config):
+    """Every WpeResult field under the default split, one block and blocks of two bins."""
+    import specmap.wpe as wpe_module
+
+    default = wpe_module.wpe_dereverberate(data, config)
+    for budget in (2**62, 1):
+        monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
+        result = wpe_module.wpe_dereverberate(data, config)
+        for field in dataclasses.fields(WpeResult):
+            assert np.array_equal(getattr(result, field.name), getattr(default, field.name))
+    monkeypatch.undo()
+    return default
+
+
+def test_output_does_not_depend_on_the_bin_blocks(monkeypatch):
+    small = WpeConfig(taps=4, delay=2, iterations=2, variance_context=0)
+    for seed in range(20):  # the criterion-3 reverb-only utterances
+        _, reverberant, _ = make_reverberant_pair(seed, t60=0.5, seconds=1.5)
+        data = stft(reverberant, StftConfig()).data
+        assert len(_bin_blocks(data.shape[1], 10, data.shape[0] - 12)) > 1
+        assert_split_does_not_matter(monkeypatch, data, WpeConfig())
+    rng = np.random.default_rng(11)
+    for n_bins in (1, 2, 3, 257):
+        data = rng.normal(size=(90, n_bins)) + 1j * rng.normal(size=(90, n_bins))
+        for config in (WpeConfig(), small):
+            result = assert_split_does_not_matter(monkeypatch, data, config)
+        fortran = wpe_dereverberate(np.asfortranarray(data), small)
+        for field in dataclasses.fields(WpeResult):
+            assert np.array_equal(getattr(fortran, field.name), getattr(result, field.name))
+    short = rng.normal(size=(13, 6)) + 1j * rng.normal(size=(13, 6))
+    assert assert_split_does_not_matter(monkeypatch, short, WpeConfig()).objective.shape == (0, 6)
+
+
+def test_singular_and_failing_bins_do_not_depend_on_the_bin_blocks(monkeypatch):
+    import specmap.wpe as wpe_module
+
+    _, reverberant, _ = make_reverberant_pair(0)
+    zero_bin = stft(reverberant, StftConfig()).data.copy()
+    zero_bin[:, 5] = 0.0
+    result = assert_split_does_not_matter(monkeypatch, zero_bin, WpeConfig(delta=0.0))
+    assert result.fallback_bins == () and np.all(result.filters[5] == 0)
+
+    original = wpe_module._lapack_solve
+
+    def flaky(matrices, rhs):
+        # NaN for bin 2 of the one iteration, whichever block holds it.
+        coefficients = original(matrices, rhs)
+        row = 2 - flaky.seen
+        if 0 <= row < len(coefficients):
+            coefficients[row] = np.nan
+        flaky.seen += len(coefficients)
+        return coefficients
+
+    rng = np.random.default_rng(8)
+    data = rng.normal(size=(50, 6)) + 1j * rng.normal(size=(50, 6))
+    config = WpeConfig(taps=3, delay=2, iterations=1)
+    results = []
+    for budget in (6 * 2**20, 2**62, 1):
+        flaky.seen = 0
+        monkeypatch.setattr(wpe_module, "_lapack_solve", flaky)
+        monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
+        results.append(wpe_module.wpe_dereverberate(data, config))
+        monkeypatch.undo()
+    for result in results:
+        assert result.fallback_bins == (2,)
+        assert np.all(result.filters[2] == 0)
+        for field in dataclasses.fields(WpeResult):
+            assert np.array_equal(getattr(result, field.name), getattr(results[0], field.name))
+
+
+def test_peak_memory_stays_within_a_few_inputs():
+    # Whole-utterance buffers peaked at 25x the input (102 MB here); blocks
+    # of bins keep the working set to a few MB whatever the utterance length.
+    rng = np.random.default_rng(10)
+    data = rng.normal(size=(1000, 257)) + 1j * rng.normal(size=(1000, 257))
+    tracemalloc.start()
+    try:
+        wpe_dereverberate(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * data.nbytes
