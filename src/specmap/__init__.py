@@ -5,7 +5,6 @@ from .audio import Waveform, load_wav, save_wav
 from .corpus import (
     CorpusConfig,
     CorpusManifest,
-    MixRecipe,
     RirConfig,
     build_corpus,
     convolve,
@@ -55,7 +54,6 @@ __all__ = [
     "FormatError",
     "ManifestError",
     "MelConfig",
-    "MixRecipe",
     "MlpModel",
     "NormalizationSpec",
     "NotFittedError",

@@ -43,7 +43,6 @@ ENHANCE_DEFAULTS = {
     "split": "test",
     "jobs": 1,
     "save_waveforms": True,
-    "resynthesize": False,
     **WPE_DEFAULTS,
     "seed": 0,
 }
@@ -154,7 +153,6 @@ def cmd_enhance(args) -> int:
         wpe=_wpe_config(config),
         model=model,
         magnitude_floor=manifest.magnitude_floor,
-        resynthesize=config["resynthesize"],
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,7 @@ the file-list arguments of build_corpus.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,6 +23,7 @@ from .validation import check_choice, check_nonnegative, check_positive
 
 SPLITS = ("train", "dev", "test")
 DEFAULT_SNR_GRID = (-6.0, -3.0, 0.0, 3.0, 6.0, 9.0)
+MANIFEST_SCHEMA_VERSION = 1
 # The CorpusConfig fields a manifest records: the front end of its references.
 FEATURE_KEYS = (
     "frame_len", "hop", "fft_size", "window", "n_mels", "f_min", "f_max", "mel_mode",
@@ -211,59 +212,31 @@ def synth_noise(
 
 
 @dataclass
-class MixRecipe:
+class ManifestEntry:
+    """One mixture; the fields are exactly the manifest JSON keys of an entry."""
+
+    id: str
+    split: str
     clean_id: str
     noise_id: Optional[str]
     rir_id: Optional[str]
     snr_db: Optional[float]  # None means no additive noise for this entry
-    split: str
+    clean_wav: str
+    reverberant_wav: str
+    noisy_wav: str
+    reference_features: str
 
     def __post_init__(self):
         check_choice(self.split, SPLITS, "split")
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite or None, got {self.snr_db}")
 
-
-@dataclass
-class ManifestEntry:
-    id: str
-    recipe: MixRecipe
-    clean_wav: str
-    reverberant_wav: str
-    noisy_wav: str
-    reference_features: str
-
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "split": self.recipe.split,
-            "clean_id": self.recipe.clean_id,
-            "noise_id": self.recipe.noise_id,
-            "rir_id": self.recipe.rir_id,
-            "snr_db": self.recipe.snr_db,
-            "clean_wav": self.clean_wav,
-            "reverberant_wav": self.reverberant_wav,
-            "noisy_wav": self.noisy_wav,
-            "reference_features": self.reference_features,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ManifestEntry":
-        recipe = MixRecipe(
-            clean_id=payload["clean_id"],
-            noise_id=payload["noise_id"],
-            rir_id=payload["rir_id"],
-            snr_db=payload["snr_db"],
-            split=payload["split"],
-        )
-        return cls(
-            id=payload["id"],
-            recipe=recipe,
-            clean_wav=payload["clean_wav"],
-            reverberant_wav=payload["reverberant_wav"],
-            noisy_wav=payload["noisy_wav"],
-            reference_features=payload["reference_features"],
-        )
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -272,11 +245,10 @@ class CorpusManifest:
     sample_rate: int
     feature_config: dict
     entries: list[ManifestEntry] = field(default_factory=list)
-    schema_version: int = 1
 
     def split_entries(self, split: str) -> list[ManifestEntry]:
         check_choice(split, SPLITS, "split")
-        return [e for e in self.entries if e.recipe.split == split]
+        return [e for e in self.entries if e.split == split]
 
     def resolve(self, relative: str) -> Path:
         return self.root / relative
@@ -297,7 +269,7 @@ class CorpusManifest:
     def save(self, path=None) -> Path:
         path = Path(path) if path else self.root / "manifest.json"
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": MANIFEST_SCHEMA_VERSION,
             "sample_rate": self.sample_rate,
             "feature_config": self.feature_config,
             "entries": [e.to_dict() for e in self.entries],
@@ -315,8 +287,8 @@ class CorpusManifest:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("schema_version") != 1:
-            raise ManifestError(f"{path}: not a schema-1 manifest object")
+        if not isinstance(payload, dict) or payload.get("schema_version") != MANIFEST_SCHEMA_VERSION:
+            raise ManifestError(f"{path}: not a schema-{MANIFEST_SCHEMA_VERSION} manifest object")
         try:
             feature_config = payload["feature_config"]
             if not isinstance(feature_config, dict) or set(feature_config) != set(FEATURE_KEYS):
@@ -421,7 +393,7 @@ def build_corpus(
 
     Per entry: reverberant = clean * RIR truncated to the clean length (so
     frame counts match the reference); noisy = reverberant + scaled noise at
-    the recipe SNR. Reference mel features always come from the clean signal.
+    the entry's SNR. Reference mel features always come from the clean signal.
     Every random choice derives from config.seed, so a rerun reproduces the
     corpus byte for byte. RIR and noise pools are drawn per split, so test
     rooms and noises differ from training ones.
@@ -524,16 +496,10 @@ def build_corpus(
                 noisy_rel = f"noisy/{entry_id}.wav"
                 save_wav(noisy, root / noisy_rel, encoding="float32")
 
-                manifest.entries.append(
-                    ManifestEntry(
-                        id=entry_id,
-                        recipe=MixRecipe(clean_id, noise_id, rir_id, snr_db, split),
-                        clean_wav=clean_rel,
-                        reverberant_wav=reverb_rel,
-                        noisy_wav=noisy_rel,
-                        reference_features=ref_rel,
-                    )
-                )
+                manifest.entries.append(ManifestEntry(
+                    entry_id, split, clean_id, noise_id, rir_id, snr_db,
+                    clean_rel, reverb_rel, noisy_rel, ref_rel,
+                ))
 
     manifest.save()
     return manifest

@@ -230,15 +230,14 @@ class SpectralFeatureMapper(ParamsMixin):
         self._mel_mode = mel_mode
         return self
 
-    def transform(self, X, mel_filterbank=None) -> list[np.ndarray]:
+    def transform(self, X) -> list[np.ndarray]:
         """Map utterances to mel features in the reference (log-mel) domain."""
         check_fitted(self, ("model_",))
-        filterbank = mel_filterbank if mel_filterbank is not None else getattr(self, "_mel_filterbank", None)
-        mel_mode = getattr(self, "_mel_mode", "power")
         model = self.model_.as_float32()  # cast once, not per utterance
         return [
             map_features(
-                model, np.asarray(log_spec), self.context, filterbank, mel_mode=mel_mode
+                model, np.asarray(log_spec), self.context, self._mel_filterbank,
+                mel_mode=self._mel_mode,
             ).denormalized
             for log_spec in X
         ]

@@ -116,13 +116,19 @@ def load_model(path) -> tuple[MlpModel, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable metadata ({exc})") from exc
 
-    norm = meta.get("norm_spec")
-    model = MlpModel(
-        weights=weights,
-        biases=biases,
-        hidden_activation=meta["hidden_activation"],
-        output_activation=meta["output_activation"],
-        norm_spec=None if norm is None else NormalizationSpec.from_dict(norm),
-        seed=int(meta["seed"]),
-    )
-    return model, meta.get("config", {})
+    try:
+        norm = meta.get("norm_spec")
+        model = MlpModel(
+            weights=weights,
+            biases=biases,
+            hidden_activation=meta["hidden_activation"],
+            output_activation=meta["output_activation"],
+            norm_spec=None if norm is None else NormalizationSpec.from_dict(norm),
+            seed=int(meta["seed"]),
+        )
+        config = meta.get("config", {})
+        if not isinstance(config, dict):
+            raise TypeError(f"config is a {type(config).__name__}, not an object")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed metadata ({exc!r})") from exc
+    return model, config

@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .validation import as_float_matrix, check_choice, check_nonnegative, check_positive
 
 INPUT_MODES = ("global_mvn", "utterance_mvn")
@@ -110,7 +110,6 @@ def fit_normalizer(
     references: Sequence[np.ndarray],
     input_mode: str = "global_mvn",
     reference_mode: str = "global_minmax_01",
-    epsilon: float = 1e-8,
 ) -> NormalizationSpec:
     """Compute normalization statistics over the pooled training utterances."""
     check_choice(input_mode, INPUT_MODES, "input_mode")
@@ -118,7 +117,8 @@ def fit_normalizer(
     if not inputs or not references:
         raise ConfigError("fit_normalizer needs a nonempty training set")
 
-    spec = NormalizationSpec(input_mode=input_mode, reference_mode=reference_mode, epsilon=epsilon)
+    spec = NormalizationSpec(input_mode=input_mode, reference_mode=reference_mode)
+    epsilon = spec.epsilon
     if input_mode == "global_mvn":
         pooled = np.vstack([as_float_matrix(m, "inputs") for m in inputs])
         mean = pooled.mean(axis=0)
@@ -158,25 +158,9 @@ def normalize(x: np.ndarray, spec: NormalizationSpec, role: str) -> np.ndarray:
     return apply_mvn(feats, mean, var)
 
 
-def denormalize(
-    x: np.ndarray,
-    spec: NormalizationSpec,
-    role: str,
-    mean: Optional[np.ndarray] = None,
-    var: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Invert normalize(); utterance modes need the stats used (or chosen) explicitly."""
-    check_choice(role, ("input", "reference"), "role")
-    feats = as_float_matrix(x, "features")
-    if role == "input":
-        if spec.input_mode == "global_mvn":
-            return invert_mvn(feats, spec.input_mean, spec.input_var)
-        if mean is None or var is None:
-            raise ShapeError("utterance_mvn inversion needs explicit mean/var")
-        return invert_mvn(feats, mean, var)
-    if spec.reference_mode == "global_minmax_01":
-        span = np.maximum(spec.ref_max - spec.ref_min, spec.epsilon)
-        return feats * span + spec.ref_min
-    if mean is None or var is None:
-        raise ShapeError("utterance_mvn inversion needs explicit mean/var")
-    return invert_mvn(feats, mean, var)
+def denormalize(x: np.ndarray, spec: NormalizationSpec) -> np.ndarray:
+    """Invert normalize() of global_minmax_01 references; invert_mvn undoes the MVN modes."""
+    if spec.reference_mode != "global_minmax_01":
+        raise ConfigError(f"denormalize inverts global_minmax_01 references, not {spec.reference_mode!r}")
+    span = np.maximum(spec.ref_max - spec.ref_min, spec.epsilon)
+    return as_float_matrix(x, "features") * span + spec.ref_min

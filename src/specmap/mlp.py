@@ -322,13 +322,13 @@ def _train_step(
     return loss
 
 
-def evaluate_cost(model: MlpModel, inputs: np.ndarray, references: np.ndarray, chunk: int = 4096) -> float:
-    """Full-set MSE without dropout, accumulated in a fixed chunk order."""
+def evaluate_cost(model: MlpModel, inputs: np.ndarray, references: np.ndarray) -> float:
+    """Full-set MSE without dropout, accumulated in a fixed order of 4096-frame chunks."""
     x = as_float_matrix(inputs, "inputs")
     y = as_float_matrix(references, "references")
     if x.shape[0] != y.shape[0]:
         raise ShapeError("inputs and references must have the same frame count")
-    total = 0.0
+    total, chunk = 0.0, 4096
     for start in range(0, x.shape[0], chunk):
         out = _forward(model, x[start:start + chunk]).output
         total += float(np.sum((out - y[start:start + chunk]) ** 2))
@@ -479,7 +479,7 @@ def map_features(
         output = np.zeros((0, model.output_dim))
 
     if spec.reference_mode == "global_minmax_01":
-        return MappedFeatures(output, denormalize(output, spec, "reference"))
+        return MappedFeatures(output, denormalize(output, spec))
 
     log_spec = as_float_matrix(log_spec, "log_spec")
     energy = np.exp(2.0 * log_spec) if mel_mode == "power" else np.exp(log_spec)

@@ -2,9 +2,8 @@
 
 Four modes over one utterance: baseline (plain log-mel), wpe_only
 (dereverberate, resynthesize, re-analyze), dnn_only (map log-magnitude
-context windows to mel features), and wpe_dnn (dereverberated spectrogram
-feeds the mapper directly; an optional resynthesis round trip is available
-for comparison).
+context windows to mel features), and wpe_dnn (dereverberate, then map).
+wpe_dnn maps the dereverberated spectrogram, as matched training does.
 """
 
 import dataclasses
@@ -40,7 +39,6 @@ class PipelineConfig:
     wpe: WpeConfig = field(default_factory=WpeConfig)
     model: Optional[MlpModel] = None
     magnitude_floor: float = 1e-10
-    resynthesize: bool = False  # wpe_dnn: go via waveform instead of staying in STFT domain
 
     def __post_init__(self):
         check_choice(self.mode, MODES, "mode")
@@ -89,16 +87,16 @@ class PipelineConfig:
         return state
 
     def describe(self) -> dict:
-        return {
-            "mode": self.mode,
-            "stft": dataclasses.asdict(self.stft),
-            "mel": dataclasses.asdict(self.mel),
-            "context": self.context,
-            "wpe": dataclasses.asdict(self.wpe),
-            "magnitude_floor": self.magnitude_floor,
-            "resynthesize": self.resynthesize,
-            "model": None if self.mapper is None else self._model_id,
-        }
+        """Every field, the nested configs as dicts and the model as its cached identity."""
+        described = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name == "model":
+                value = None if self.mapper is None else self._model_id
+            elif dataclasses.is_dataclass(value):
+                value = dataclasses.asdict(value)
+            described[f.name] = value
+        return described
 
 
 def _identify_model(mapper: MlpModel) -> dict:
@@ -145,8 +143,7 @@ def enhance_utterance(waveform: Waveform, config: PipelineConfig) -> EnhancedUtt
         feats = log_mel(respec, config.filterbank, config.magnitude_floor, config.mel.mode)
         return EnhancedUtterance(feats, enhanced_wave)
 
-    dnn_input = stft(enhanced_wave, config.stft) if config.resynthesize else result.enhanced
-    return EnhancedUtterance(_mapped_mel(config, dnn_input), enhanced_wave)
+    return EnhancedUtterance(_mapped_mel(config, result.enhanced), enhanced_wave)
 
 
 def _enhance_entry(noisy_path, config: PipelineConfig):

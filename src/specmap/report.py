@@ -25,6 +25,7 @@ from .validation import check_choice
 
 METRIC_NAMES = ("mel_mse", "lsd_db", "segsnr_gain_db")
 REPORT_SCHEMA_VERSION = 1
+BASELINE = "baseline"  # the system every other one is compared against
 
 
 def condition_average(values) -> float:
@@ -87,8 +88,8 @@ class SystemEvaluation:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SystemEvaluation":
-        if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
-            raise ManifestError("unsupported evaluation schema version")
+        if not isinstance(payload, dict) or payload.get("schema_version") != REPORT_SCHEMA_VERSION:
+            raise ManifestError("not an evaluation object of a supported schema version")
         conditions = [
             ConditionMetrics(
                 snr_db=c["snr_db"],
@@ -103,7 +104,10 @@ class SystemEvaluation:
     @classmethod
     def load(cls, path) -> "SystemEvaluation":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ManifestError(f"{path}: malformed evaluation ({exc!r})") from exc
 
 
 def _mean_or_none(values: dict) -> Optional[float]:
@@ -167,7 +171,7 @@ def evaluate_system(
             )
 
         slot = by_snr.setdefault(
-            entry.recipe.snr_db,
+            entry.snr_db,
             {"utterances": [], "mel_mse": {}, "lsd_db": {}, "segsnr_gain_db": {}},
         )
         slot["utterances"].append(entry.id)
@@ -228,17 +232,17 @@ class ComparisonReport:
         }
 
 
-def build_report(evaluations: list[SystemEvaluation], baseline_name: str = "baseline") -> ComparisonReport:
+def build_report(evaluations: list[SystemEvaluation]) -> ComparisonReport:
     """Combine per-system evaluations into one comparison against the baseline."""
     names = [e.system for e in evaluations]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate system names in report inputs: {names}")
-    if baseline_name not in names:
-        raise ConfigError(f"report needs a system named {baseline_name!r}; got {names}")
+    if BASELINE not in names:
+        raise ConfigError(f"report needs a system named {BASELINE!r}; got {names}")
     if len(evaluations) < 2:
         raise ConfigError("report needs the baseline plus at least one other system")
 
-    baseline = next(e for e in evaluations if e.system == baseline_name)
+    baseline = next(e for e in evaluations if e.system == BASELINE)
     snr_rows = [c.snr_db for c in baseline.conditions]
     for ev in evaluations:
         if [c.snr_db for c in ev.conditions] != snr_rows:
@@ -250,7 +254,7 @@ def build_report(evaluations: list[SystemEvaluation], baseline_name: str = "base
                     f"{cond.snr_db} dB; comparison would be unfair"
                 )
 
-    ordered = [baseline] + [e for e in evaluations if e.system != baseline_name]
+    ordered = [baseline] + [e for e in evaluations if e.system != BASELINE]
     means: dict = {}
     averages: dict = {}
     reductions: dict = {}
@@ -269,11 +273,11 @@ def build_report(evaluations: list[SystemEvaluation], baseline_name: str = "base
         average_reductions[ev.system] = {}
         for m in METRIC_NAMES:
             per_snr = {
-                snr: _reduction(means[baseline_name][m][snr], means[ev.system][m][snr])
+                snr: _reduction(means[BASELINE][m][snr], means[ev.system][m][snr])
                 for snr in snr_rows
             }
             reductions[ev.system][m] = per_snr
-            of_average = _reduction(averages[baseline_name][m], averages[ev.system][m])
+            of_average = _reduction(averages[BASELINE][m], averages[ev.system][m])
             condition_values = [v for v in per_snr.values() if v is not None]
             average_reductions[ev.system][m] = {
                 "of_average": of_average,

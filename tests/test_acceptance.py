@@ -236,7 +236,7 @@ def grid_setup(tmp_path_factory):
         reference = read_features(manifest.resolve(entry.reference_features))
         for name, config in configs.items():
             feats = enhance_utterance(wave, config).features
-            per_system[name][entry.recipe.snr_db].append(mel_mse(feats, reference))
+            per_system[name][entry.snr_db].append(mel_mse(feats, reference))
 
     means = {
         name: {snr: float(np.mean(values)) for snr, values in by_snr.items()}

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import specmap
 from specmap import estimators
 from specmap.cli import main
 from specmap.featio import load_model, read_features
@@ -35,6 +36,14 @@ def test_simulate_writes_manifest_and_config(cli_corpus):
     assert len(manifest["entries"]) == (3 + 2 + 2) * 6
     frozen = (cli_corpus / "config.resolved").read_text()
     assert "seed=5" in frozen
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in specmap.__all__ if not hasattr(specmap, name)]
+    assert not missing
+    namespace = {}
+    exec("from specmap import *", namespace)
+    assert set(specmap.__all__) <= set(namespace)
 
 
 def test_simulate_seed_reproducibility(tmp_path):

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from specmap.audio import Waveform, load_wav
+from specmap.audio import Waveform, load_wav, save_wav
 from specmap.corpus import (
     CorpusConfig,
     CorpusManifest,
-    MixRecipe,
+    ManifestEntry,
     RirConfig,
     build_corpus,
     convolve,
@@ -130,7 +130,7 @@ def test_mix_error_cases():
     with pytest.raises(ConfigError):
         mix_at_snr(clean, Waveform(np.ones(50), 16000), 0.0, np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        MixRecipe("c", "n", "r", float("inf"), "train")
+        ManifestEntry("e", "train", "c", "n", "r", float("inf"), "c.wav", "r.wav", "n.wav", "f.sfmf")
 
 
 def test_synth_speech_properties():
@@ -162,7 +162,7 @@ def test_build_corpus_structure(tiny_corpus):
     assert len(manifest.split_entries("train")) == 3 * grid
     assert len(manifest.split_entries("dev")) == 2 * grid
     assert len(manifest.split_entries("test")) == 2 * grid
-    test_snrs = {e.recipe.snr_db for e in manifest.split_entries("test")}
+    test_snrs = {e.snr_db for e in manifest.split_entries("test")}
     assert test_snrs == {-6.0, -3.0, 0.0, 3.0, 6.0, 9.0}
 
     entry = manifest.split_entries("test")[0]
@@ -241,10 +241,41 @@ def test_build_corpus_no_noise_mode(tmp_path):
     manifest = build_corpus(config, tmp_path / "nn")
     entries = manifest.split_entries("test")
     assert len(entries) == 3
-    assert all(e.recipe.snr_db is None for e in entries)
+    assert all(e.snr_db is None for e in entries)
     noisy = load_wav(manifest.resolve(entries[0].noisy_wav))
     reverberant = load_wav(manifest.resolve(entries[0].reverberant_wav))
     assert np.array_equal(noisy.samples, reverberant.samples)
+
+
+def test_build_corpus_mixes_external_noise_files(tmp_path):
+    paths = []
+    for j, color in enumerate(("white", "brown")):
+        paths.append(tmp_path / f"ext{j}.wav")
+        save_wav(synth_noise(2.0, 16000, 40 + j, color), paths[-1], encoding="float32")
+    config = CorpusConfig(
+        utterance_seconds=0.6, n_train=1, n_dev=0, n_test=2, snr_grid=(-3.0, 6.0),
+        n_rirs=1, n_noises=2, seed=6,
+    )
+    manifest = build_corpus(config, tmp_path / "ext", noise_files=paths)
+    assert not list((tmp_path / "ext" / "noise").iterdir())  # nothing synthesized
+    externals = [load_wav(p).samples for p in paths]
+    for entry in manifest.entries:
+        index = int(entry.clean_id[-3:]) % 2
+        assert entry.noise_id == f"{entry.split}_noise{index}"
+        reverberant = load_wav(manifest.resolve(entry.reverberant_wav)).samples
+        added = load_wav(manifest.resolve(entry.noisy_wav)).samples - reverberant
+        snr = 10.0 * np.log10(np.sum(reverberant ** 2) / np.sum(added ** 2))
+        assert snr == pytest.approx(entry.snr_db, abs=1e-3)
+        # the added noise is a scaled crop of the entry's external file
+        fit = np.correlate(externals[index], added, "valid")
+        window = np.convolve(externals[index] ** 2, np.ones(len(added)), "valid")
+        cosine = np.max(fit / np.sqrt(window * np.sum(added ** 2)))
+        assert cosine > 1.0 - 1e-6
+
+    slow = tmp_path / "slow.wav"
+    save_wav(synth_noise(2.0, 8000, 42), slow, encoding="float32")
+    with pytest.raises(ManifestError):
+        build_corpus(config, tmp_path / "bad", noise_files=[paths[0], slow])
 
 
 def test_missing_source_files_reported(tmp_path):

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from specmap.cli import main
 from specmap.errors import FormatError
 from specmap.featio import load_model, read_features, save_model, write_features
 from specmap.features import NormalizationSpec
@@ -87,3 +91,43 @@ def test_checkpoint_format_errors(tmp_path):
     truncated.write_bytes(truncated.read_bytes()[:-10])
     with pytest.raises(FormatError):
         load_model(truncated)
+
+
+def _with_metadata(path, edit) -> None:
+    """Rewrite the JSON block of the checkpoint at path with edit(metadata)."""
+    blob = path.read_bytes()
+    (n_layers,) = struct.unpack("<I", blob[8:12])
+    shapes = [struct.unpack("<II", blob[12 + 8 * i:20 + 8 * i]) for i in range(n_layers)]
+    pos = 12 + 8 * n_layers + sum(4 * (rows * cols + cols) for rows, cols in shapes)
+    meta = edit(json.loads(blob[pos + 4:].decode("utf-8")))
+    payload = json.dumps(meta).encode("utf-8")
+    path.write_bytes(blob[:pos] + struct.pack("<I", len(payload)) + payload)
+
+
+BAD_METADATA = {
+    "not_an_object": lambda meta: [meta],
+    "missing_seed": lambda meta: {k: v for k, v in meta.items() if k != "seed"},
+    "mistyped_seed": lambda meta: {**meta, "seed": "x"},
+    "missing_activation": lambda meta: {k: v for k, v in meta.items() if k != "output_activation"},
+    "norm_spec_not_an_object": lambda meta: {**meta, "norm_spec": [1, 2]},
+    "norm_spec_bad_mode": lambda meta: {**meta, "norm_spec": {**meta["norm_spec"], "input_mode": "x"}},
+    "norm_spec_missing_epsilon": lambda meta: {
+        **meta, "norm_spec": {k: v for k, v in meta["norm_spec"].items() if k != "epsilon"}
+    },
+    "config_not_an_object": lambda meta: {**meta, "config": [5]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_METADATA))
+def test_malformed_checkpoint_metadata_is_a_format_error(case, tiny_corpus, tmp_path, capsys):
+    path = tmp_path / "m.sfmd"
+    save_model(path, init_model([6, 4, 2], "sigmoid", seed=3, norm_spec=_norm_spec()), {"context": 5})
+    _with_metadata(path, BAD_METADATA[case])
+    with pytest.raises(FormatError):
+        load_model(path)
+    code = main([
+        "enhance", "--manifest", str(tiny_corpus.root / "manifest.json"), "--mode", "dnn_only",
+        "--checkpoint", str(path), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "malformed metadata" in capsys.readouterr().err

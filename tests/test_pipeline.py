@@ -319,10 +319,22 @@ def test_config_hash_covers_every_stft_mel_and_wpe_field(tiny_corpus):
         "wpe": {"taps": 11, "delay": 4, "iterations": 2, "variance_floor": 1e-9,
                 "delta": 1e-3, "variance_context": 0},
     }
-    base = _pipeline_config(tiny_corpus, "wpe_only")
+    # wpe_only checks no model against the context or the bins, so each field changes alone
+    base = _pipeline_config(tiny_corpus, "wpe_only", model=init_model([3 * 257, 4, 40], seed=1))
     # f_max at the Nyquist of 8 kHz: 16 and 8 kHz filterbanks then differ only in sample_rate
     base = dataclasses.replace(base, mel=dataclasses.replace(base.mel, f_max=4000.0))
     digest = config_hash(base.describe())
+    fields = [f.name for f in dataclasses.fields(base)]
+    assert sorted(base.describe()) == sorted(fields)
+    top_level = {
+        "mode": {"mode": "dnn_only"},
+        "context": {"context": 2},
+        "magnitude_floor": {"magnitude_floor": 1e-9},
+        "model": {"model": init_model([3 * 257, 4, 40], seed=2)},
+    }
+    assert set(top_level) | set(changed) == set(fields)
+    for name, values in top_level.items():
+        assert config_hash(dataclasses.replace(base, **values).describe()) != digest, name
     for section, values in changed.items():
         assert set(values) == {f.name for f in dataclasses.fields(getattr(base, section))}
         for name, value in values.items():
@@ -349,7 +361,7 @@ def reference_map(model, log_spec, context, filterbank, floor, mel_mode="power")
     spec = model.norm_spec
     output = forward(model, normalize(assemble_context(log_spec, context), spec, "input")).output
     if spec.reference_mode == "global_minmax_01":
-        return output, denormalize(output, spec, "reference")
+        return output, denormalize(output, spec)
     energy = np.exp((2.0 if mel_mode == "power" else 1.0) * log_spec)
     proxy_mel = np.log(np.maximum(energy @ filterbank.T, floor))
     mean, var = utterance_stats(proxy_mel, spec.epsilon)
@@ -423,7 +435,7 @@ def test_pipeline_and_estimator_map_the_same_bits(tiny_corpus, toy_mapper):
     for entry in manifest.split_entries("test"):
         wave = load_wav(manifest.resolve(entry.noisy_wav))
         logmag = log_magnitude(stft(wave, config.stft), config.magnitude_floor)
-        (estimated,) = toy_mapper.transform([logmag], config.filterbank)
+        (estimated,) = toy_mapper.transform([logmag])
         assert np.array_equal(enhance_utterance(wave, config).features, estimated)
 
 

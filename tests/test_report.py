@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from specmap.errors import ConfigError, SpecmapError
+from specmap.cli import main
+from specmap.errors import ConfigError, ManifestError, SpecmapError
 from specmap.featio import read_features, write_features
 from specmap.pipeline import PipelineConfig, batch_enhance
 from specmap.report import (
@@ -138,6 +139,20 @@ def test_evaluation_json_roundtrip(tmp_path):
     assert loaded.conditions[0].means["mel_mse"] == 1.0
 
 
+@pytest.mark.parametrize("text", [
+    "{not json", '{"schema_version": 1, "system": "x"}', "[1, 2]",
+], ids=["not_json", "missing_conditions", "list"])
+def test_malformed_evaluation_is_a_manifest_error(tmp_path, capsys, text):
+    path = tmp_path / "eval.json"
+    path.write_text(text)
+    with pytest.raises(ManifestError):
+        SystemEvaluation.load(path)
+    baseline = synthetic_evaluation("baseline", [1.0] * 6).save(tmp_path / "baseline.json")
+    code = main(["report", "--inputs", str(baseline), str(path), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_evaluate_system_on_corpus(tiny_corpus, tmp_path):
     manifest = tiny_corpus
     config = PipelineConfig(
@@ -149,7 +164,7 @@ def test_evaluate_system_on_corpus(tiny_corpus, tmp_path):
     evaluation = evaluate_system(manifest, out, mode="baseline", split="test")
     assert evaluation.system == "baseline"
     assert [c.snr_db for c in evaluation.conditions] == sorted(
-        {e.recipe.snr_db for e in manifest.split_entries("test")}
+        {e.snr_db for e in manifest.split_entries("test")}
     )
     for cond in evaluation.conditions:
         assert cond.means["mel_mse"] > 0
