@@ -23,7 +23,7 @@ from .errors import (
     SpecmapError,
     UnsupportedFormatError,
 )
-from .estimators import CascadeEnhancer, SpectralFeatureMapper, WpeDereverberator
+from .estimators import SpectralFeatureMapper
 from .featio import load_model, read_features, save_model, write_features
 from .features import NormalizationSpec, assemble_context, fit_normalizer, normalize
 from .mel import MelConfig, hz_to_mel, log_mel, mel_matrix, mel_to_hz
@@ -47,7 +47,6 @@ from .wpe import WpeConfig, WpeResult, solve_hermitian, wpe_dereverberate
 __version__ = "0.1.0"
 
 __all__ = [
-    "CascadeEnhancer",
     "ConfigError",
     "CorpusConfig",
     "CorpusManifest",
@@ -71,7 +70,6 @@ __all__ = [
     "UnsupportedFormatError",
     "Waveform",
     "WpeConfig",
-    "WpeDereverberator",
     "WpeResult",
     "assemble_context",
     "batch_enhance",

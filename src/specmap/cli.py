@@ -132,27 +132,28 @@ def cmd_enhance(args) -> int:
     config = _resolve(ENHANCE_DEFAULTS, args)
     mode = config["mode"]
     manifest = corpus_mod.CorpusManifest.load(args.manifest)
-    model = None
-    context = 5
+    stft_config = manifest.stft_config()
+    mapping = {}
     if mode in ("dnn_only", "wpe_dnn"):
         if not args.checkpoint:
             raise ConfigError(f"mode {mode!r} needs --checkpoint")
         model, model_config = load_model(args.checkpoint)
-        context = int(model_config.get("context", 5))
         stored = model_config.get("feature_config")
         if stored and stored != manifest.feature_config:
             raise ConfigError(
                 "checkpoint was trained with a different feature configuration than the manifest"
             )
+        # The context a (2c+1)*n_bins input implies; PipelineConfig rejects any other dim.
+        context = max(model.input_dim // stft_config.n_bins - 1, 0) // 2
+        mapping = {"model": model, "context": context}
 
     pipeline_config = PipelineConfig(
         mode=mode,
-        stft=manifest.stft_config(),
+        stft=stft_config,
         mel=manifest.mel_config(),
-        context=context,
         wpe=_wpe_config(config),
-        model=model,
         magnitude_floor=manifest.magnitude_floor,
+        **mapping,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

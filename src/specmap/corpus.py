@@ -228,6 +228,11 @@ class ManifestEntry:
 
     def __post_init__(self):
         check_choice(self.split, SPLITS, "split")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            nullable = f.name in ("noise_id", "rir_id")
+            if f.name != "snr_db" and not isinstance(value, str) and not (nullable and value is None):
+                raise ConfigError(f"manifest entry field {f.name} must be a string, got {value!r}")
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite or None, got {self.snr_db}")
 

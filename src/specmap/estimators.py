@@ -1,9 +1,10 @@
-"""Estimator-style front end: fit/transform objects with get_params/set_params.
+"""The trainable feature mapper and the feature extraction that feeds it.
 
-These follow the scikit-learn parameter contract (constructor args are the
-parameters, fitted state lives in trailing-underscore attributes) without
-depending on scikit-learn itself, so they clone and compose with sklearn
-pipelines while the package stays numpy-only.
+SpectralFeatureMapper follows the scikit-learn parameter contract
+(constructor args are the parameters, fitted state lives in
+trailing-underscore attributes) without depending on scikit-learn itself,
+so it clones and composes with sklearn tooling while the package stays
+numpy-only.
 
 X is a list of per-utterance arrays throughout: utterances have different
 frame counts, so a single stacked matrix would lose the utterance
@@ -19,11 +20,10 @@ from .audio import load_wav
 from .errors import ConfigError, ShapeError
 from .featio import read_features
 from .features import assemble_context, fit_normalizer, normalize
-from .mel import MEL_MODES, MelConfig, log_mel, mel_matrix
+from .mel import MEL_MODES
 from .mlp import TrainConfig, init_model, map_features, train
-from .pipeline import MODES, PipelineConfig, enhance_utterance
 from .seeding import derive_seed
-from .stft import Spectrogram, StftConfig, log_magnitude, stft
+from .stft import StftConfig, log_magnitude, stft
 from .validation import check_choice, check_fitted
 from .wpe import WpeConfig, wpe_dereverberate
 
@@ -54,86 +54,7 @@ def training_features(manifest, split: str, wpe: Optional[WpeConfig] = None):
     return inputs, references
 
 
-class ParamsMixin:
-    """get_params/set_params over the constructor signature, sklearn style."""
-
-    @classmethod
-    def _parameter_names(cls):
-        signature = inspect.signature(cls.__init__)
-        return sorted(
-            name
-            for name, p in signature.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        )
-
-    def get_params(self, deep: bool = True) -> dict:
-        params = {}
-        for name in self._parameter_names():
-            value = getattr(self, name)
-            params[name] = value
-            if deep and hasattr(value, "get_params"):
-                for sub, sub_value in value.get_params(deep=True).items():
-                    params[f"{name}__{sub}"] = sub_value
-        return params
-
-    def set_params(self, **params):
-        if not params:
-            return self
-        valid = set(self._parameter_names())
-        nested: dict = {}
-        for key, value in params.items():
-            head, _, tail = key.partition("__")
-            if head not in valid:
-                raise ConfigError(f"invalid parameter {head!r} for {type(self).__name__}")
-            if tail:
-                nested.setdefault(head, {})[tail] = value
-            else:
-                setattr(self, head, value)
-        for head, sub_params in nested.items():
-            getattr(self, head).set_params(**sub_params)
-        return self
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._parameter_names())
-        return f"{type(self).__name__}({args})"
-
-
-class WpeDereverberator(ParamsMixin):
-    """Stateless transformer running delayed-linear-prediction dereverberation.
-
-    transform accepts a Spectrogram, a complex (frames x bins) array, or a
-    list of either, and returns the enhanced counterpart(s).
-    """
-
-    def __init__(
-        self, taps=10, delay=3, iterations=3, variance_floor=1e-10, delta=None,
-        variance_context=1,
-    ):
-        self.taps = taps
-        self.delay = delay
-        self.iterations = iterations
-        self.variance_floor = variance_floor
-        self.delta = delta
-        self.variance_context = variance_context
-
-    def _config(self) -> WpeConfig:
-        return WpeConfig(**self.get_params(deep=False))
-
-    def fit(self, X=None, y=None):
-        self._config()  # validate parameters
-        return self
-
-    def transform(self, X):
-        config = self._config()
-        if isinstance(X, (Spectrogram, np.ndarray)):
-            return wpe_dereverberate(X, config).enhanced
-        return [wpe_dereverberate(item, config).enhanced for item in X]
-
-    def fit_transform(self, X, y=None):
-        return self.fit(X, y).transform(X)
-
-
-class SpectralFeatureMapper(ParamsMixin):
+class SpectralFeatureMapper:
     """Trainable mapper from noisy log-magnitude spectra to clean mel features.
 
     The "original" recipe uses globally MVN-normalized inputs, [0,1] min-max
@@ -170,6 +91,27 @@ class SpectralFeatureMapper(ParamsMixin):
         self.seed = seed
         self.model_ = None
         self.history_ = None
+
+    @classmethod
+    def _parameter_names(cls):
+        signature = inspect.signature(cls.__init__)
+        return sorted(name for name in signature.parameters if name != "self")
+
+    def get_params(self, deep: bool = True) -> dict:
+        """The constructor parameters; deep is accepted for sklearn and changes nothing."""
+        return {name: getattr(self, name) for name in self._parameter_names()}
+
+    def set_params(self, **params):
+        valid = set(self._parameter_names())
+        for name, value in params.items():
+            if name not in valid:
+                raise ConfigError(f"invalid parameter {name!r} for {type(self).__name__}")
+            setattr(self, name, value)
+        return self
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
+        return f"{type(self).__name__}({args})"
 
     def _assemble(self, log_specs: Sequence[np.ndarray]) -> list[np.ndarray]:
         return [assemble_context(np.asarray(s), self.context) for s in log_specs]
@@ -246,104 +188,4 @@ class SpectralFeatureMapper(ParamsMixin):
         return self.transform(X)
 
     def fit_transform(self, X, y, **fit_kwargs):
-        return self.fit(X, y, **fit_kwargs).transform(X)
-
-
-class CascadeEnhancer(ParamsMixin):
-    """Waveform-in, mel-features-out wrapper over the full cascade.
-
-    fit() trains the embedded mapper on (noisy, clean) waveform pairs,
-    preprocessing the training inputs with WPE when the mode includes it
-    (matched training). transform() enhances waveforms under the same mode.
-    """
-
-    def __init__(
-        self,
-        mode="wpe_dnn",
-        frame_len=400,
-        hop=160,
-        fft_size=512,
-        window="hann",
-        n_mels=40,
-        f_min=0.0,
-        f_max=8000.0,
-        magnitude_floor=1e-10,
-        mapper: Optional[SpectralFeatureMapper] = None,
-        wpe: Optional[WpeDereverberator] = None,
-    ):
-        self.mode = mode
-        self.frame_len = frame_len
-        self.hop = hop
-        self.fft_size = fft_size
-        self.window = window
-        self.n_mels = n_mels
-        self.f_min = f_min
-        self.f_max = f_max
-        self.magnitude_floor = magnitude_floor
-        self.mapper = mapper
-        self.wpe = wpe
-
-    def _stft_config(self) -> StftConfig:
-        return StftConfig(self.frame_len, self.hop, self.fft_size, self.window)
-
-    def _mel_config(self, sample_rate: int) -> MelConfig:
-        return MelConfig(self.n_mels, self.f_min, self.f_max, sample_rate, self.fft_size)
-
-    def _pipeline_config(self, sample_rate: int) -> PipelineConfig:
-        mapper = self.mapper
-        model = None
-        context = 5
-        if self.mode in ("dnn_only", "wpe_dnn"):
-            check_fitted(mapper if mapper is not None else self, ("model_",))
-            model = mapper.model_
-            context = mapper.context
-        wpe_est = self.wpe if self.wpe is not None else WpeDereverberator()
-        return PipelineConfig(
-            mode=self.mode,
-            stft=self._stft_config(),
-            mel=self._mel_config(sample_rate),
-            context=context,
-            wpe=wpe_est._config(),
-            model=model,
-            magnitude_floor=self.magnitude_floor,
-        )
-
-    def fit(self, X, y=None, X_dev=None, y_dev=None):
-        """X: noisy waveforms; y: aligned clean waveforms (needed for dnn modes)."""
-        check_choice(self.mode, MODES, "mode")
-        if self.mode in ("baseline", "wpe_only"):
-            return self
-        if y is None:
-            raise ConfigError(f"mode {self.mode!r} trains a mapper and needs clean targets")
-        if self.mapper is None:
-            self.mapper = SpectralFeatureMapper()
-
-        stft_cfg = self._stft_config()
-        sample_rate = X[0].sample_rate
-        filterbank = mel_matrix(self._mel_config(sample_rate))
-        wpe = None
-        if self.mode == "wpe_dnn":
-            wpe = (self.wpe if self.wpe is not None else WpeDereverberator())._config()
-
-        def prepare(waves_noisy, waves_clean):
-            inputs = [input_features(w, stft_cfg, wpe, self.magnitude_floor) for w in waves_noisy]
-            refs = [
-                log_mel(stft(w, stft_cfg), filterbank, self.magnitude_floor) for w in waves_clean
-            ]
-            return inputs, refs
-
-        train_in, train_ref = prepare(X, y)
-        dev_in = dev_ref = None
-        if X_dev is not None and y_dev is not None:
-            dev_in, dev_ref = prepare(X_dev, y_dev)
-        self.mapper.fit(train_in, train_ref, dev_in, dev_ref, mel_filterbank=filterbank)
-        return self
-
-    def transform(self, X) -> list[np.ndarray]:
-        if not X:
-            return []
-        config = self._pipeline_config(X[0].sample_rate)
-        return [enhance_utterance(w, config).features for w in X]
-
-    def fit_transform(self, X, y=None, **fit_kwargs):
         return self.fit(X, y, **fit_kwargs).transform(X)

@@ -153,14 +153,10 @@ def evaluate_system(
 
         lsd = gain = None
         wave_path = system_dir / "waveforms" / f"{entry.id}.wav"
-        clean = load_wav(manifest.resolve(entry.clean_wav))
-        degraded = load_wav(manifest.resolve(entry.noisy_wav))
-        system_wave = None
-        if wave_path.is_file():
-            system_wave = load_wav(wave_path)
-        elif mode == "baseline":
-            system_wave = degraded
-        if system_wave is not None:
+        if wave_path.is_file() or mode == "baseline":
+            clean = load_wav(manifest.resolve(entry.clean_wav))
+            degraded = load_wav(manifest.resolve(entry.noisy_wav))
+            system_wave = load_wav(wave_path) if wave_path.is_file() else degraded
             n = min(len(system_wave), len(degraded), len(clean))
             lsd = log_spectral_distortion(
                 log_magnitude(stft(Waveform(system_wave.samples[:n], clean.sample_rate), stft_cfg), floor),

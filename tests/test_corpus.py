@@ -204,11 +204,22 @@ def _drop_noisy_wav(payload):
     del payload["entries"][0]["noisy_wav"]
 
 
+def _noisy_wav_as_number(payload):
+    payload["entries"][0]["noisy_wav"] = 5
+
+
+def _id_as_number(payload):
+    payload["entries"][0]["id"] = 5
+
+
 def _as_list(payload):
     return list(payload.values())
 
 
-@pytest.mark.parametrize("damage", [_drop_hop, _add_feature_key, _drop_noisy_wav, _as_list])
+@pytest.mark.parametrize(
+    "damage",
+    [_drop_hop, _add_feature_key, _drop_noisy_wav, _noisy_wav_as_number, _id_as_number, _as_list],
+)
 def test_malformed_manifest_is_a_manifest_error(tiny_corpus, tmp_path, capsys, damage):
     payload = json.loads((tiny_corpus.root / "manifest.json").read_text())
     payload = damage(payload) or payload

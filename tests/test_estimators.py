@@ -1,13 +1,13 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from conftest import make_reverberant_pair
 from specmap.errors import ConfigError, NotFittedError
-from specmap.estimators import CascadeEnhancer, SpectralFeatureMapper, WpeDereverberator
+from specmap.estimators import SpectralFeatureMapper, input_features
+from specmap.mel import MelConfig, log_mel, mel_matrix
+from specmap.pipeline import PipelineConfig, enhance_utterance
 from specmap.stft import StftConfig, stft
-from specmap.wpe import WpeConfig, wpe_dereverberate
+from specmap.wpe import WpeConfig
 
 
 def _toy_training_data(n_utts=3, bins=33):
@@ -21,23 +21,19 @@ def _toy_training_data(n_utts=3, bins=33):
 
 
 def test_get_set_params_roundtrip():
-    est = WpeDereverberator(taps=7, delay=2)
+    est = SpectralFeatureMapper(context=2, learning_rate=0.07)
     params = est.get_params()
-    assert sorted(params) == sorted(f.name for f in dataclasses.fields(WpeConfig))
-    assert params["taps"] == 7 and params["delay"] == 2
-    est.set_params(taps=4)
-    assert est.taps == 4
+    assert sorted(params) == [
+        "adagrad_epsilon", "batch_size", "context", "dropout_rate", "hidden_units",
+        "improvement_threshold", "increase_threshold", "learning_rate", "max_epochs",
+        "recipe", "seed",
+    ]
+    assert params["context"] == 2 and params["learning_rate"] == 0.07
+    assert est.set_params(learning_rate=0.2) is est
+    assert est.learning_rate == 0.2
+    assert SpectralFeatureMapper(**est.get_params()).get_params() == est.get_params()
     with pytest.raises(ConfigError):
         est.set_params(not_a_param=1)
-
-
-def test_nested_params_through_cascade():
-    cascade = CascadeEnhancer(mapper=SpectralFeatureMapper(learning_rate=0.07))
-    params = cascade.get_params()
-    assert params["mapper__learning_rate"] == 0.07
-    cascade.set_params(mapper__learning_rate=0.2, mode="baseline")
-    assert cascade.mapper.learning_rate == 0.2
-    assert cascade.mode == "baseline"
 
 
 def test_sklearn_clone_interop():
@@ -46,21 +42,6 @@ def test_sklearn_clone_interop():
     cloned = sklearn_base.clone(est)
     assert cloned is not est
     assert cloned.get_params() == est.get_params()
-    cascade = CascadeEnhancer(mapper=SpectralFeatureMapper(max_epochs=2))
-    cloned_cascade = sklearn_base.clone(cascade)
-    assert cloned_cascade.mapper.max_epochs == 2
-
-
-def test_wpe_transformer_matches_function():
-    rng = np.random.default_rng(1)
-    data = rng.normal(size=(60, 9)) + 1j * rng.normal(size=(60, 9))
-    est = WpeDereverberator(taps=4, delay=2, iterations=2)
-    direct = wpe_dereverberate(data, WpeConfig(taps=4, delay=2, iterations=2)).enhanced
-    assert np.array_equal(est.transform(data), direct)
-    listed = est.transform([data, data.copy()])
-    assert len(listed) == 2
-    assert np.array_equal(listed[0], direct)
-    assert est.fit(None) is est
 
 
 def test_mapper_requires_fit_before_transform():
@@ -104,30 +85,24 @@ def test_mapper_enhanced_recipe_runs_with_dev():
     assert outputs[0].shape == (xs[0].shape[0], 4)
 
 
-def test_cascade_end_to_end_tiny():
-    clean0, noisy0, _ = make_reverberant_pair(10, seconds=0.8)
-    clean1, noisy1, _ = make_reverberant_pair(11, seconds=0.8)
-    cascade = CascadeEnhancer(
-        mode="wpe_dnn",
-        mapper=SpectralFeatureMapper(
-            hidden_units=(8, 8), context=1, recipe="original",
-            batch_size=64, learning_rate=0.1, max_epochs=2, seed=4,
-        ),
+def test_in_memory_wpe_dnn_sequence():
+    """The README's library sequence: matched WPE training, then wpe_dnn enhancement."""
+    stft_config, mel_config, wpe = StftConfig(), MelConfig(), WpeConfig()
+    floor = PipelineConfig().magnitude_floor
+    filterbank = mel_matrix(mel_config)
+    pairs = [make_reverberant_pair(seed, seconds=0.8) for seed in (10, 11)]
+    inputs = [input_features(reverberant, stft_config, wpe, floor) for _, reverberant, _ in pairs]
+    references = [log_mel(stft(clean, stft_config), filterbank, floor) for clean, _, _ in pairs]
+    mapper = SpectralFeatureMapper(
+        hidden_units=(8, 8), context=1, recipe="original",
+        batch_size=64, learning_rate=0.1, max_epochs=2, seed=4,
     )
-    cascade.fit([noisy0, noisy1], [clean0, clean1])
-    outputs = cascade.transform([noisy0])
-    frames = stft(noisy0, StftConfig()).n_frames
-    assert outputs[0].shape == (frames, 40)
+    mapper.fit(inputs, references, mel_filterbank=filterbank)
 
-    baseline = CascadeEnhancer(mode="baseline")
-    baseline.fit([noisy0])
-    assert baseline.transform([noisy0])[0].shape == (frames, 40)
-
-
-def test_cascade_dnn_mode_requires_targets_and_fit():
-    _, noisy, _ = make_reverberant_pair(12, seconds=0.6)
-    cascade = CascadeEnhancer(mode="dnn_only")
-    with pytest.raises(ConfigError):
-        cascade.fit([noisy])
-    with pytest.raises(NotFittedError):
-        cascade.transform([noisy])
+    config = PipelineConfig(
+        "wpe_dnn", stft_config, mel_config, context=mapper.context, wpe=wpe, model=mapper.model_,
+    )
+    reverberant = pairs[0][1]
+    features = enhance_utterance(reverberant, config).features
+    assert features.shape == (stft(reverberant, stft_config).n_frames, 40)
+    assert np.array_equal(features, mapper.transform(inputs[:1])[0])

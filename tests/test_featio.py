@@ -131,3 +131,38 @@ def test_malformed_checkpoint_metadata_is_a_format_error(case, tiny_corpus, tmp_
     ])
     assert code == 2
     assert "malformed metadata" in capsys.readouterr().err
+
+
+def _enhance_dnn(manifest, checkpoint, out):
+    return main([
+        "enhance", "--manifest", str(manifest.root / "manifest.json"), "--mode", "dnn_only",
+        "--checkpoint", str(checkpoint), "--out", str(out),
+    ])
+
+
+def test_enhance_takes_the_context_from_the_model_dims(tiny_corpus, tmp_path, capsys):
+    n_bins = tiny_corpus.stft_config().n_bins
+    norm_spec = NormalizationSpec(
+        input_mode="global_mvn", reference_mode="global_minmax_01",
+        input_mean=np.zeros(3 * n_bins), input_var=np.ones(3 * n_bins),
+        ref_min=np.zeros(40), ref_max=np.ones(40),
+    )
+    model = init_model([3 * n_bins, 4, 40], "sigmoid", seed=3, norm_spec=norm_spec)
+    good, edited = tmp_path / "good.sfmd", tmp_path / "edited.sfmd"
+    save_model(good, model, {"context": 1})
+    save_model(edited, model, {"context": 1})
+    _with_metadata(edited, lambda meta: {**meta, "config": {"context": "x"}})
+    assert _enhance_dnn(tiny_corpus, good, tmp_path / "good") == 0
+    assert _enhance_dnn(tiny_corpus, edited, tmp_path / "edited") == 0
+    written = sorted(p.name for p in (tmp_path / "good" / "features").iterdir())
+    assert len(written) == len(tiny_corpus.split_entries("test"))
+    for name in written:
+        assert (tmp_path / "good" / "features" / name).read_bytes() == (
+            tmp_path / "edited" / "features" / name
+        ).read_bytes()
+
+    wrong_dim = tmp_path / "wrong.sfmd"
+    save_model(wrong_dim, init_model([3 * n_bins + 1, 4, 40], "sigmoid", seed=3), {"context": 1})
+    capsys.readouterr()
+    assert _enhance_dnn(tiny_corpus, wrong_dim, tmp_path / "wrong") == 2
+    assert "model input dim" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from specmap.cli import main
 from specmap.errors import ConfigError, ManifestError, SpecmapError
 from specmap.featio import read_features, write_features
+from specmap import report
 from specmap.pipeline import PipelineConfig, batch_enhance
 from specmap.report import (
     ConditionMetrics,
@@ -172,14 +173,17 @@ def test_evaluate_system_on_corpus(tiny_corpus, tmp_path):
         assert cond.means["segsnr_gain_db"] == pytest.approx(0.0)
 
 
-def test_evaluate_system_dnn_waveform_metrics_absent(tiny_corpus, tmp_path):
+def test_evaluate_system_dnn_waveform_metrics_absent(tiny_corpus, tmp_path, monkeypatch):
     manifest = tiny_corpus
     out = tmp_path / "fake_dnn"
     (out / "features").mkdir(parents=True)
     for entry in manifest.split_entries("test"):
         reference = read_features(manifest.resolve(entry.reference_features))
         write_features(out / "features" / f"{entry.id}.sfmf", reference + 0.25)
+    loaded = []
+    monkeypatch.setattr(report, "load_wav", lambda path: loaded.append(path))
     evaluation = evaluate_system(manifest, out, mode="dnn_only", split="test")
+    assert loaded == []  # no output waveform, so no WAV is read
     for cond in evaluation.conditions:
         assert cond.means["mel_mse"] == pytest.approx(0.0625)
         assert cond.means["lsd_db"] is None
