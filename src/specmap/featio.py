@@ -60,7 +60,7 @@ def _canonical_json(payload: dict) -> bytes:
 
 def save_model(path, model: MlpModel, config: dict | None = None) -> None:
     meta = {
-        "hidden_activation": model.hidden_activation,
+        "hidden_activation": "sigmoid",  # the only hidden unit the mapper has
         "output_activation": model.output_activation,
         "seed": model.seed,
         "norm_spec": None if model.norm_spec is None else model.norm_spec.to_dict(),
@@ -117,11 +117,12 @@ def load_model(path) -> tuple[MlpModel, dict]:
         raise FormatError(f"{path}: unreadable metadata ({exc})") from exc
 
     try:
+        if meta["hidden_activation"] != "sigmoid":
+            raise ValueError("only sigmoid hidden units are supported")
         norm = meta.get("norm_spec")
         model = MlpModel(
             weights=weights,
             biases=biases,
-            hidden_activation=meta["hidden_activation"],
             output_activation=meta["output_activation"],
             norm_spec=None if norm is None else NormalizationSpec.from_dict(norm),
             seed=int(meta["seed"]),

@@ -68,7 +68,6 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 class MlpModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    hidden_activation: str = "sigmoid"
     output_activation: str = "sigmoid"
     norm_spec: Optional[NormalizationSpec] = None
     seed: int = 0
@@ -82,8 +81,6 @@ class MlpModel:
             if i and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise ShapeError(f"layer {i}: input dim breaks the layer chain")
         check_choice(self.output_activation, OUTPUT_ACTIVATIONS, "output_activation")
-        if self.hidden_activation != "sigmoid":
-            raise ConfigError("only sigmoid hidden units are supported")
 
     @property
     def layer_dims(self) -> list[int]:
@@ -134,7 +131,7 @@ def init_model(
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(weights, biases, "sigmoid", output_activation, norm_spec, seed)
+    return MlpModel(weights, biases, output_activation, norm_spec, seed)
 
 
 def make_dropout_masks(

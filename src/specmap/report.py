@@ -23,7 +23,11 @@ from .pipeline import MODES
 from .stft import log_magnitude, stft
 from .validation import check_choice
 
-METRIC_NAMES = ("mel_mse", "lsd_db", "segsnr_gain_db")
+# The metric table: each feature metric is a function of (system features,
+# reference features). The waveform metrics need an output waveform; see _waveform_metrics.
+FEATURE_METRICS = {"mel_mse": mel_mse}
+WAVEFORM_METRICS = ("lsd_db", "segsnr_gain_db")
+METRIC_NAMES = (*FEATURE_METRICS, *WAVEFORM_METRICS)
 REPORT_SCHEMA_VERSION = 1
 BASELINE = "baseline"  # the system every other one is compared against
 
@@ -36,16 +40,28 @@ def condition_average(values) -> float:
     return float(arr.mean())
 
 
+def _mean(values) -> Optional[float]:
+    """The mean of every value, or None if any is None: no mean over a subset."""
+    values = list(values)
+    return None if any(v is None for v in values) else condition_average(values)
+
+
 @dataclass
 class ConditionMetrics:
     snr_db: Optional[float]
     utterances: list[str]
-    per_utterance: dict  # metric -> {utterance id -> value}
-    means: dict          # metric -> float | None
+    per_utterance: dict  # metric -> {utterance id -> value | None}
 
     @property
     def count(self) -> int:
         return len(self.utterances)
+
+    @property
+    def means(self) -> dict:
+        """metric -> mean over the utterances, in their order; None where one lacks a value."""
+        return {
+            m: _mean(self.per_utterance[m][u] for u in self.utterances) for m in METRIC_NAMES
+        }
 
 
 @dataclass
@@ -80,25 +96,13 @@ class SystemEvaluation:
         }
 
     def save(self, path) -> Path:
-        path = Path(path)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return _write_json(self.to_dict(), path)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SystemEvaluation":
         if not isinstance(payload, dict) or payload.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise ManifestError("not an evaluation object of a supported schema version")
-        conditions = [
-            ConditionMetrics(
-                snr_db=c["snr_db"],
-                utterances=list(c["utterances"]),
-                per_utterance=c["per_utterance"],
-                means=c["means"],
-            )
-            for c in payload["conditions"]
-        ]
+        conditions = [_condition_from_dict(c) for c in payload["conditions"]]
         return cls(payload["system"], payload["mode"], payload["split"], conditions)
 
     @classmethod
@@ -106,15 +110,49 @@ class SystemEvaluation:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 return cls.from_dict(json.load(fh))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError, ManifestError) as exc:
                 raise ManifestError(f"{path}: malformed evaluation ({exc!r})") from exc
 
 
-def _mean_or_none(values: dict) -> Optional[float]:
-    present = [v for v in values.values() if v is not None]
-    if not present:
-        return None
-    return float(np.mean(present))
+_NUMBER_OR_NULL = (int, float, type(None))  # JSON's true and false are not numbers here
+
+
+def _condition_from_dict(c: dict) -> ConditionMetrics:
+    """One stored condition, rejected unless the report can score it as it stands."""
+    cond = ConditionMetrics(c["snr_db"], list(c["utterances"]), c["per_utterance"])
+    where = f"condition at {cond.snr_db!r} dB"
+    if sorted(cond.per_utterance) != sorted(METRIC_NAMES):
+        raise ManifestError(f"{where}: per_utterance must hold exactly {list(METRIC_NAMES)}")
+    rows = list(cond.per_utterance.values())
+    if any(sorted(row) != sorted(cond.utterances) for row in rows):
+        raise ManifestError(f"{where}: a metric is not keyed by the condition's utterances")
+    values = [cond.snr_db] + [v for row in rows for v in row.values()]
+    if any(type(v) not in _NUMBER_OR_NULL for v in values):
+        raise ManifestError(f"{where}: snr_db or a metric value is not a number or null")
+    return cond
+
+
+def _waveform_metrics(manifest, entry, wave_path: Path, mode: str, stft_cfg, floor) -> dict:
+    """lsd_db and segsnr_gain_db of one utterance, both None without an output waveform.
+
+    The wpe modes save an output waveform, and for the baseline the degraded
+    input itself plays that role. LSD is against the clean log spectrum, and
+    the segmental SNR gain is over the degraded input.
+    """
+    if not wave_path.is_file() and mode != "baseline":
+        return dict.fromkeys(WAVEFORM_METRICS)
+    clean = load_wav(manifest.resolve(entry.clean_wav))
+    degraded = load_wav(manifest.resolve(entry.noisy_wav))
+    system_wave = load_wav(wave_path) if wave_path.is_file() else degraded
+    n = min(len(system_wave), len(degraded), len(clean))
+    lsd = log_spectral_distortion(
+        log_magnitude(stft(Waveform(system_wave.samples[:n], clean.sample_rate), stft_cfg), floor),
+        log_magnitude(stft(Waveform(clean.samples[:n], clean.sample_rate), stft_cfg), floor),
+    )
+    gain = segmental_snr_gain(
+        system_wave.samples[:n], degraded.samples[:n], clean.samples[:n], clean.sample_rate
+    )
+    return dict(zip(WAVEFORM_METRICS, (lsd, gain)))
 
 
 def evaluate_system(
@@ -126,18 +164,16 @@ def evaluate_system(
 ) -> SystemEvaluation:
     """Compute per-utterance metrics for one enhanced system.
 
-    mel_mse compares the system's feature files with the clean references.
-    The waveform metrics (LSD against the clean log spectrum, segmental SNR
-    gain) need an output waveform: the wpe modes save one, and for the
-    baseline the degraded input itself plays that role. For dnn_only they
-    are undefined and reported as null.
+    Each feature metric compares the system's feature files with the clean
+    references. The waveform metrics are undefined for dnn_only, which saves
+    no waveform, and are reported as null.
     """
     check_choice(mode, MODES, "mode")
     system_dir = Path(system_dir)
     stft_cfg = manifest.stft_config()
     floor = manifest.magnitude_floor
 
-    by_snr: dict = {}
+    by_snr: dict = {}  # snr -> [(utterance id, metric -> value)]
     for entry in manifest.split_entries(split):
         feature_path = system_dir / "features" / f"{entry.id}.sfmf"
         if not feature_path.is_file():
@@ -149,43 +185,19 @@ def evaluate_system(
                 f"{entry.id}: system features {enhanced_feats.shape} vs "
                 f"reference {reference_feats.shape}"
             )
-        mse = mel_mse(enhanced_feats, reference_feats)
-
-        lsd = gain = None
+        values = {m: fn(enhanced_feats, reference_feats) for m, fn in FEATURE_METRICS.items()}
         wave_path = system_dir / "waveforms" / f"{entry.id}.wav"
-        if wave_path.is_file() or mode == "baseline":
-            clean = load_wav(manifest.resolve(entry.clean_wav))
-            degraded = load_wav(manifest.resolve(entry.noisy_wav))
-            system_wave = load_wav(wave_path) if wave_path.is_file() else degraded
-            n = min(len(system_wave), len(degraded), len(clean))
-            lsd = log_spectral_distortion(
-                log_magnitude(stft(Waveform(system_wave.samples[:n], clean.sample_rate), stft_cfg), floor),
-                log_magnitude(stft(Waveform(clean.samples[:n], clean.sample_rate), stft_cfg), floor),
-            )
-            gain = segmental_snr_gain(
-                system_wave.samples[:n], degraded.samples[:n], clean.samples[:n], clean.sample_rate
-            )
+        values.update(_waveform_metrics(manifest, entry, wave_path, mode, stft_cfg, floor))
+        by_snr.setdefault(entry.snr_db, []).append((entry.id, values))
 
-        slot = by_snr.setdefault(
-            entry.snr_db,
-            {"utterances": [], "mel_mse": {}, "lsd_db": {}, "segsnr_gain_db": {}},
+    conditions = [
+        ConditionMetrics(
+            snr_db=snr_db,
+            utterances=[uid for uid, _ in by_snr[snr_db]],
+            per_utterance={m: {uid: v[m] for uid, v in by_snr[snr_db]} for m in METRIC_NAMES},
         )
-        slot["utterances"].append(entry.id)
-        slot["mel_mse"][entry.id] = mse
-        slot["lsd_db"][entry.id] = lsd
-        slot["segsnr_gain_db"][entry.id] = gain
-
-    conditions = []
-    for snr_db in sorted(by_snr, key=lambda s: (s is None, s)):
-        slot = by_snr[snr_db]
-        conditions.append(
-            ConditionMetrics(
-                snr_db=snr_db,
-                utterances=slot["utterances"],
-                per_utterance={m: slot[m] for m in METRIC_NAMES},
-                means={m: _mean_or_none(slot[m]) for m in METRIC_NAMES},
-            )
-        )
+        for snr_db in sorted(by_snr, key=lambda s: (s is None, s))
+    ]
     return SystemEvaluation(system_name or mode, mode, split, conditions)
 
 
@@ -259,10 +271,7 @@ def build_report(evaluations: list[SystemEvaluation]) -> ComparisonReport:
         means[ev.system] = {
             m: {c.snr_db: c.means[m] for c in ev.conditions} for m in METRIC_NAMES
         }
-        averages[ev.system] = {}
-        for m in METRIC_NAMES:
-            vals = [c.means[m] for c in ev.conditions]
-            averages[ev.system][m] = None if any(v is None for v in vals) else condition_average(vals)
+        averages[ev.system] = {m: _mean(means[ev.system][m].values()) for m in METRIC_NAMES}
 
     for ev in ordered[1:]:
         reductions[ev.system] = {}
@@ -273,13 +282,9 @@ def build_report(evaluations: list[SystemEvaluation]) -> ComparisonReport:
                 for snr in snr_rows
             }
             reductions[ev.system][m] = per_snr
-            of_average = _reduction(averages[BASELINE][m], averages[ev.system][m])
-            condition_values = [v for v in per_snr.values() if v is not None]
             average_reductions[ev.system][m] = {
-                "of_average": of_average,
-                "mean_of_conditions": (
-                    float(np.mean(condition_values)) if condition_values else None
-                ),
+                "of_average": _reduction(averages[BASELINE][m], averages[ev.system][m]),
+                "mean_of_conditions": _mean(per_snr.values()),
             }
 
     return ComparisonReport(
@@ -303,7 +308,7 @@ def write_report_csv(report: ComparisonReport, path) -> Path:
     for system in report.systems:
         header += [f"{system}:{m}" for m in METRIC_NAMES]
     for system in report.systems[1:]:
-        header.append(f"{system}:mel_mse_reduction")
+        header += [f"{system}:{m}_reduction" for m in FEATURE_METRICS]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -312,23 +317,29 @@ def write_report_csv(report: ComparisonReport, path) -> Path:
             for system in report.systems:
                 row += [_format(report.means[system][m][snr]) for m in METRIC_NAMES]
             for system in report.systems[1:]:
-                row.append(_format(report.reductions[system]["mel_mse"][snr]))
+                row += [_format(report.reductions[system][m][snr]) for m in FEATURE_METRICS]
             writer.writerow(row)
         avg_row = ["avg"]
         for system in report.systems:
             avg_row += [_format(report.averages[system][m]) for m in METRIC_NAMES]
         for system in report.systems[1:]:
-            avg_row.append(_format(report.average_reductions[system]["mel_mse"]["of_average"]))
+            avg_row += [
+                _format(report.average_reductions[system][m]["of_average"]) for m in FEATURE_METRICS
+            ]
         writer.writerow(avg_row)
     return path
 
 
-def write_report_json(report: ComparisonReport, path) -> Path:
+def _write_json(payload: dict, path) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def write_report_json(report: ComparisonReport, path) -> Path:
+    return _write_json(report.to_dict(), path)
 
 
 def write_plot_data(report: ComparisonReport, out_dir) -> list[Path]:

@@ -109,6 +109,7 @@ BAD_METADATA = {
     "missing_seed": lambda meta: {k: v for k, v in meta.items() if k != "seed"},
     "mistyped_seed": lambda meta: {**meta, "seed": "x"},
     "missing_activation": lambda meta: {k: v for k, v in meta.items() if k != "output_activation"},
+    "hidden_activation_not_sigmoid": lambda meta: {**meta, "hidden_activation": "tanh"},
     "norm_spec_not_an_object": lambda meta: {**meta, "norm_spec": [1, 2]},
     "norm_spec_bad_mode": lambda meta: {**meta, "norm_spec": {**meta["norm_spec"], "input_mode": "x"}},
     "norm_spec_missing_epsilon": lambda meta: {

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ def synthetic_evaluation(name, values, mode="baseline"):
                     "lsd_db": {utt: value / 2.0},
                     "segsnr_gain_db": {utt: None},
                 },
-                means={"mel_mse": value, "lsd_db": value / 2.0, "segsnr_gain_db": None},
             )
         )
     return SystemEvaluation(name, mode, "test", conditions)
@@ -99,8 +99,12 @@ def test_csv_shape_and_parse_back(tmp_path):
         rows = list(csv.reader(fh))
     header, data = rows[0], rows[1:]
     assert len(data) == 7  # six SNR rows plus the avg row
-    mel_columns = [c for c in header if c.endswith(":mel_mse")]
-    assert len(mel_columns) == 4
+    systems = ("baseline", "wpe_only", "dnn_only", "wpe_dnn")
+    assert header == (
+        ["snr_db"]
+        + [f"{s}:{m}" for s in systems for m in ("mel_mse", "lsd_db", "segsnr_gain_db")]
+        + [f"{s}:mel_mse_reduction" for s in systems[1:]]
+    )
     assert data[-1][0] == "avg"
     # values parse back exactly
     baseline_col = header.index("baseline:mel_mse")
@@ -140,9 +144,39 @@ def test_evaluation_json_roundtrip(tmp_path):
     assert loaded.conditions[0].means["mel_mse"] == 1.0
 
 
+def _edited_evaluation(edit):
+    payload = synthetic_evaluation("sys", [1.0] * 6, mode="dnn_only").to_dict()
+    edit(payload["conditions"][0])
+    return json.dumps(payload)
+
+
+def _drop_metric(cond):
+    del cond["per_utterance"]["segsnr_gain_db"]
+
+
+def _extra_metric(cond):
+    cond["per_utterance"]["fer"] = dict.fromkeys(cond["utterances"], 0.0)
+
+
+def _foreign_utterance(cond):
+    cond["per_utterance"]["mel_mse"] = {"other": 1.0}
+
+
+def _string_value(cond):
+    cond["per_utterance"]["lsd_db"] = dict.fromkeys(cond["utterances"], "0.5")
+
+
+def _string_snr(cond):
+    cond["snr_db"] = "-6"
+
+
 @pytest.mark.parametrize("text", [
     "{not json", '{"schema_version": 1, "system": "x"}', "[1, 2]",
-], ids=["not_json", "missing_conditions", "list"])
+    _edited_evaluation(_drop_metric), _edited_evaluation(_extra_metric),
+    _edited_evaluation(_foreign_utterance), _edited_evaluation(_string_value),
+    _edited_evaluation(_string_snr),
+], ids=["not_json", "missing_conditions", "list", "missing_metric", "extra_metric",
+        "foreign_utterance", "string_value", "string_snr"])
 def test_malformed_evaluation_is_a_manifest_error(tmp_path, capsys, text):
     path = tmp_path / "eval.json"
     path.write_text(text)
@@ -188,3 +222,28 @@ def test_evaluate_system_dnn_waveform_metrics_absent(tiny_corpus, tmp_path, monk
         assert cond.means["mel_mse"] == pytest.approx(0.0625)
         assert cond.means["lsd_db"] is None
         assert cond.means["segsnr_gain_db"] is None
+
+
+def test_a_missing_waveform_leaves_its_condition_without_a_mean(tiny_corpus, tmp_path):
+    manifest = tiny_corpus
+    config = PipelineConfig(
+        mode="wpe_only", stft=manifest.stft_config(), mel=manifest.mel_config(),
+        magnitude_floor=manifest.feature_config["magnitude_floor"],
+    )
+    systems = {}
+    for mode in ("baseline", "wpe_only"):
+        out = tmp_path / mode
+        batch_enhance(manifest, replace(config, mode=mode), out, split="test")
+        systems[mode] = out
+    missing = manifest.split_entries("test")[0]
+    (systems["wpe_only"] / "waveforms" / f"{missing.id}.wav").unlink()
+    evaluations = [evaluate_system(manifest, out, mode=mode) for mode, out in systems.items()]
+    cond = evaluations[1].condition(missing.snr_db)
+    assert cond.count > 1  # the other utterances of the condition still have a waveform
+    assert cond.per_utterance["lsd_db"][missing.id] is None
+    waveform_metrics = ("lsd_db", "segsnr_gain_db")
+    for metric in waveform_metrics:
+        assert cond.means[metric] is None
+    averages = build_report(evaluations).averages["wpe_only"]
+    assert [averages[m] for m in waveform_metrics] == [None, None]
+    assert averages["mel_mse"] is not None
