@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,26 @@ def test_mapper_enhanced_recipe_runs_with_dev():
     assert est.model_.output_activation == "linear"
     outputs = est.transform(xs[:1])
     assert outputs[0].shape == (xs[0].shape[0], 4)
+
+
+def test_enhanced_recipe_fit_is_bit_reproducible():
+    """Dropout, a linear output and early stopping on dev: two fits, the same bytes."""
+    xs, ys = _toy_training_data(6)
+    filterbank = np.abs(np.random.default_rng(2).normal(size=(4, 33)))
+    runs = []
+    for _ in range(2):
+        est = SpectralFeatureMapper(
+            hidden_units=(16, 16), context=1, recipe="enhanced",
+            batch_size=16, learning_rate=0.05, max_epochs=30, dropout_rate=0.2, seed=6,
+        )
+        est.fit(xs[:4], ys[:4], xs[4:], ys[4:], mel_filterbank=filterbank)
+        runs.append(est)
+    first, second = runs
+    assert first.history_.stop_reason in ("dev_increase", "dev_plateau")
+    assert json.dumps(first.history_.to_dict()) == json.dumps(second.history_.to_dict())
+    for a, b in zip(first.model_.weights + first.model_.biases,
+                    second.model_.weights + second.model_.biases):
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
 def test_in_memory_wpe_dnn_sequence():
