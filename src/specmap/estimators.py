@@ -54,6 +54,23 @@ def training_features(manifest, split: str, wpe: Optional[WpeConfig] = None):
     return inputs, references
 
 
+def _normalized_rows(utterances, norm, role: str) -> np.ndarray:
+    """normalize() of each utterance, written into its rows of one stacked matrix.
+
+    The same matrix as np.vstack of the normalized utterances, without
+    holding them all as a list first.
+    """
+    n_rows = sum(len(m) for m in utterances)
+    stacked, start = None, 0
+    for m in utterances:
+        rows = normalize(m, norm, role)
+        if stacked is None:
+            stacked = np.empty((n_rows, rows.shape[1]))
+        stacked[start:start + len(rows)] = rows
+        start += len(rows)
+    return stacked
+
+
 class SpectralFeatureMapper:
     """Trainable mapper from noisy log-magnitude spectra to clean mel features.
 
@@ -147,12 +164,12 @@ class SpectralFeatureMapper:
                 )
 
         norm = fit_normalizer(assembled, list(y), input_mode, reference_mode)
-        train_x = np.vstack([normalize(m, norm, "input") for m in assembled])
-        train_y = np.vstack([normalize(np.asarray(m), norm, "reference") for m in y])
+        train_x = _normalized_rows(assembled, norm, "input")
+        train_y = _normalized_rows(y, norm, "reference")
         dev_x = dev_y = None
         if X_dev is not None and y_dev is not None and len(X_dev):
-            dev_x = np.vstack([normalize(m, norm, "input") for m in self._assemble(X_dev)])
-            dev_y = np.vstack([normalize(np.asarray(m), norm, "reference") for m in y_dev])
+            dev_x = _normalized_rows(self._assemble(X_dev), norm, "input")
+            dev_y = _normalized_rows(y_dev, norm, "reference")
 
         dims = [train_x.shape[1], *self.hidden_units, train_y.shape[1]]
         model = init_model(dims, output_activation, derive_seed(self.seed, "init"), norm)

@@ -18,6 +18,13 @@ def assemble_context(features: np.ndarray, context: int) -> np.ndarray:
 
     Row t of the result is [f(t-context), ..., f(t), ..., f(t+context)]
     flattened, so the output is (T x (2*context+1)*dim).
+
+    The result is a read-only float64 view into one edge-padded
+    (T + 2*context, dim) copy of the features: consecutive frames of the
+    padded copy are adjacent in memory, so each row is a window of it and
+    no frame is stored 2*context+1 times. Writing into the result raises
+    ValueError; copy it first to modify it. The copy is private, so later
+    changes to `features` do not show through.
     """
     check_nonnegative(context, "context")
     feats = as_float_matrix(features, "features")
@@ -25,9 +32,12 @@ def assemble_context(features: np.ndarray, context: int) -> np.ndarray:
     width = 2 * context + 1
     if n_frames == 0:
         return np.zeros((0, width * dim))
-    offsets = np.arange(-context, context + 1)
-    index = np.clip(np.arange(n_frames)[:, None] + offsets[None, :], 0, n_frames - 1)
-    return feats[index].reshape(n_frames, width * dim)
+    padded = np.empty((n_frames + 2 * context, dim))
+    padded[:context] = feats[0]
+    padded[context:context + n_frames] = feats
+    padded[context + n_frames:] = feats[-1]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (width, dim))
+    return windows.reshape(n_frames, width * dim)
 
 
 @dataclass

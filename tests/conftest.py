@@ -34,3 +34,11 @@ def make_reverberant_pair(seed: int, t60: float = 0.5, seconds: float = 1.5):
 def relative_error(a, b, floor=1e-8):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def gathered_context(feats, context):
+    """The fancy-index gather that assemble_context replaced: one copy per window."""
+    n_frames = feats.shape[0]
+    offsets = np.arange(-context, context + 1)
+    index = np.clip(np.arange(n_frames)[:, None] + offsets[None, :], 0, n_frames - 1)
+    return feats[index].reshape(n_frames, -1)

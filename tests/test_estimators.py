@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_reverberant_pair
+from specmap import estimators
 from specmap.errors import ConfigError, NotFittedError
 from specmap.estimators import SpectralFeatureMapper, input_features
+from specmap.features import assemble_context, normalize
 from specmap.mel import MelConfig, log_mel, mel_matrix
 from specmap.pipeline import PipelineConfig, enhance_utterance
 from specmap.stft import StftConfig, stft
@@ -105,6 +108,50 @@ def test_enhanced_recipe_fit_is_bit_reproducible():
     for a, b in zip(first.model_.weights + first.model_.biases,
                     second.model_.weights + second.model_.biases):
         assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("recipe", ["original", "enhanced"])
+def test_fit_stacks_each_training_matrix_once(monkeypatch, recipe):
+    """fit's matrices equal the stacked normalized utterances bit for bit, built
+    without a second copy: from the fitted normalizer to the start of
+    training, the traced peak stays under 1.5x the four matrices."""
+    xs, ys = _toy_training_data(20, bins=65)
+    seen = {}
+    fit_normalizer = estimators.fit_normalizer
+
+    def fit_normalizer_then_reset(*args, **kwargs):
+        norm = fit_normalizer(*args, **kwargs)
+        tracemalloc.reset_peak()
+        return norm
+
+    def record_train(model, train_x, train_y, config, dev_x=None, dev_y=None):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        seen["matrices"] = (train_x, train_y, dev_x, dev_y)
+        seen["norm"] = model.norm_spec
+        return model, None
+
+    est = SpectralFeatureMapper(hidden_units=(8,), context=5, recipe=recipe, seed=2)
+    monkeypatch.setattr(estimators, "fit_normalizer", fit_normalizer_then_reset)
+    monkeypatch.setattr(estimators, "train", record_train)
+    tracemalloc.start()
+    try:
+        est.fit(xs[:16], ys[:16], xs[16:], ys[16:])
+    finally:
+        tracemalloc.stop()
+
+    norm = seen["norm"]
+    expected = (
+        np.vstack([normalize(assemble_context(x, 5), norm, "input") for x in xs[:16]]),
+        np.vstack([normalize(y, norm, "reference") for y in ys[:16]]),
+        np.vstack([normalize(assemble_context(x, 5), norm, "input") for x in xs[16:]]),
+        np.vstack([normalize(y, norm, "reference") for y in ys[16:]]),
+    )
+    for got, want in zip(seen["matrices"], expected):
+        assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+    stacked_bytes = sum(m.nbytes for m in expected)
+    # Measured 1.29x; a list of normalized utterances and then np.vstack
+    # of it, from copied context windows, peaked at 2.37x.
+    assert seen["peak"] < 1.5 * stacked_bytes
 
 
 def test_in_memory_wpe_dnn_sequence():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import gathered_context
 from specmap.errors import ConfigError
 from specmap.features import (
     NormalizationSpec,
@@ -40,6 +43,44 @@ def test_context_row_matches_index_oracle():
 def test_context_empty_input():
     out = assemble_context(np.zeros((0, 7)), 3)
     assert out.shape == (0, 49)
+
+
+@pytest.mark.parametrize("context", [0, 1, 5])
+@pytest.mark.parametrize("n_frames", [1, 2, 5, 11, 298])
+def test_context_matches_the_gather_bitwise(n_frames, context):
+    base = np.random.default_rng(n_frames * 10 + context).normal(size=(n_frames, 9))
+    layouts = {
+        "c_order": base,
+        "fortran_order": np.asfortranarray(base),
+        "column_slice": np.random.default_rng(context).normal(size=(n_frames, 20))[:, 3:12],
+    }
+    for name, feats in layouts.items():
+        out = assemble_context(feats, context)
+        expected = gathered_context(feats, context)
+        assert out.dtype == np.float64 and out.shape == expected.shape, name
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), name
+
+
+def test_context_result_is_read_only_and_private():
+    feats = np.random.default_rng(3).normal(size=(12, 4))
+    out = assemble_context(feats, 2)
+    expected = out.copy()
+    with pytest.raises(ValueError):
+        out[0, 0] = 1.0
+    feats[:] = 7.0  # the caller's array changes afterwards
+    assert np.array_equal(out, expected)
+
+
+def test_context_does_not_copy_each_frame_per_window():
+    feats = np.random.default_rng(4).normal(size=(1000, 257))
+    tracemalloc.start()
+    try:
+        out = assemble_context(feats, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1000, 11 * 257)
+    assert peak < 3 * feats.nbytes  # the gather allocated 11x
 
 
 def test_fit_normalizer_hand_stats():

@@ -329,12 +329,15 @@ def test_map_features_utterance_reference_needs_filterbank():
 # paths must agree with the latter two bit for bit and stay near the first.
 
 def reference_sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
+    """The two-branch logistic, computed and clamped in x's dtype (float64 or float32)."""
+    one = x.dtype.type(1.0)
+    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    out[pos] = one / (one + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, 1e-300, np.nextafter(1.0, 0.0))
+    out[~pos] = ex / (one + ex)
+    floor = np.finfo(np.float32).tiny if x.dtype == np.float32 else 1e-300
+    return np.clip(out, floor, np.nextafter(one, x.dtype.type(0.0)))
 
 
 def reference_forward_output(model, x, masks=None):
@@ -394,6 +397,23 @@ def test_sigmoid_matches_two_branch_reference_bitwise():
         in_place = x.copy()
         assert sigmoid(in_place, out=in_place) is in_place
         assert_same_bits(in_place, fast)
+
+
+def test_float32_sigmoid_matches_two_branch_float32_reference_bitwise():
+    info = np.finfo(np.float32)
+    edges = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 88.7, -88.7, 104.0, -104.0,
+         info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+         info.tiny / 2, -info.tiny / 2],
+        dtype=np.float32,
+    )
+    batch = np.random.default_rng(31).normal(scale=8.0, size=(298, 2048)).astype(np.float32)
+    assert 0.4 < np.mean(batch >= 0) < 0.6  # random signs, the mixed case a branch mispredicts
+    for x in (edges, batch):
+        expected = reference_sigmoid(x)
+        in_place = x.copy()
+        assert sigmoid(in_place, out=in_place) is in_place
+        assert_same_bits(in_place, expected)
 
 
 def test_sigmoid_propagates_nan():

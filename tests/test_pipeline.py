@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import gathered_context
 from specmap.audio import load_wav
 from specmap.corpus import CorpusConfig, build_corpus
 from specmap.errors import ConfigError, ShapeError
@@ -357,9 +358,12 @@ def test_config_hash_names_the_mapper_weights(tiny_corpus, toy_mapper, tmp_path)
 
 
 def reference_map(model, log_spec, context, filterbank, floor, mel_mode="power"):
-    """The float64 mapping that map_features ran before it mapped in float32."""
+    """The mapping unfused: the old context gather, normalize, forward in the
+    model's dtype, then the float64 inversion. With a float64 model it is the
+    mapping map_features ran before it mapped in float32; with the float32
+    copy it is the mapping map_features runs now."""
     spec = model.norm_spec
-    output = forward(model, normalize(assemble_context(log_spec, context), spec, "input")).output
+    output = forward(model, normalize(gathered_context(log_spec, context), spec, "input")).output
     if spec.reference_mode == "global_minmax_01":
         return output, denormalize(output, spec)
     energy = np.exp((2.0 if mel_mode == "power" else 1.0) * log_spec)
@@ -399,11 +403,17 @@ def test_float32_mapping_matches_float64_forward(tiny_corpus, mappers, name):
     filterbank = mel_matrix(tiny_corpus.mel_config())
     floor = tiny_corpus.feature_config["magnitude_floor"]
     params = [p.copy() for p in model.weights + model.biases]
+    spec = model.norm_spec
+    spec_arrays = {k: v.copy() for k, v in vars(spec).items() if isinstance(v, np.ndarray)}
     for log_spec in training_features(tiny_corpus, "test")[0]:
         untouched = log_spec.copy()
         mapped = map_features(model, log_spec, context, filterbank, floor)
         narrow = map_features(model.as_float32(), log_spec, context, filterbank, floor)
         assert np.array_equal(mapped.denormalized, narrow.denormalized)  # always float32
+        # bit for bit against the unfused chain through the float32 copy
+        output, features = reference_map(model.as_float32(), log_spec, context, filterbank, floor)
+        assert mapped.normalized.tobytes() == output.astype(np.float64).tobytes()
+        assert mapped.denormalized.tobytes() == features.tobytes()
         output, features = reference_map(model, log_spec, context, filterbank, floor)
         assert mapped.normalized.dtype == np.float64 and mapped.denormalized.dtype == np.float64
         assert np.max(np.abs(mapped.normalized - output)) <= 2e-6
@@ -411,6 +421,8 @@ def test_float32_mapping_matches_float64_forward(tiny_corpus, mappers, name):
         assert np.array_equal(log_spec, untouched)
     for before, after in zip(params, model.weights + model.biases):
         assert after.dtype == np.float64 and np.array_equal(before, after)
+    for key, before in spec_arrays.items():
+        assert getattr(spec, key).tobytes() == before.tobytes(), key
     if model.norm_spec.reference_mode == "utterance_mvn":
         # A magnitude-mode corpus inverts with magnitude-mel statistics, in
         # map_features and in the pipeline that passes it MelConfig.mode.
