@@ -1,8 +1,10 @@
 """Command-line entry point: simulate, train, enhance, evaluate, report.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 runtime failure.
-Each command freezes its effective configuration (including the seed) into
-the output directory so a rerun from that directory reproduces the run.
+simulate, train and enhance freeze their effective configuration into
+config.resolved in the output directory, so a rerun from that file
+reproduces the run. Only simulate and train draw random numbers, so only
+they take a seed.
 """
 
 import argparse
@@ -44,10 +46,9 @@ ENHANCE_DEFAULTS = {
     "jobs": 1,
     "save_waveforms": True,
     **WPE_DEFAULTS,
-    "seed": 0,
 }
 
-EVALUATE_DEFAULTS = {"split": "test", "system_name": ""}
+EVALUATE_DEFAULTS = {"split": "test"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,9 +56,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser):
+def _add_common(parser, seed=False):
     parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
+    if seed:
+        parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
     parser.add_argument(
         "--set", dest="overrides", action="append", metavar="KEY=VALUE",
         help="override one configuration key (repeatable)",
@@ -138,11 +140,10 @@ def cmd_enhance(args) -> int:
         if not args.checkpoint:
             raise ConfigError(f"mode {mode!r} needs --checkpoint")
         model, model_config = load_model(args.checkpoint)
-        stored = model_config.get("feature_config")
-        if stored and stored != manifest.feature_config:
-            raise ConfigError(
-                "checkpoint was trained with a different feature configuration than the manifest"
-            )
+        for key in ("feature_config", "sample_rate"):
+            stored = model_config.get(key)
+            if stored and stored != getattr(manifest, key):
+                raise ConfigError(f"checkpoint was trained with a different {key} than the manifest")
         # The context a (2c+1)*n_bins input implies; PipelineConfig rejects any other dim.
         context = max(model.input_dim // stft_config.n_bins - 1, 0) // 2
         mapping = {"model": model, "context": context}
@@ -184,7 +185,7 @@ def cmd_evaluate(args) -> int:
     mode = parse_kv_file(run_config_path).get("mode")
     if mode not in MODES:
         raise ConfigError(f"{run_config_path} records no valid mode")
-    name = args.name or config["system_name"] or mode
+    name = args.name or mode
     evaluation = evaluate_system(manifest, system_dir, mode, config["split"], name)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -211,14 +212,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="generate a synthetic evaluation corpus")
     p.add_argument("--out", required=True, help="corpus output directory")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train the feature mapper")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint output directory")
     p.add_argument("--recipe", choices=RECIPES)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enhance", help="run one enhancement mode over a split")
@@ -241,7 +242,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="combine evaluations into the comparison report")
     p.add_argument("--inputs", nargs="+", required=True, help="evaluation JSON files")
     p.add_argument("--out", required=True, help="report output directory")
-    _add_common(p)
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -29,6 +29,10 @@ FEATURE_KEYS = (
     "frame_len", "hop", "fft_size", "window", "n_mels", "f_min", "f_max", "mel_mode",
     "magnitude_floor",
 )
+# Per-RIR spreads of the rooms build_corpus draws: t60 varies by up to +/-30%
+# of CorpusConfig.t60 and the direct-to-reverberant ratio by up to +/-3 dB.
+T60_JITTER = 0.3
+DRR_JITTER_DB = 3.0
 
 
 @dataclass(frozen=True)
@@ -298,13 +302,16 @@ class CorpusManifest:
             feature_config = payload["feature_config"]
             if not isinstance(feature_config, dict) or set(feature_config) != set(FEATURE_KEYS):
                 raise ManifestError(f"{path}: feature_config must hold exactly {FEATURE_KEYS}")
-            return cls(
+            manifest = cls(
                 root=path.parent,
                 sample_rate=int(payload["sample_rate"]),
                 feature_config=feature_config,
                 entries=[ManifestEntry.from_dict(e) for e in payload["entries"]],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            manifest.stft_config()  # each checks the sample rate and front-end values
+            manifest.mel_config()
+            return manifest
+        except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
             raise ManifestError(f"{path}: malformed manifest ({exc!r})") from exc
 
 
@@ -320,10 +327,6 @@ class CorpusConfig:
     noise_color: str = "pink"
     reverb: bool = True
     t60: float = 0.5
-    t60_jitter: float = 0.3      # per-RIR t60 spread (fraction of t60)
-    drr_jitter_db: float = 3.0   # per-RIR direct-to-reverberant ratio spread
-    rir_seconds: float = 0.5
-    direct_delay: int = 0
     n_rirs: int = 3
     n_noises: int = 2
     frame_len: int = 400
@@ -341,11 +344,6 @@ class CorpusConfig:
         check_positive(self.sample_rate, "sample_rate")
         check_positive(self.utterance_seconds, "utterance_seconds")
         check_positive(self.t60, "t60")
-        if not 0.0 <= self.t60_jitter < 1.0:
-            raise ConfigError(f"t60_jitter must be in [0, 1), got {self.t60_jitter}")
-        check_nonnegative(self.drr_jitter_db, "drr_jitter_db")
-        check_positive(self.rir_seconds, "rir_seconds")
-        check_nonnegative(self.direct_delay, "direct_delay")
         check_choice(self.noise_color, tuple(_NOISE_POWER_SLOPES), "noise_color")
         for name, count in (("n_train", self.n_train), ("n_dev", self.n_dev), ("n_test", self.n_test)):
             check_nonnegative(count, name)
@@ -421,7 +419,8 @@ def build_corpus(
     snr_values: list[Optional[float]] = (
         [float(s) for s in config.snr_grid] if config.add_noise else [None]
     )
-    rir_len = max(int(round(config.rir_seconds * sr)), config.direct_delay + 2)
+    # Each RIR ends at the nominal -60 dB point, with at least one tail sample.
+    rir_len = max(int(round(config.t60 * sr)), 2)
 
     for split in SPLITS:
         rirs = []
@@ -430,17 +429,13 @@ def build_corpus(
                 # Rooms differ per split and per index: jittered t60 and DRR keep
                 # the reverberation from being a single learnable transformation.
                 param_rng = np.random.default_rng(derive_seed(config.seed, f"rirparams/{split}/{j}"))
-                t60 = config.t60 * (1.0 + config.t60_jitter * param_rng.uniform(-1.0, 1.0))
-                drr_db = config.drr_jitter_db * param_rng.uniform(-1.0, 1.0)
+                t60 = config.t60 * (1.0 + T60_JITTER * param_rng.uniform(-1.0, 1.0))
+                drr_db = DRR_JITTER_DB * param_rng.uniform(-1.0, 1.0)
                 rir_cfg = RirConfig(
-                    t60=t60,
-                    length=rir_len,
-                    direct_delay=config.direct_delay,
-                    seed=derive_seed(config.seed, f"rir/{split}/{j}"),
+                    t60=t60, length=rir_len, seed=derive_seed(config.seed, f"rir/{split}/{j}")
                 )
                 rir = synth_rir(rir_cfg, sr)
-                tail = slice(config.direct_delay + 1, None)
-                rir.samples[tail] *= 10.0 ** (-drr_db / 20.0)
+                rir.samples[1:] *= 10.0 ** (-drr_db / 20.0)  # the tail after the direct path
                 save_wav(rir, root / "rir" / f"{split}_rir{j}.wav", encoding="float32")
                 rirs.append(rir)
         noises = []

@@ -90,9 +90,6 @@ class SpectralFeatureMapper:
         learning_rate=0.01,
         max_epochs=50,
         dropout_rate=0.2,
-        adagrad_epsilon=1e-8,
-        increase_threshold=0.01,
-        improvement_threshold=0.001,
         seed=0,
     ):
         self.hidden_units = hidden_units
@@ -102,9 +99,6 @@ class SpectralFeatureMapper:
         self.learning_rate = learning_rate
         self.max_epochs = max_epochs
         self.dropout_rate = dropout_rate
-        self.adagrad_epsilon = adagrad_epsilon
-        self.increase_threshold = increase_threshold
-        self.improvement_threshold = improvement_threshold
         self.seed = seed
         self.model_ = None
         self.history_ = None
@@ -178,10 +172,7 @@ class SpectralFeatureMapper:
             learning_rate=self.learning_rate,
             max_epochs=self.max_epochs,
             dropout_rate=dropout,
-            adagrad_epsilon=self.adagrad_epsilon,
             early_stop=early_stop,
-            increase_threshold=self.increase_threshold,
-            improvement_threshold=self.improvement_threshold,
             rng_seed=derive_seed(self.seed, "train"),
         )
         self.model_, self.history_ = train(model, train_x, train_y, config, dev_x, dev_y)

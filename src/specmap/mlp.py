@@ -37,6 +37,11 @@ from .validation import as_float_matrix, check_choice, check_positive
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
 
+ADAGRAD_EPSILON = 1e-8
+# The relative dev-cost thresholds of early_stop_decision.
+INCREASE_THRESHOLD = 0.01
+IMPROVEMENT_THRESHOLD = 0.001
+
 # (floor, ceiling) of the sigmoid per dtype. Each bound is representable in
 # its dtype: a float64 ceiling would round up to 1.0 in float32 and the
 # float64 floor of 1e-300 down to 0.
@@ -303,10 +308,7 @@ class TrainConfig:
     learning_rate: float = 0.01
     max_epochs: int = 50
     dropout_rate: float = 0.0
-    adagrad_epsilon: float = 1e-8
     early_stop: bool = False
-    increase_threshold: float = 0.01
-    improvement_threshold: float = 0.001
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -317,9 +319,6 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        check_positive(self.adagrad_epsilon, "adagrad_epsilon")
-        check_positive(self.increase_threshold, "increase_threshold")
-        check_positive(self.improvement_threshold, "improvement_threshold")
 
 
 def train_step(
@@ -335,9 +334,9 @@ def train_step(
     The forward and backward passes run in float32 on state.working, so
     the gradients are float32; the loss is float64. Per parameter, with g
     the gradient in float64 (exact), accum += g*g, then
-    param -= lr * (g / sqrt(accum + eps)), evaluated in that order in
-    cache-sized blocks, and state.working takes the new parameters. The
-    batch, reference and masks are not modified.
+    param -= lr * (g / sqrt(accum + ADAGRAD_EPSILON)), evaluated in that
+    order in cache-sized blocks, and state.working takes the new
+    parameters. The batch, reference and masks are not modified.
     """
     x = as_float_matrix(batch, "batch")
     y = as_float_matrix(reference, "reference")
@@ -372,7 +371,7 @@ def _train_step(
             np.copyto(g, grad[block])
             np.multiply(g, g, out=s)
             a += s
-            np.add(a, config.adagrad_epsilon, out=s)
+            np.add(a, ADAGRAD_EPSILON, out=s)
             np.sqrt(s, out=s)
             np.divide(g, s, out=s)
             s *= config.learning_rate
@@ -409,23 +408,19 @@ def _evaluate_cost(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     return total / max(1, y.size)
 
 
-def early_stop_decision(
-    dev_costs: Sequence[float],
-    increase_threshold: float = 0.01,
-    improvement_threshold: float = 0.001,
-) -> Optional[str]:
+def early_stop_decision(dev_costs: Sequence[float]) -> Optional[str]:
     """Stop rule on the dev-cost sequence so far.
 
     Returns "dev_increase" when the latest cost rose by more than
-    increase_threshold relative to the previous epoch, "dev_plateau" when it
-    failed to improve by at least improvement_threshold relative, else None.
+    INCREASE_THRESHOLD relative to the previous epoch, "dev_plateau" when it
+    failed to improve by at least IMPROVEMENT_THRESHOLD relative, else None.
     """
     if len(dev_costs) < 2:
         return None
     prev, cur = dev_costs[-2], dev_costs[-1]
-    if cur > prev * (1.0 + increase_threshold):
+    if cur > prev * (1.0 + INCREASE_THRESHOLD):
         return "dev_increase"
-    if (prev - cur) < improvement_threshold * prev:
+    if (prev - cur) < IMPROVEMENT_THRESHOLD * prev:
         return "dev_plateau"
     return None
 
@@ -491,9 +486,7 @@ def train(
         if has_dev:
             history.dev_cost.append(_evaluate_cost(adagrad.working, dev_x, dev_y))
         if config.early_stop:
-            reason = early_stop_decision(
-                history.dev_cost, config.increase_threshold, config.improvement_threshold
-            )
+            reason = early_stop_decision(history.dev_cost)
             if reason is not None:
                 model.set_parameters(*previous)
                 history.stop_reason = reason

@@ -305,8 +305,8 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
     GEMM of those rows against the stack. It solves the (bins, taps, taps)
     systems with one batched call to solve_normal_equations, predicts the
     tail with one batched real GEMM of the filters against the tap rows,
-    and subtracts it in place. The solve makes the same per-bin checks as
-    solve_hermitian; a bin that fails one gets a zero filter and is listed
+    and subtracts it in place. solve_normal_equations checks each bin's
+    system; a bin that fails a check gets a zero filter and is listed
     in fallback_bins. Frames without a complete context
     (t < delay + taps - 1) pass through unchanged, as does the whole
     utterance when it is shorter than taps + delay + 1 frames.

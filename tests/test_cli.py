@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 import specmap
 from specmap import estimators
 from specmap.cli import main
-from specmap.featio import load_model, read_features
+from specmap.corpus import CorpusConfig
+from specmap.estimators import SpectralFeatureMapper
+from specmap.featio import load_model, read_features, save_model
 from specmap.mlp import early_stop_decision
+from specmap.wpe import WpeConfig
 
 BASE_OVERRIDES = [
     "--set", "utterance_seconds=0.8",
@@ -108,6 +112,53 @@ def test_flags_override_the_config_keys_they_name(cli_corpus, tmp_path):
     ]) == 0
     resolved = (enhance_dir / "config.resolved").read_text().splitlines()
     assert "mode=baseline" in resolved and "jobs=2" in resolved
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("report", "--config"), ("report", "--seed"), ("report", "--set"),
+    ("enhance", "--seed"), ("evaluate", "--seed"),
+])
+def test_commands_reject_options_they_do_not_read(tmp_path, capsys, command, flag):
+    required = {
+        "report": ["--inputs", "a.json", "--out", str(tmp_path)],
+        "enhance": ["--manifest", "m.json", "--out", str(tmp_path)],
+        "evaluate": ["--manifest", "m.json", "--system-dir", str(tmp_path), "--out", "e.json"],
+    }[command]
+    assert main([command, *required, flag, "1"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def _resolved_keys(out_dir) -> set:
+    return {line.split("=", 1)[0] for line in (out_dir / "config.resolved").read_text().splitlines()}
+
+
+def test_config_resolved_holds_exactly_the_derived_keys(cli_corpus, tmp_path):
+    manifest = str(cli_corpus / "manifest.json")
+    train_dir, enhance_dir = tmp_path / "model", tmp_path / "enhanced"
+    assert main(["train", "--manifest", manifest, "--out", str(train_dir), *TRAIN_OVERRIDES]) == 0
+    assert main(["enhance", "--manifest", manifest, "--out", str(enhance_dir)]) == 0
+    wpe_keys = {f"wpe_{f.name}" for f in dataclasses.fields(WpeConfig)}
+    mapper_keys = {
+        "hidden" if name == "hidden_units" else name for name in SpectralFeatureMapper().get_params()
+    }
+    assert _resolved_keys(cli_corpus) == {f.name for f in dataclasses.fields(CorpusConfig)}
+    assert _resolved_keys(train_dir) == mapper_keys | {"input_processing"} | wpe_keys
+    assert _resolved_keys(enhance_dir) == {"mode", "split", "jobs", "save_waveforms"} | wpe_keys
+
+
+def test_enhance_rejects_a_checkpoint_of_another_sample_rate(cli_corpus, tmp_path, capsys):
+    manifest = str(cli_corpus / "manifest.json")
+    assert main(["train", "--manifest", manifest, "--out", str(tmp_path / "m"), *TRAIN_OVERRIDES]) == 0
+    model, config = load_model(tmp_path / "m" / "model.sfmd")
+    checkpoint = tmp_path / "other_rate.sfmd"
+    save_model(checkpoint, model, config={**config, "sample_rate": 32000})
+    code = main([
+        "enhance", "--manifest", manifest, "--out", str(tmp_path / "x"),
+        "--mode", "dnn_only", "--checkpoint", str(checkpoint),
+    ])
+    assert code == 1
+    assert "sample_rate" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_enhanced_requires_dev_split(tmp_path, capsys):

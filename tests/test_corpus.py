@@ -176,7 +176,8 @@ def test_build_corpus_structure(tiny_corpus):
 
 
 def test_reverberant_aligned_with_clean(tiny_corpus):
-    # direct_delay defaults to 0, so the cross-correlation must peak at lag 0
+    # build_corpus puts each RIR's direct path at sample 0, so the
+    # cross-correlation must peak at lag 0
     entry = tiny_corpus.split_entries("train")[0]
     clean = load_wav(tiny_corpus.resolve(entry.clean_wav)).samples
     reverberant = load_wav(tiny_corpus.resolve(entry.reverberant_wav)).samples
@@ -216,9 +217,20 @@ def _as_list(payload):
     return list(payload.values())
 
 
+def _front_end(key, value):
+    """Damage that sets a value the manifest's STFT or mel configuration rejects."""
+    def damage(payload):
+        (payload if key == "sample_rate" else payload["feature_config"])[key] = value
+    return pytest.param(damage, id=f"{key}={value}")
+
+
 @pytest.mark.parametrize(
     "damage",
-    [_drop_hop, _add_feature_key, _drop_noisy_wav, _noisy_wav_as_number, _id_as_number, _as_list],
+    [
+        _drop_hop, _add_feature_key, _drop_noisy_wav, _noisy_wav_as_number, _id_as_number, _as_list,
+        _front_end("hop", "x"), _front_end("magnitude_floor", -1), _front_end("n_mels", 0),
+        _front_end("window", "blackman"), _front_end("sample_rate", 0),
+    ],
 )
 def test_malformed_manifest_is_a_manifest_error(tiny_corpus, tmp_path, capsys, damage):
     payload = json.loads((tiny_corpus.root / "manifest.json").read_text())

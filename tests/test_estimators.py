@@ -29,9 +29,8 @@ def test_get_set_params_roundtrip():
     est = SpectralFeatureMapper(context=2, learning_rate=0.07)
     params = est.get_params()
     assert sorted(params) == [
-        "adagrad_epsilon", "batch_size", "context", "dropout_rate", "hidden_units",
-        "improvement_threshold", "increase_threshold", "learning_rate", "max_epochs",
-        "recipe", "seed",
+        "batch_size", "context", "dropout_rate", "hidden_units", "learning_rate",
+        "max_epochs", "recipe", "seed",
     ]
     assert params["context"] == 2 and params["learning_rate"] == 0.07
     assert est.set_params(learning_rate=0.2) is est

@@ -5,6 +5,7 @@ from conftest import relative_error
 from specmap.errors import ConfigError, NumericError, ShapeError
 from specmap.features import NormalizationSpec
 from specmap.mlp import (
+    ADAGRAD_EPSILON,
     AdagradState,
     MlpModel,
     TrainConfig,
@@ -77,7 +78,7 @@ def test_single_unit_chain_hand_computed():
 def test_adagrad_closed_form_sequence():
     model = MlpModel([np.array([[1.0]])], [np.array([0.0])], output_activation="linear")
     state = AdagradState(model)
-    config = TrainConfig(learning_rate=0.1, adagrad_epsilon=1e-15)
+    config = TrainConfig(learning_rate=0.1)
     deltas = []
     for _ in range(4):
         w, b = float(model.weights[0][0, 0]), float(model.biases[0][0])
@@ -184,12 +185,12 @@ def reference_stop(costs, increase=0.01, improvement=0.001):
     return len(costs), len(costs), "max_epochs"
 
 
-def simulate_loop(costs, increase=0.01, improvement=0.001):
+def simulate_loop(costs):
     """Replays the decision exactly the way train() applies it per epoch."""
     seen = []
     for epoch, cost in enumerate(costs, start=1):
         seen.append(cost)
-        reason = early_stop_decision(seen, increase, improvement)
+        reason = early_stop_decision(seen)
         if reason is not None:
             return epoch, epoch - 1, reason
     return len(costs), len(costs), "max_epochs"
@@ -357,11 +358,11 @@ def reference_train_step(model, batch, reference, config, state, masks=None):
         state.accum_b[layer] += grads_b[layer] ** 2
         model.weights[layer] -= (
             config.learning_rate * grads_w[layer]
-            / np.sqrt(state.accum_w[layer] + config.adagrad_epsilon)
+            / np.sqrt(state.accum_w[layer] + ADAGRAD_EPSILON)
         )
         model.biases[layer] -= (
             config.learning_rate * grads_b[layer]
-            / np.sqrt(state.accum_b[layer] + config.adagrad_epsilon)
+            / np.sqrt(state.accum_b[layer] + ADAGRAD_EPSILON)
         )
     return loss
 
@@ -375,7 +376,7 @@ def reference_mixed_precision_step(model, batch, reference, config, state, masks
         assert grad.dtype == np.float32
         g = grad.astype(np.float64)
         accum += g * g
-        param -= config.learning_rate * (g / np.sqrt(accum + config.adagrad_epsilon))
+        param -= config.learning_rate * (g / np.sqrt(accum + ADAGRAD_EPSILON))
     return loss
 
 
