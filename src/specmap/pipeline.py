@@ -24,6 +24,7 @@ from .mel import MelConfig, log_mel, mel_matrix
 from .mlp import MlpModel, map_features
 from .runconfig import config_hash
 from .stft import StftConfig, istft, log_magnitude, stft
+from . import wpe as wpe_module
 from .validation import check_choice
 from .wpe import WpeConfig, wpe_dereverberate
 
@@ -164,6 +165,9 @@ _worker_config: Optional[PipelineConfig] = None
 def _init_worker(config: PipelineConfig) -> None:
     global _worker_config
     _worker_config = config
+    # The worker processes already share the CPUs: WPE runs every block of
+    # bins on the calling thread, so that --jobs never nests threads.
+    wpe_module._thread_limit = 1
 
 
 def _worker_entry(noisy_path):

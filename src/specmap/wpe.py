@@ -11,14 +11,23 @@ stack, so that an iteration's covariance build is one batched real GEMM and
 its prediction one small batched real GEMM.
 
 Because the bins are independent, they run in contiguous blocks, each
-through all its iterations before the next starts, sized so that a block's
-stack and weighted taps stay in cache. Every bin's arithmetic is the same
-under any split, so the output does not depend on it, bit for bit.
+through all its iterations, sized so that a block's stack stays in cache.
+The blocks of one call are shared by the calling thread and up to one
+helper thread per further CPU the process may run on: each thread takes
+the next unclaimed block until none is left. Every bin's arithmetic is the
+same under any split and on any thread, so the output depends on neither,
+bit for bit. Each thread keeps its scratch buffer for later calls, so a
+call holds at most threads x _BLOCK_BYTES of scratch. The helper threads
+start on the first call that needs them and live as long as the process;
+a forked child starts its own.
 """
 
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -98,6 +107,13 @@ def solve_normal_equations(normal: np.ndarray, rhs: np.ndarray, delta: np.ndarra
     solve; if that raises LinAlgError (a singular system), each is solved on
     its own, falling back to least squares where the direct solve fails.
     """
+    return _solve_normal_equations(normal, rhs, delta)
+
+
+def _solve_normal_equations(normal: np.ndarray, rhs: np.ndarray, delta: np.ndarray):
+    # The body of solve_normal_equations, which wpe_dereverberate's helper
+    # threads call under this private name: a profiler that wraps the public
+    # functions keeps one span stack, not one per thread.
     R = np.asarray(normal, dtype=np.complex128)
     r = np.asarray(rhs, dtype=np.complex128)
     n_sys, k = r.shape
@@ -173,23 +189,36 @@ def _tap_stack(
     return stack
 
 
-def _normal_equations(stack: np.ndarray, inverse_variance: np.ndarray, weighted: np.ndarray):
-    """Every bin's normal matrix (bins, K, K) and rhs (bins, K) from one real GEMM.
+# Bins whose weighted taps wpe_dereverberate holds at once. Four and eight
+# bins timed alike on 3 s utterances, and four kept peak memory lower with
+# two threads, each holding its own.
+_WEIGHTED_BINS = 4
 
-    inverse_variance is (bins, valid_frames); weighted, (bins, 2K, valid_frames),
-    is overwritten with the taps scaled by it. In complex terms the matrix is
-    sum_t x[t] x[t]^H / lam[t] and the rhs sum_t x[t] conj(y[t]) / lam[t].
+
+def _normal_equations(stack: np.ndarray, inverse_variance: np.ndarray, weighted: np.ndarray):
+    """Every bin's normal matrix (bins, K, K) and rhs (bins, K), one real GEMM per bin.
+
+    inverse_variance is (bins, valid_frames). weighted, (n, 2K, valid_frames)
+    for any n >= 1, is overwritten with the taps of n bins at a time scaled
+    by it. In complex terms the matrix is sum_t x[t] x[t]^H / lam[t] and the
+    rhs sum_t x[t] conj(y[t]) / lam[t].
     """
-    k = weighted.shape[1] // 2
-    np.multiply(stack[:, :2 * k], inverse_variance[:, None, :], out=weighted)
-    gram = weighted @ stack.transpose(0, 2, 1)            # (B, 2K, 2K + 2)
+    n_bins = len(stack)
+    chunk, two_k, _ = weighted.shape
+    k = two_k // 2
+    gram = np.empty((n_bins, two_k, two_k + 2))
+    for start in range(0, n_bins, chunk):
+        bins = slice(start, start + chunk)
+        part = weighted[:min(chunk, n_bins - start)]
+        np.multiply(stack[bins, :two_k], inverse_variance[bins, None, :], out=part)
+        np.matmul(part, stack[bins].transpose(0, 2, 1), out=gram[bins])
     re, im = gram[:, :k], gram[:, k:]
-    normal = np.empty((len(gram), k, k), dtype=np.complex128)
-    np.add(re[:, :, :k], im[:, :, k:2 * k], out=normal.real)
-    np.subtract(im[:, :, :k], re[:, :, k:2 * k], out=normal.imag)
-    rhs = np.empty((len(gram), k), dtype=np.complex128)
-    np.add(re[:, :, 2 * k], im[:, :, 2 * k + 1], out=rhs.real)
-    np.subtract(im[:, :, 2 * k], re[:, :, 2 * k + 1], out=rhs.imag)
+    normal = np.empty((n_bins, k, k), dtype=np.complex128)
+    np.add(re[:, :, :k], im[:, :, k:two_k], out=normal.real)
+    np.subtract(im[:, :, :k], re[:, :, k:two_k], out=normal.imag)
+    rhs = np.empty((n_bins, k), dtype=np.complex128)
+    np.add(re[:, :, two_k], im[:, :, two_k + 1], out=rhs.real)
+    np.subtract(im[:, :, two_k], re[:, :, two_k + 1], out=rhs.imag)
     return normal, rhs
 
 
@@ -205,75 +234,121 @@ def _prediction(filters: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def _smoothed_power(signal: np.ndarray, half_width: int) -> np.ndarray:
     """Moving average of |x|^2 over +/- half_width frames, edge-shortened."""
-    power = np.abs(signal) ** 2
+    power = np.abs(signal)
+    np.square(power, out=power)
     if half_width == 0:
         return power
-    n_frames = power.shape[0]
-    padded = np.zeros((n_frames + 1, power.shape[1]))
-    np.cumsum(power, axis=0, out=padded[1:])
-    lo = np.maximum(np.arange(n_frames) - half_width, 0)
-    hi = np.minimum(np.arange(n_frames) + half_width + 1, n_frames)
-    return (padded[hi] - padded[lo]) / (hi - lo)[:, None]
+    n_frames = len(power)
+    cumulative = np.empty((n_frames + 1, power.shape[1]))
+    cumulative[0] = 0.0
+    np.cumsum(power, axis=0, out=cumulative[1:])
+    # Frame t averages frames lo to hi - 1, lo = max(t - h, 0) and
+    # hi = min(t + h + 1, n_frames): cumulative[hi] - cumulative[lo], written
+    # over power. Where lo = 0 the subtrahend is 0.0, so it is left out.
+    h = half_width
+    inner = max(n_frames - h, 0)  # frames with hi = t + h + 1
+    power[:inner] = cumulative[h + 1:]
+    power[inner:] = cumulative[n_frames]
+    if h < n_frames:
+        power[h:] -= cumulative[:n_frames - h]
+    t = np.arange(n_frames)
+    power /= (np.minimum(t + h + 1, n_frames) - np.maximum(t - h, 0))[:, None]
+    return power
 
 
-# Working set (stack plus weighted taps) that one block of bins may occupy.
+# Scratch that one block of bins may occupy, counted as a stack (2K + 2
+# rows) and weighted taps (2K rows) per bin; as the weighted taps are held
+# a few bins at a time, a block's scratch is a little over half of that.
 # On 3 s utterances, budgets of 4 to 12 MiB (6 to 2 blocks) timed alike, and
 # faster than both smaller blocks and one whole-utterance block, on a Xeon
-# with 2 MiB of L2 per core and one BLAS thread.
+# with 2 MiB of L2 per core and one BLAS thread; on two threads, 6 MiB
+# blocks beat 3 and 4 MiB ones, whose extra Python work per block holds
+# the interpreter lock.
 _BLOCK_BYTES = 6 * 2**20
 
 
 def _bin_blocks(n_bins: int, taps: int, n_valid: int) -> list[slice]:
-    """Contiguous, equal-width blocks of bins whose working sets fit _BLOCK_BYTES.
+    """Contiguous, equal-width blocks of bins whose scratch fits _BLOCK_BYTES.
 
     No block is narrower than 2 bins unless there is only one bin: over a
     single column numpy sums the objective pairwise, not frame by frame, and
-    its rounding would depend on the split.
+    its rounding would depend on the split. Where that minimum forces
+    blocks wider than the budget allows, they get two or three bins.
     """
-    per_bin = (4 * taps + 2) * n_valid * 8  # stack (2K + 2 rows) and weighted (2K rows)
-    n_blocks = min(-(-n_bins * per_bin // _BLOCK_BYTES), n_bins // 2)
+    per_bin = (4 * taps + 2) * n_valid * 8
+    widest = max(_BLOCK_BYTES // per_bin, 1)
+    n_blocks = min(-(-n_bins // widest), n_bins // 2)
     return [
         slice(bins[0], bins[-1] + 1)
         for bins in np.array_split(np.arange(n_bins), max(n_blocks, 1))
     ]
 
 
-def _dereverberate_block(
-    data: np.ndarray, config: WpeConfig, stack: np.ndarray, weighted: np.ndarray
-):
-    """The WPE iterations on a C-ordered (frames, bins) block with complete contexts.
+_scratch = threading.local()
 
-    stack (B, 2K + 2, Tv) and weighted (B, 2K, Tv) are the block's scratch
-    buffers, overwritten. Returns (enhanced, filters, variance, objective,
-    fallback), fallback holding the block's own indices of the bins that
-    fell back.
+
+def _thread_scratch(width: int, taps: int, n_valid: int):
+    """This thread's stack (width, 2K + 2, Tv) and weighted (n, 2K, Tv) buffers.
+
+    n is min(width, _WEIGHTED_BINS). Both are views of one buffer, which the
+    thread keeps for later calls if it fits _BLOCK_BYTES, as it does unless
+    the two-bin minimum of _bin_blocks made the block wider than the budget.
     """
-    n_frames, n_bins = data.shape
+    chunk = min(width, _WEIGHTED_BINS)
+    stack_size = width * (2 * taps + 2) * n_valid
+    size = stack_size + chunk * 2 * taps * n_valid
+    buffer = getattr(_scratch, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size)
+        _scratch.buffer = buffer if buffer.nbytes <= _BLOCK_BYTES else None
+    stack = buffer[:stack_size].reshape(width, 2 * taps + 2, n_valid)
+    weighted = buffer[stack_size:size].reshape(chunk, 2 * taps, n_valid)
+    return stack, weighted
+
+
+def _dereverberate_block(
+    data: np.ndarray, config: WpeConfig, bins: slice, widest: int, result: WpeResult
+) -> list[int]:
+    """The WPE iterations on one block of bins, into result's full-size arrays.
+
+    data is the C-ordered (frames, bins) observation, with complete
+    contexts, and result.enhanced starts as its copy; the block's scratch
+    is carved from this thread's buffer for a block widest bins wide.
+    Returns the block's own indices of the bins that fell back, sorted.
+    """
+    n_frames = len(data)
+    width = bins.stop - bins.start
     taps = config.taps
     first_valid = config.delay + taps - 1
-    _tap_stack(data, taps, config.delay, out=stack)
-    enhanced = data.copy()
+    stack, weighted = _thread_scratch(widest, taps, n_frames - first_valid)
+    stack = stack[:width]
+    observed, enhanced = data[:, bins], result.enhanced[:, bins]
+    variance, objective = result.variance[:, bins], result.objective[:, bins]
+    _tap_stack(observed, taps, config.delay, out=stack)
     # Re/Im views (frames, bins, 2) of the observation and of the output.
-    observed_parts = data.view(np.float64).reshape(n_frames, n_bins, 2)
-    enhanced_parts = enhanced.view(np.float64).reshape(n_frames, n_bins, 2)
-    objective = np.empty((config.iterations, n_bins))
+    observed_parts = observed.view(np.float64).reshape(n_frames, width, 2)
+    enhanced_parts = enhanced.view(np.float64).reshape(n_frames, width, 2)
+    inverse_variance = np.empty((width, n_frames - first_valid))
     delta_per_bin: Optional[np.ndarray] = None
     fallback: set[int] = set()
 
     for iteration in range(config.iterations):
-        variance = np.maximum(
-            _smoothed_power(enhanced, config.variance_context), config.variance_floor
+        np.maximum(
+            _smoothed_power(enhanced, config.variance_context), config.variance_floor,
+            out=variance,
         )
-        lam = variance[first_valid:, :]                    # (Tv, B)
-        normal, rhs = _normal_equations(stack, 1.0 / np.ascontiguousarray(lam.T), weighted)
+        lam = variance[first_valid:]                       # (Tv, B)
+        normal, rhs = _normal_equations(
+            stack, np.divide(1.0, lam.T, out=inverse_variance), weighted
+        )
 
         if delta_per_bin is None:
             if config.delta is not None:
-                delta_per_bin = np.full(n_bins, float(config.delta))
+                delta_per_bin = np.full(width, float(config.delta))
             else:
                 delta_per_bin = 1e-6 * np.einsum("bkk->b", normal).real / taps
 
-        filters, failure = solve_normal_equations(normal, rhs, delta_per_bin)
+        filters, failure = _solve_normal_equations(normal, rhs, delta_per_bin)
         fallback.update(np.flatnonzero(failure).tolist())
 
         np.subtract(
@@ -281,35 +356,109 @@ def _dereverberate_block(
             _prediction(filters, stack).transpose(2, 0, 1),
             out=enhanced_parts[first_valid:],
         )
-        residual = np.abs(enhanced[first_valid:, :]) ** 2 / lam
+        residual = np.abs(enhanced[first_valid:])
+        np.square(residual, out=residual)
+        residual /= lam
+        data_term = residual.sum(axis=0)
+        log_term = np.log(lam, out=residual).sum(axis=0)
         objective[iteration] = (
-            residual.sum(axis=0)
-            + np.log(lam).sum(axis=0)
-            + delta_per_bin * (np.abs(filters) ** 2).sum(axis=1)
+            data_term + log_term + delta_per_bin * (np.abs(filters) ** 2).sum(axis=1)
         )
-    return enhanced, filters, variance, objective, fallback
+    result.filters[bins] = filters
+    return sorted(fallback)
+
+
+# Threads that share one call's blocks; None means one per CPU the process
+# may run on. batch_enhance's worker processes set 1.
+_thread_limit: Optional[int] = None
+_helpers: list[ThreadPoolExecutor] = []  # one thread each, started as calls need them
+_helpers_lock = threading.Lock()
+
+
+def _forget_helpers() -> None:
+    # A forked child has none of its parent's threads: a task handed to an
+    # inherited executor would never run.
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = [], threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(run_block: Callable[[int], object], n_blocks: int) -> list:
+    """[run_block(i) for i in range(n_blocks)], shared by this thread and helpers.
+
+    min(_thread_limit or the CPU count, n_blocks) - 1 helper threads join
+    the calling thread, and each thread runs the next unclaimed block until
+    none is left. A thread whose block raises stops; once every thread has
+    stopped, that exception is raised, the calling thread's before any
+    helper's.
+    """
+    limit = _cpu_count() if _thread_limit is None else _thread_limit
+    n_helpers = min(limit, n_blocks) - 1
+    unclaimed = iter(range(n_blocks))
+    claim = threading.Lock()
+    results: list = [None] * n_blocks
+
+    def drain():
+        while True:
+            with claim:
+                index = next(unclaimed, None)
+            if index is None:
+                return
+            results[index] = run_block(index)
+
+    with _helpers_lock:
+        while len(_helpers) < n_helpers:
+            _helpers.append(ThreadPoolExecutor(1, thread_name_prefix="specmap-wpe"))
+        futures = [helper.submit(drain) for helper in _helpers[:n_helpers]]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+    return results
 
 
 def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult:
     """Dereverberate a (frames x bins) complex spectrogram.
 
-    The bins run in contiguous blocks sized so that a block's working
-    buffers stay in cache through all its iterations; every bin's
-    arithmetic is the same whatever the split, so the result does not
-    depend on it. Each block is first laid out as one real
-    (bins, 2*taps + 2, frames) stack: the real parts of the taps, their
-    imaginary parts, and the real and imaginary part of the target frame.
-    Each iteration re-estimates the floored variance from the current
-    dereverberated signal, scales the tap rows by its reciprocal, and reads
-    every bin's normal matrix and rhs out of the blocks of one batched real
-    GEMM of those rows against the stack. It solves the (bins, taps, taps)
-    systems with one batched call to solve_normal_equations, predicts the
-    tail with one batched real GEMM of the filters against the tap rows,
-    and subtracts it in place. solve_normal_equations checks each bin's
-    system; a bin that fails a check gets a zero filter and is listed
-    in fallback_bins. Frames without a complete context
-    (t < delay + taps - 1) pass through unchanged, as does the whole
-    utterance when it is shorter than taps + delay + 1 frames.
+    The bins run in contiguous blocks sized so that a block's stack stays
+    in cache through all its iterations. The calling thread and
+    min(CPUs, blocks) - 1 helper threads share the blocks, CPUs being those
+    the process may run on (os.sched_getaffinity); each thread takes the
+    next unclaimed block until none is left, and the results are merged on
+    the calling thread in block order. Every bin's arithmetic is the same
+    whatever the split and the thread, so the result depends on neither.
+    Each thread keeps its scratch buffer, at most _BLOCK_BYTES, for later
+    calls, so a call holds at most threads x _BLOCK_BYTES of scratch beside
+    its inputs and outputs (more only where a block cannot be narrower than
+    two bins). The helper threads start on the first call that needs them
+    and live as long as the process; a forked child starts its own, and
+    batch_enhance's worker processes run every block on the calling thread.
+
+    Each block is first laid out as one real (bins, 2*taps + 2, frames)
+    stack: the real parts of the taps, their imaginary parts, and the real
+    and imaginary part of the target frame. Each iteration re-estimates the
+    floored variance from the current dereverberated signal, scales the tap
+    rows by its reciprocal, and reads every bin's normal matrix and rhs out
+    of that bin's real GEMM of those rows against the stack. It solves the
+    (bins, taps, taps) systems with one batched call to the body of
+    solve_normal_equations, predicts the tail with one batched real GEMM of
+    the filters against the tap rows, and subtracts it in place.
+    solve_normal_equations checks each bin's system; a bin that fails a
+    check gets a zero filter and is listed in fallback_bins. Frames without
+    a complete context (t < delay + taps - 1) pass through unchanged, as
+    does the whole utterance when it is shorter than taps + delay + 1
+    frames.
     """
     is_spec = isinstance(observation, Spectrogram)
     data = observation.data if is_spec else as_complex_matrix(observation, "observation")
@@ -330,32 +479,22 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
             objective=np.zeros((0, n_bins)),
         )
 
-    enhanced = np.empty((n_frames, n_bins), dtype=np.complex128)
-    filters = np.empty((n_bins, taps), dtype=np.complex128)
-    variance = np.empty((n_frames, n_bins))
-    objective = np.empty((config.iterations, n_bins))
-    fallback: list[int] = []
-    n_valid = n_frames - (delay + taps - 1)
-    blocks = _bin_blocks(n_bins, taps, n_valid)
-    # One pair of scratch buffers for every block, so that a call allocates them once.
-    widest = max(bins.stop - bins.start for bins in blocks)
-    stack = np.empty((widest, 2 * taps + 2, n_valid))
-    weighted = np.empty((widest, 2 * taps, n_valid))
-    for bins in blocks:
-        width = bins.stop - bins.start
-        (
-            enhanced[:, bins], filters[bins], variance[:, bins], objective[:, bins], block_fallback
-        ) = _dereverberate_block(
-            np.ascontiguousarray(data[:, bins]), config, stack[:width], weighted[:width]
-        )
-        fallback.extend(bins.start + b for b in sorted(block_fallback))
-
-    if fallback:
-        log.warning("WPE fell back to zero filters on %d bin(s)", len(fallback))
-    return WpeResult(
-        enhanced=wrap(enhanced),
-        filters=filters,
-        variance=variance,
-        objective=objective,
-        fallback_bins=tuple(fallback),
+    data = np.ascontiguousarray(data)
+    result = WpeResult(
+        enhanced=data.copy(),
+        filters=np.empty((n_bins, taps), dtype=np.complex128),
+        variance=np.empty((n_frames, n_bins)),
+        objective=np.empty((config.iterations, n_bins)),
     )
+    blocks = _bin_blocks(n_bins, taps, n_frames - (delay + taps - 1))
+    widest = max(bins.stop - bins.start for bins in blocks)
+    block_fallback = _run_blocks(
+        lambda i: _dereverberate_block(data, config, blocks[i], widest, result), len(blocks)
+    )
+    result.fallback_bins = tuple(
+        bins.start + b for bins, fallback in zip(blocks, block_fallback) for b in fallback
+    )
+    if result.fallback_bins:
+        log.warning("WPE fell back to zero filters on %d bin(s)", len(result.fallback_bins))
+    result.enhanced = wrap(result.enhanced)
+    return result

@@ -1,6 +1,13 @@
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import specmap
 from specmap.audio import Waveform
 from specmap.corpus import CorpusConfig, RirConfig, build_corpus, convolve, synth_rir, synth_speech
 
@@ -42,3 +49,25 @@ def gathered_context(feats, context):
     offsets = np.arange(-context, context + 1)
     index = np.clip(np.arange(n_frames)[:, None] + offsets[None, :], 0, n_frames - 1)
     return feats[index].reshape(n_frames, -1)
+
+
+def run_script(script: str, *args, timeout: float = 300.0) -> subprocess.CompletedProcess:
+    """Run `python -c script args...` in a new process group, with specmap importable.
+
+    On timeout the whole group, worker processes and forked children
+    included, is killed and the test fails.
+    """
+    src = str(Path(specmap.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    with subprocess.Popen(
+        [sys.executable, "-c", script, *map(str, args)], env=env, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as process:
+        try:
+            out, err = process.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail(f"script still running after {timeout} s")
+    return subprocess.CompletedProcess(process.args, process.returncode, out, err)

@@ -1,17 +1,18 @@
 import dataclasses
 import json
 import pickle
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from conftest import gathered_context
+from conftest import gathered_context, make_reverberant_pair, run_script
 from specmap.audio import load_wav
 from specmap.corpus import CorpusConfig, build_corpus
 from specmap.errors import ConfigError, ShapeError
 from specmap.estimators import SpectralFeatureMapper, training_features
-from specmap import pipeline
+from specmap import pipeline, wpe as wpe_module
 from specmap.featio import load_model, read_features, save_model
 from specmap.features import (
     assemble_context,
@@ -25,7 +26,7 @@ from specmap.mel import log_mel, mel_matrix
 from specmap.mlp import forward, init_model, map_features
 from specmap.pipeline import PipelineConfig, batch_enhance, enhance_utterance
 from specmap.runconfig import config_hash
-from specmap.stft import log_magnitude, stft
+from specmap.stft import StftConfig, log_magnitude, stft
 from specmap.wpe import WpeConfig, wpe_dereverberate
 
 
@@ -229,6 +230,60 @@ def test_batch_enhance_parallel_logs_per_utterance_seconds(tiny_corpus, tmp_path
     assert runs[1].features == runs[2].features
     for rel in runs[1].features.values():
         assert (tmp_path / "jobs1" / rel).read_bytes() == (tmp_path / "jobs2" / rel).read_bytes()
+
+
+JOBS_AFTER_THREADED_WPE = """
+import sys
+from pathlib import Path
+import numpy as np
+from specmap import wpe
+from specmap.corpus import CorpusManifest
+from specmap.pipeline import PipelineConfig, batch_enhance
+
+wpe._thread_limit = 2  # a helper thread even on one CPU
+rng = np.random.default_rng(0)
+wpe.wpe_dereverberate(rng.normal(size=(300, 257)) + 0j)
+manifest = CorpusManifest.load(sys.argv[1])
+config = PipelineConfig(
+    mode="wpe_only", stft=manifest.stft_config(), mel=manifest.mel_config(),
+    magnitude_floor=manifest.feature_config["magnitude_floor"],
+)
+out = Path(sys.argv[2])
+runs = {jobs: batch_enhance(manifest, config, out / f"jobs{jobs}", split="dev", jobs=jobs)
+        for jobs in (2, 1)}
+assert runs[1].features == runs[2].features and runs[1].waveforms == runs[2].waveforms
+for rel in [*runs[1].features.values(), *runs[1].waveforms.values()]:
+    assert (out / "jobs1" / rel).read_bytes() == (out / "jobs2" / rel).read_bytes(), rel
+print(len(runs[1].features), len(runs[1].waveforms))
+"""
+
+
+def test_parallel_wpe_after_threaded_wpe_matches_serial(tiny_corpus, tmp_path):
+    # Worker processes forked from a parent whose WPE already started helper
+    # threads must finish, and write the bytes of --jobs 1.
+    manifest_path = tiny_corpus.root / "manifest.json"
+    result = run_script(JOBS_AFTER_THREADED_WPE, manifest_path, tmp_path, timeout=300)
+    assert result.returncode == 0, result.stderr
+    n_dev = len(tiny_corpus.split_entries("dev"))
+    assert result.stdout.split() == [str(n_dev), str(n_dev)]
+
+
+def test_batch_enhance_workers_run_wpe_on_one_thread(monkeypatch):
+    monkeypatch.setattr(wpe_module, "_thread_limit", None)
+    monkeypatch.setattr(pipeline, "_worker_config", None)
+    pipeline._init_worker(None)
+    original = wpe_module._dereverberate_block
+    threads = set()
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(wpe_module, "_dereverberate_block", spy)
+    monkeypatch.setattr(wpe_module, "_cpu_count", lambda: 4)
+    _, reverberant, _ = make_reverberant_pair(0)
+    wpe_dereverberate(stft(reverberant, StftConfig()))
+    assert threads == {threading.get_ident()}
 
 
 def test_batch_enhance_parallel_mapper_matches_serial(tiny_corpus, toy_mapper, tmp_path):

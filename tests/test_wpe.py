@@ -1,10 +1,13 @@
 import dataclasses
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_reverberant_pair
+from conftest import make_reverberant_pair, run_script
 from specmap.errors import NumericError
 from specmap.metrics import log_spectral_distortion
 from specmap.stft import StftConfig, log_magnitude, stft
@@ -243,6 +246,29 @@ def test_solver_failure_falls_back_to_zero_filter(monkeypatch):
     assert np.all(result.filters[2] == 0)
 
 
+def gathered_smoothed_power(signal, half_width):
+    """The moving average by fancy-indexed sums, as _smoothed_power took it before."""
+    power = np.abs(signal) ** 2
+    if half_width == 0:
+        return power
+    n_frames = power.shape[0]
+    padded = np.zeros((n_frames + 1, power.shape[1]))
+    np.cumsum(power, axis=0, out=padded[1:])
+    lo = np.maximum(np.arange(n_frames) - half_width, 0)
+    hi = np.minimum(np.arange(n_frames) + half_width + 1, n_frames)
+    return (padded[hi] - padded[lo]) / (hi - lo)[:, None]
+
+
+@pytest.mark.parametrize("half_width", [0, 1, 2, 6, 59, 100])
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 7, 60])
+def test_smoothed_power_matches_the_gathered_average_bitwise(n_frames, half_width):
+    rng = np.random.default_rng(100 * n_frames + half_width)
+    data = rng.normal(size=(n_frames, 9)) + 1j * rng.normal(size=(n_frames, 9))
+    for signal in (data, data[:, 2:7], np.asfortranarray(data)):
+        expected = gathered_smoothed_power(signal, half_width)
+        assert np.array_equal(_smoothed_power(signal, half_width), expected)
+
+
 def per_bin_reference(data, config):
     """WPE with one np.linalg.solve per bin and iteration, the loop the batched solve replaced.
 
@@ -424,22 +450,30 @@ def test_bin_blocks_cover_every_bin_in_equal_blocks_of_two_or_more(monkeypatch, 
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
     assert max(widths) - min(widths) <= 1
     assert min(widths) >= min(2, n_bins)
+    # Every block's scratch fits the budget, unless the two-bin minimum binds.
+    assert max(widths) * 42 * 286 * 8 <= budget or len(blocks) == max(1, n_bins // 2)
     if budget == 1:
         assert len(blocks) == max(1, n_bins // 2)
     if budget == 2**62:
         assert len(blocks) == 1
 
 
+def assert_same_result(result, expected):
+    for field in dataclasses.fields(WpeResult):
+        assert np.array_equal(getattr(result, field.name), getattr(expected, field.name))
+
+
 def assert_split_does_not_matter(monkeypatch, data, config):
-    """Every WpeResult field under the default split, one block and blocks of two bins."""
+    """Every WpeResult field under the default split, one block and blocks of
+    two bins, each on 1, 2 and 3 threads."""
     import specmap.wpe as wpe_module
 
     default = wpe_module.wpe_dereverberate(data, config)
-    for budget in (2**62, 1):
+    for budget in (wpe_module._BLOCK_BYTES, 2**62, 1):
         monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
-        result = wpe_module.wpe_dereverberate(data, config)
-        for field in dataclasses.fields(WpeResult):
-            assert np.array_equal(getattr(result, field.name), getattr(default, field.name))
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(wpe_module, "_thread_limit", threads)
+            assert_same_result(wpe_module.wpe_dereverberate(data, config), default)
     monkeypatch.undo()
     return default
 
@@ -456,9 +490,7 @@ def test_output_does_not_depend_on_the_bin_blocks(monkeypatch):
         data = rng.normal(size=(90, n_bins)) + 1j * rng.normal(size=(90, n_bins))
         for config in (WpeConfig(), small):
             result = assert_split_does_not_matter(monkeypatch, data, config)
-        fortran = wpe_dereverberate(np.asfortranarray(data), small)
-        for field in dataclasses.fields(WpeResult):
-            assert np.array_equal(getattr(fortran, field.name), getattr(result, field.name))
+        assert_same_result(wpe_dereverberate(np.asfortranarray(data), small), result)
     short = rng.normal(size=(13, 6)) + 1j * rng.normal(size=(13, 6))
     assert assert_split_does_not_matter(monkeypatch, short, WpeConfig()).objective.shape == (0, 6)
 
@@ -472,39 +504,142 @@ def test_singular_and_failing_bins_do_not_depend_on_the_bin_blocks(monkeypatch):
     result = assert_split_does_not_matter(monkeypatch, zero_bin, WpeConfig(delta=0.0))
     assert result.fallback_bins == () and np.all(result.filters[5] == 0)
 
-    original = wpe_module._lapack_solve
-
-    def flaky(matrices, rhs):
-        # NaN for bin 2 of the one iteration, whichever block holds it.
-        coefficients = original(matrices, rhs)
-        row = 2 - flaky.seen
-        if 0 <= row < len(coefficients):
-            coefficients[row] = np.nan
-        flaky.seen += len(coefficients)
-        return coefficients
-
     rng = np.random.default_rng(8)
     data = rng.normal(size=(50, 6)) + 1j * rng.normal(size=(50, 6))
     config = WpeConfig(taps=3, delay=2, iterations=1)
+    # Bin 2's rhs in the one iteration, whose variance comes from the observation.
+    lam = np.maximum(_smoothed_power(data, config.variance_context), config.variance_floor)[4:]
+    _, bin_rhs = _normal_equations(_tap_stack(data, 3, 2), 1.0 / lam.T, np.empty((1, 6, 46)))
+    original = wpe_module._lapack_solve
+
+    def flaky(matrices, rhs):
+        # NaN for bin 2's system, whichever block and thread solve it.
+        coefficients = original(matrices, rhs)
+        coefficients[(rhs == bin_rhs[2]).all(axis=1)] = np.nan
+        return coefficients
+
     results = []
     for budget in (6 * 2**20, 2**62, 1):
-        flaky.seen = 0
-        monkeypatch.setattr(wpe_module, "_lapack_solve", flaky)
-        monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
-        results.append(wpe_module.wpe_dereverberate(data, config))
-        monkeypatch.undo()
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(wpe_module, "_lapack_solve", flaky)
+            monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(wpe_module, "_thread_limit", threads)
+            results.append(wpe_module.wpe_dereverberate(data, config))
+            monkeypatch.undo()
     for result in results:
         assert result.fallback_bins == (2,)
         assert np.all(result.filters[2] == 0)
-        for field in dataclasses.fields(WpeResult):
-            assert np.array_equal(getattr(result, field.name), getattr(results[0], field.name))
+        assert_same_result(result, results[0])
 
 
-def test_peak_memory_stays_within_a_few_inputs():
+def test_a_helper_threads_exception_reaches_the_caller(monkeypatch):
+    import specmap.wpe as wpe_module
+
+    _, reverberant, _ = make_reverberant_pair(0)
+    data = stft(reverberant, StftConfig()).data
+    assert len(_bin_blocks(data.shape[1], 10, data.shape[0] - 12)) > 1
+    monkeypatch.setattr(wpe_module, "_thread_limit", 1)
+    serial = wpe_module.wpe_dereverberate(data)
+    monkeypatch.setattr(wpe_module, "_thread_limit", 2)
+
+    class HelperError(Exception):
+        pass
+
+    caller = threading.get_ident()
+    helper_failed = threading.Event()
+    original = wpe_module._lapack_solve
+
+    def failing(matrices, rhs):
+        if threading.get_ident() != caller:
+            helper_failed.set()
+            raise HelperError("a helper's block failed")
+        # Hold the calling thread's block until a helper has failed on another.
+        assert helper_failed.wait(timeout=60)
+        return original(matrices, rhs)
+
+    monkeypatch.setattr(wpe_module, "_lapack_solve", failing)
+    with pytest.raises(HelperError):
+        wpe_module.wpe_dereverberate(data)
+    monkeypatch.setattr(wpe_module, "_lapack_solve", original)
+    assert_same_result(wpe_module.wpe_dereverberate(data), serial)
+
+
+def test_every_block_runs_once_on_more_threads_than_cpus(monkeypatch):
+    import specmap.wpe as wpe_module
+
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=(60, 257)) + 1j * rng.normal(size=(60, 257))
+    expected = wpe_module.wpe_dereverberate(data)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", 1)  # 128 blocks of two or three bins
+    monkeypatch.setattr(wpe_module, "_thread_limit", wpe_module._cpu_count() + 2)
+    blocks = _bin_blocks(257, 10, 48)
+    original = wpe_module._dereverberate_block
+    starts = []
+
+    def spy(data, config, bins, widest, result):
+        starts.append(bins.start)
+        return original(data, config, bins, widest, result)
+
+    monkeypatch.setattr(wpe_module, "_dereverberate_block", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            starts.clear()
+            result = wpe_module.wpe_dereverberate(data)
+            assert sorted(starts) == [bins.start for bins in blocks]
+            assert_same_result(result, expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+FORK_AFTER_THREADED_WPE = """
+import os, sys
+import numpy as np
+from specmap import wpe
+
+wpe._thread_limit = 2  # a helper thread even on one CPU
+rng = np.random.default_rng(0)
+data = rng.normal(size=(300, 257)) + 1j * rng.normal(size=(300, 257))
+expected = wpe.wpe_dereverberate(data).enhanced
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if np.array_equal(wpe.wpe_dereverberate(data).enhanced, expected) else 3)
+_, status = os.waitpid(pid, 0)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_threaded_wpe():
+    # The child inherits no helper threads; handing blocks to the parent's
+    # would wait forever.
+    result = run_script(FORK_AFTER_THREADED_WPE, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def scratch_per_thread(wpe_module, drop=False):
+    """Bytes of scratch the calling thread and each helper thread keep; drop frees it."""
+    def kept():
+        buffer = getattr(wpe_module._scratch, "buffer", None)
+        if drop:
+            wpe_module._scratch.buffer = None
+        return 0 if buffer is None else buffer.nbytes
+
+    return [kept()] + [helper.submit(kept).result(timeout=60) for helper in wpe_module._helpers]
+
+
+def test_peak_memory_stays_within_a_few_inputs(monkeypatch):
     # Whole-utterance buffers peaked at 25x the input (102 MB here); blocks
-    # of bins keep the working set to a few MB whatever the utterance length.
+    # of bins keep the working set to a few MB per thread whatever the
+    # utterance length. Scratch kept from earlier calls would escape
+    # tracemalloc, so every thread starts without any.
+    import specmap.wpe as wpe_module
+
+    monkeypatch.setattr(wpe_module, "_thread_limit", 2)  # a helper even on one CPU
     rng = np.random.default_rng(10)
     data = rng.normal(size=(1000, 257)) + 1j * rng.normal(size=(1000, 257))
+    scratch_per_thread(wpe_module, drop=True)
     tracemalloc.start()
     try:
         wpe_dereverberate(data)
@@ -512,3 +647,15 @@ def test_peak_memory_stays_within_a_few_inputs():
     finally:
         tracemalloc.stop()
     assert peak < 8 * data.nbytes
+    kept = scratch_per_thread(wpe_module)
+    assert kept[0] > 0 and max(kept) <= wpe_module._BLOCK_BYTES
+    # The next call reuses the calling thread's scratch.
+    buffer = wpe_module._scratch.buffer
+    wpe_dereverberate(data)
+    assert wpe_module._scratch.buffer is buffer
+    # Blocks that the two-bin minimum makes wider than the budget get scratch
+    # for the call only.
+    scratch_per_thread(wpe_module, drop=True)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", 1)
+    wpe_dereverberate(data[:100])
+    assert not any(scratch_per_thread(wpe_module))
