@@ -43,7 +43,6 @@ TRAIN_DEFAULTS = {
 ENHANCE_DEFAULTS = {
     "mode": "baseline",
     "split": "test",
-    "jobs": 1,
     "save_waveforms": True,
     **WPE_DEFAULTS,
 }
@@ -69,7 +68,7 @@ def _add_common(parser, seed=False):
 def _resolve(defaults, args):
     """The merged config, with the flags that name a config key applied last."""
     config = resolve_config(defaults, args.config, args.overrides)
-    for key in ("seed", "recipe", "mode", "jobs"):
+    for key in ("seed", "recipe", "mode"):
         if getattr(args, key, None) is not None:
             config[key] = getattr(args, key)
     return config
@@ -163,7 +162,6 @@ def cmd_enhance(args) -> int:
         pipeline_config,
         out_dir,
         split=config["split"],
-        jobs=config["jobs"],
         save_waveforms=config["save_waveforms"],
     )
     write_resolved(config, out_dir)
@@ -227,7 +225,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--checkpoint", help="model checkpoint for the dnn modes")
-    p.add_argument("--jobs", type=int, help="utterance-level parallelism (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_enhance)
 

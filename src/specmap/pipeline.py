@@ -4,19 +4,23 @@ Four modes over one utterance: baseline (plain log-mel), wpe_only
 (dereverberate, resynthesize, re-analyze), dnn_only (map log-magnitude
 context windows to mel features), and wpe_dnn (dereverberate, then map).
 wpe_dnn maps the dereverberated spectrogram, as matched training does.
+
+batch_enhance runs a split's utterances on the threads of specmap._pool,
+one utterance per thread at a time, and each utterance's WPE on that
+utterance's thread, so the outputs do not depend on the number of CPUs.
 """
 
 import dataclasses
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import _pool
 from .audio import Waveform, load_wav, save_wav
 from .errors import ConfigError, ShapeError, SpecmapError
 from .featio import write_features
@@ -24,7 +28,6 @@ from .mel import MelConfig, log_mel, mel_matrix
 from .mlp import MlpModel, map_features
 from .runconfig import config_hash
 from .stft import StftConfig, istft, log_magnitude, stft
-from . import wpe as wpe_module
 from .validation import check_choice
 from .wpe import WpeConfig, wpe_dereverberate
 
@@ -76,17 +79,6 @@ class PipelineConfig:
             self._model_id = _identify_model(self._mapper)
         return self._mapper
 
-    def __getstate__(self) -> dict:
-        """Pickled state, as sent to batch workers, with the float32 mapper as the model.
-
-        Workers map only through the float32 copy, so the float64 model is
-        left out. as_float32() of the copy is the copy itself, so an
-        unpickled config maps and hashes as this one does.
-        """
-        state = self.__dict__.copy()
-        state["model"] = self.mapper
-        return state
-
     def describe(self) -> dict:
         """Every field, the nested configs as dicts and the model as its cached identity."""
         described = {}
@@ -137,41 +129,18 @@ def enhance_utterance(waveform: Waveform, config: PipelineConfig) -> EnhancedUtt
     if config.mode == "dnn_only":
         return EnhancedUtterance(_mapped_mel(config, spectrogram), None)
 
-    result = wpe_dereverberate(spectrogram, config.wpe)
-    enhanced_wave = istft(result.enhanced)
+    # Each array is dropped once no later step reads it, which keeps the peak
+    # low while several utterances of a batch are in flight.
+    enhanced = wpe_dereverberate(spectrogram, config.wpe).enhanced
+    del spectrogram
+    enhanced_wave = istft(enhanced)
     if config.mode == "wpe_only":
+        del enhanced
         respec = stft(enhanced_wave, config.stft)
         feats = log_mel(respec, config.filterbank, config.magnitude_floor, config.mel.mode)
         return EnhancedUtterance(feats, enhanced_wave)
 
-    return EnhancedUtterance(_mapped_mel(config, result.enhanced), enhanced_wave)
-
-
-def _enhance_entry(noisy_path, config: PipelineConfig):
-    """(outcome, seconds) for one utterance; a failure is returned, not raised."""
-    started = time.perf_counter()
-    try:
-        outcome = enhance_utterance(load_wav(noisy_path), config)
-    except (SpecmapError, OSError) as exc:
-        outcome = exc
-    return outcome, time.perf_counter() - started
-
-
-# Set once per worker process by the pool initializer, so that a task carries
-# only its WAV path and the config, model weights included, is sent once.
-_worker_config: Optional[PipelineConfig] = None
-
-
-def _init_worker(config: PipelineConfig) -> None:
-    global _worker_config
-    _worker_config = config
-    # The worker processes already share the CPUs: WPE runs every block of
-    # bins on the calling thread, so that --jobs never nests threads.
-    wpe_module._thread_limit = 1
-
-
-def _worker_entry(noisy_path):
-    return _enhance_entry(noisy_path, _worker_config)
+    return EnhancedUtterance(_mapped_mel(config, enhanced), enhanced_wave)
 
 
 @dataclass
@@ -187,60 +156,56 @@ def batch_enhance(
     config: PipelineConfig,
     out_dir,
     split: str = "test",
-    jobs: int = 1,
     save_waveforms: bool = True,
 ) -> BatchResult:
     """Enhance every utterance of a split, one feature file per utterance.
 
-    Failures are recorded per utterance and do not stop the batch. The run
-    log is one JSON object per line, in manifest order.
+    The utterances run on the calling thread and one helper thread per
+    further CPU the process may run on, each thread loading, enhancing and
+    writing the next unclaimed utterance. Failures to load or enhance are
+    recorded per utterance and do not stop the batch; any other error, such
+    as a failed write, stops every thread from starting another utterance
+    and is raised. The run log is one JSON object per line, in manifest
+    order.
     """
     out_root = Path(out_dir)
     (out_root / "features").mkdir(parents=True, exist_ok=True)
     if save_waveforms:
         (out_root / "waveforms").mkdir(parents=True, exist_ok=True)
     entries = manifest.split_entries(split)
+    # describe() builds config.mapper, before the threads that share it start.
     digest = config_hash(config.describe())
 
-    features: dict = {}
-    waveforms: dict = {}
-    failures: dict = {}
-    records = []
-
-    def handle(entry, outcome, seconds):
-        record = {"id": entry.id, "config_hash": digest, "seconds": round(seconds, 4)}
+    def enhance_entry(index: int) -> dict:
+        """Load, enhance and write one utterance; its run-log record."""
+        entry = entries[index]
+        noisy_path = manifest.resolve(entry.noisy_wav)
+        record = {"id": entry.id, "config_hash": digest}
+        started = time.perf_counter()
+        try:
+            outcome = enhance_utterance(load_wav(noisy_path), config)
+        except (SpecmapError, OSError) as exc:
+            outcome = exc
+        record["seconds"] = round(time.perf_counter() - started, 4)
         if isinstance(outcome, Exception):
-            failures[entry.id] = str(outcome)
-            record["status"] = "failed"
-            record["error"] = str(outcome)
-            records.append(record)
-            return
-        feature_rel = f"features/{entry.id}.sfmf"
-        write_features(out_root / feature_rel, outcome.features)
-        features[entry.id] = feature_rel
+            record.update(status="failed", error=str(outcome))
+            return record
         record["status"] = "ok"
-        record["features"] = feature_rel
+        record["features"] = f"features/{entry.id}.sfmf"
+        write_features(out_root / record["features"], outcome.features)
         if save_waveforms and outcome.enhanced_waveform is not None:
-            wave_rel = f"waveforms/{entry.id}.wav"
-            save_wav(outcome.enhanced_waveform, out_root / wave_rel, encoding="float32")
-            waveforms[entry.id] = wave_rel
-            record["waveform"] = wave_rel
-        records.append(record)
+            record["waveform"] = f"waveforms/{entry.id}.wav"
+            save_wav(outcome.enhanced_waveform, out_root / record["waveform"], encoding="float32")
+        return record
 
-    paths = [manifest.resolve(e.noisy_wav) for e in entries]
-    if jobs <= 1:
-        for entry, path in zip(entries, paths):
-            handle(entry, *_enhance_entry(path, config))
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(config,)
-        ) as pool:
-            results = list(pool.map(_worker_entry, paths))
-        for entry, (outcome, seconds) in zip(entries, results):
-            handle(entry, outcome, seconds)
-
+    records = _pool.run_items(enhance_entry, len(entries))
     log_path = out_root / "run_log.jsonl"
     with open(log_path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return BatchResult(features, waveforms, failures, log_path)
+    return BatchResult(
+        features={r["id"]: r["features"] for r in records if "features" in r},
+        waveforms={r["id"]: r["waveform"] for r in records if "waveform" in r},
+        failures={r["id"]: r["error"] for r in records if r["status"] == "failed"},
+        log_path=log_path,
+    )

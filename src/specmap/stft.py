@@ -89,7 +89,7 @@ def stft(waveform: Waveform, config: StftConfig = StftConfig()) -> Spectrogram:
         return Spectrogram(data, config, waveform.sample_rate)
     frames = np.lib.stride_tricks.sliding_window_view(x, config.frame_len)[:: config.hop]
     data = np.fft.rfft(frames * config.window_values(), n=config.fft_size, axis=1)
-    return Spectrogram(data.astype(np.complex128), config, waveform.sample_rate)
+    return Spectrogram(data.astype(np.complex128, copy=False), config, waveform.sample_rate)
 
 
 def _overlap_coverage(window: np.ndarray, hop: int) -> np.ndarray:
@@ -132,8 +132,8 @@ def istft(spectrogram: Spectrogram) -> Waveform:
     # Hop-sized blocks of the output: chunk j of frame t lands in block t + j.
     numerator = np.zeros((n_frames - 1 + n_chunks, hop))
     denominator = np.zeros_like(numerator)
-    segments = np.fft.irfft(spectrogram.data, n=config.fft_size, axis=1)[:, :frame_len]
-    weighted = segments * window
+    weighted = np.fft.irfft(spectrogram.data, n=config.fft_size, axis=1)[:, :frame_len]
+    weighted *= window
     squared = window ** 2
     # Last chunk first, so that every sample sums its frames in increasing t.
     for j in reversed(range(n_chunks)):

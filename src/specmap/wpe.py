@@ -12,25 +12,23 @@ its prediction one small batched real GEMM.
 
 Because the bins are independent, they run in contiguous blocks, each
 through all its iterations, sized so that a block's stack stays in cache.
-The blocks of one call are shared by the calling thread and up to one
-helper thread per further CPU the process may run on: each thread takes
-the next unclaimed block until none is left. Every bin's arithmetic is the
-same under any split and on any thread, so the output depends on neither,
-bit for bit. Each thread keeps its scratch buffer for later calls, so a
-call holds at most threads x _BLOCK_BYTES of scratch. The helper threads
-start on the first call that needs them and live as long as the process;
-a forked child starts its own.
+The blocks of one call are shared by the threads of specmap._pool: the
+calling thread and up to one helper thread per further CPU the process may
+run on, or, inside a batch of utterances, the utterance's own thread
+alone. Every bin's arithmetic is the same under any split and on any
+thread, so the output depends on neither, bit for bit. Each thread keeps
+its scratch buffer for later calls, so a call holds at most
+threads x _BLOCK_BYTES of scratch.
 """
 
 import logging
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
+from . import _pool
 from .errors import ConfigError, NumericError
 from .stft import Spectrogram
 from .validation import as_complex_matrix, check_positive
@@ -368,66 +366,6 @@ def _dereverberate_block(
     return sorted(fallback)
 
 
-# Threads that share one call's blocks; None means one per CPU the process
-# may run on. batch_enhance's worker processes set 1.
-_thread_limit: Optional[int] = None
-_helpers: list[ThreadPoolExecutor] = []  # one thread each, started as calls need them
-_helpers_lock = threading.Lock()
-
-
-def _forget_helpers() -> None:
-    # A forked child has none of its parent's threads: a task handed to an
-    # inherited executor would never run.
-    global _helpers, _helpers_lock
-    _helpers, _helpers_lock = [], threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_blocks(run_block: Callable[[int], object], n_blocks: int) -> list:
-    """[run_block(i) for i in range(n_blocks)], shared by this thread and helpers.
-
-    min(_thread_limit or the CPU count, n_blocks) - 1 helper threads join
-    the calling thread, and each thread runs the next unclaimed block until
-    none is left. A thread whose block raises stops; once every thread has
-    stopped, that exception is raised, the calling thread's before any
-    helper's.
-    """
-    limit = _cpu_count() if _thread_limit is None else _thread_limit
-    n_helpers = min(limit, n_blocks) - 1
-    unclaimed = iter(range(n_blocks))
-    claim = threading.Lock()
-    results: list = [None] * n_blocks
-
-    def drain():
-        while True:
-            with claim:
-                index = next(unclaimed, None)
-            if index is None:
-                return
-            results[index] = run_block(index)
-
-    with _helpers_lock:
-        while len(_helpers) < n_helpers:
-            _helpers.append(ThreadPoolExecutor(1, thread_name_prefix="specmap-wpe"))
-        futures = [helper.submit(drain) for helper in _helpers[:n_helpers]]
-    try:
-        drain()
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
-    return results
-
-
 def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult:
     """Dereverberate a (frames x bins) complex spectrogram.
 
@@ -436,14 +374,13 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
     min(CPUs, blocks) - 1 helper threads share the blocks, CPUs being those
     the process may run on (os.sched_getaffinity); each thread takes the
     next unclaimed block until none is left, and the results are merged on
-    the calling thread in block order. Every bin's arithmetic is the same
-    whatever the split and the thread, so the result depends on neither.
-    Each thread keeps its scratch buffer, at most _BLOCK_BYTES, for later
-    calls, so a call holds at most threads x _BLOCK_BYTES of scratch beside
-    its inputs and outputs (more only where a block cannot be narrower than
-    two bins). The helper threads start on the first call that needs them
-    and live as long as the process; a forked child starts its own, and
-    batch_enhance's worker processes run every block on the calling thread.
+    the calling thread in block order. Called on one of batch_enhance's
+    utterance threads, it runs every block on that thread. Every bin's
+    arithmetic is the same whatever the split and the thread, so the
+    result depends on neither. Each thread keeps its scratch buffer, at
+    most _BLOCK_BYTES, for later calls, so a call holds at most
+    threads x _BLOCK_BYTES of scratch beside its inputs and outputs (more
+    only where a block cannot be narrower than two bins).
 
     Each block is first laid out as one real (bins, 2*taps + 2, frames)
     stack: the real parts of the taps, their imaginary parts, and the real
@@ -488,7 +425,7 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
     )
     blocks = _bin_blocks(n_bins, taps, n_frames - (delay + taps - 1))
     widest = max(bins.stop - bins.start for bins in blocks)
-    block_fallback = _run_blocks(
+    block_fallback = _pool.run_items(
         lambda i: _dereverberate_block(data, config, blocks[i], widest, result), len(blocks)
     )
     result.fallback_bins = tuple(

@@ -108,15 +108,15 @@ def test_flags_override_the_config_keys_they_name(cli_corpus, tmp_path):
     enhance_dir = tmp_path / "enhanced"
     assert main([
         "enhance", "--manifest", manifest, "--out", str(enhance_dir),
-        "--mode", "baseline", "--jobs", "2", "--set", "mode=wpe_only", "--set", "jobs=1",
+        "--mode", "baseline", "--set", "mode=wpe_only", "--set", "save_waveforms=false",
     ]) == 0
     resolved = (enhance_dir / "config.resolved").read_text().splitlines()
-    assert "mode=baseline" in resolved and "jobs=2" in resolved
+    assert "mode=baseline" in resolved and "save_waveforms=false" in resolved
 
 
 @pytest.mark.parametrize("command, flag", [
     ("report", "--config"), ("report", "--seed"), ("report", "--set"),
-    ("enhance", "--seed"), ("evaluate", "--seed"),
+    ("enhance", "--seed"), ("enhance", "--jobs"), ("evaluate", "--seed"),
 ])
 def test_commands_reject_options_they_do_not_read(tmp_path, capsys, command, flag):
     required = {
@@ -143,7 +143,20 @@ def test_config_resolved_holds_exactly_the_derived_keys(cli_corpus, tmp_path):
     }
     assert _resolved_keys(cli_corpus) == {f.name for f in dataclasses.fields(CorpusConfig)}
     assert _resolved_keys(train_dir) == mapper_keys | {"input_processing"} | wpe_keys
-    assert _resolved_keys(enhance_dir) == {"mode", "split", "jobs", "save_waveforms"} | wpe_keys
+    assert _resolved_keys(enhance_dir) == {"mode", "split", "save_waveforms"} | wpe_keys
+
+
+def test_enhance_rejects_a_config_resolved_that_sets_jobs(cli_corpus, tmp_path, capsys):
+    # --jobs and its key are gone: a config.resolved written before then is refused.
+    manifest = str(cli_corpus / "manifest.json")
+    first = tmp_path / "first"
+    assert main(["enhance", "--manifest", manifest, "--out", str(first)]) == 0
+    old = tmp_path / "old.resolved"
+    old.write_text((first / "config.resolved").read_text() + "jobs=1\n")
+    code = main(["enhance", "--manifest", manifest, "--out", str(tmp_path / "x"), "--config", str(old)])
+    assert code == 1
+    assert "unknown configuration key 'jobs'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_enhance_rejects_a_checkpoint_of_another_sample_rate(cli_corpus, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import json
-import pickle
+import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from specmap.audio import load_wav
 from specmap.corpus import CorpusConfig, build_corpus
 from specmap.errors import ConfigError, ShapeError
 from specmap.estimators import SpectralFeatureMapper, training_features
-from specmap import pipeline, wpe as wpe_module
+from specmap import _pool, pipeline, wpe as wpe_module
 from specmap.featio import load_model, read_features, save_model
 from specmap.features import (
     assemble_context,
@@ -195,19 +197,35 @@ def test_batch_enhance_rerun_byte_identical(tiny_corpus, tmp_path):
         assert a == b
 
 
-def test_batch_enhance_parallel_matches_serial(tiny_corpus, tmp_path):
+def _batch_runs(manifest, config, out_root, monkeypatch, split="dev", **kwargs):
+    """batch_enhance on one thread and on two (a helper even on one CPU), by thread count."""
+    runs = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(_pool, "_thread_limit", threads)
+        runs[threads] = batch_enhance(manifest, config, out_root / f"threads{threads}", split=split, **kwargs)
+    return runs
+
+
+def _log_without_seconds(result):
+    records = [json.loads(line) for line in result.log_path.read_text().splitlines()]
+    return [{k: v for k, v in record.items() if k != "seconds"} for record in records]
+
+
+def test_batch_enhance_parallel_matches_serial(tiny_corpus, toy_mapper, tmp_path, monkeypatch):
     manifest = tiny_corpus
-    config = _pipeline_config(manifest, "baseline")
-    serial = batch_enhance(manifest, config, tmp_path / "serial", split="dev", jobs=1)
-    parallel = batch_enhance(manifest, config, tmp_path / "parallel", split="dev", jobs=2)
-    assert set(serial.features) == set(parallel.features)
-    for utterance in serial.features:
-        a = (tmp_path / "serial" / serial.features[utterance]).read_bytes()
-        b = (tmp_path / "parallel" / parallel.features[utterance]).read_bytes()
-        assert a == b
+    for mode in pipeline.MODES:
+        config = _pipeline_config(manifest, mode, model=toy_mapper.model_)
+        runs = _batch_runs(manifest, config, tmp_path / mode, monkeypatch)
+        assert runs[1].features == runs[2].features and runs[1].waveforms == runs[2].waveforms
+        assert len(runs[1].features) == len(manifest.split_entries("dev")) and not runs[2].failures
+        assert bool(runs[1].waveforms) == mode.startswith("wpe")
+        assert _log_without_seconds(runs[1]) == _log_without_seconds(runs[2])
+        for rel in [*runs[1].features.values(), *runs[1].waveforms.values()]:
+            one, two = (tmp_path / mode / f"threads{n}" / rel for n in (1, 2))
+            assert one.read_bytes() == two.read_bytes(), (mode, rel)
 
 
-def test_batch_enhance_parallel_logs_per_utterance_seconds(tiny_corpus, tmp_path):
+def test_batch_enhance_parallel_logs_per_utterance_seconds(tiny_corpus, tmp_path, monkeypatch):
     manifest = tiny_corpus
     entries = manifest.split_entries("test")
     broken = manifest.resolve(entries[0].noisy_wav)
@@ -215,32 +233,61 @@ def test_batch_enhance_parallel_logs_per_utterance_seconds(tiny_corpus, tmp_path
     config = _pipeline_config(manifest, "wpe_only")
     try:
         broken.write_bytes(b"RIFFgarbage")
-        runs = {jobs: batch_enhance(manifest, config, tmp_path / f"jobs{jobs}", split="test",
-                                    jobs=jobs, save_waveforms=False)
-                for jobs in (1, 2)}
+        runs = _batch_runs(manifest, config, tmp_path, monkeypatch, split="test", save_waveforms=False)
     finally:
         broken.write_bytes(original)
-    for jobs, result in runs.items():
+    for result in runs.values():
         records = [json.loads(l) for l in result.log_path.read_text().splitlines()]
         assert [r["id"] for r in records] == [e.id for e in entries]
         ok_seconds = [r["seconds"] for r in records[1:]]
         assert all(r["status"] == "ok" for r in records[1:]) and min(ok_seconds) > 0
         # A file that fails to parse costs far less than enhancing one.
         assert records[0]["status"] == "failed" and records[0]["seconds"] < min(ok_seconds)
+        assert list(result.failures) == [entries[0].id] and entries[0].id not in result.features
     assert runs[1].features == runs[2].features
+    assert _log_without_seconds(runs[1]) == _log_without_seconds(runs[2])
     for rel in runs[1].features.values():
-        assert (tmp_path / "jobs1" / rel).read_bytes() == (tmp_path / "jobs2" / rel).read_bytes()
+        assert (tmp_path / "threads1" / rel).read_bytes() == (tmp_path / "threads2" / rel).read_bytes()
 
 
-JOBS_AFTER_THREADED_WPE = """
-import sys
+def test_batch_enhance_stops_handing_out_utterances_after_a_write_fails(tiny_corpus, tmp_path, monkeypatch):
+    # The first two utterances start together, one on each thread; the first
+    # write fails while the other is still under way, and no thread starts
+    # a third utterance.
+    manifest = tiny_corpus
+    config = _pipeline_config(manifest, "baseline")
+    monkeypatch.setattr(_pool, "_thread_limit", 2)
+    first_two = threading.Barrier(2, timeout=60)
+    started, writes = itertools.count(), itertools.count()
+    original_enhance, original_write = pipeline.enhance_utterance, pipeline.write_features
+
+    def meeting(waveform, config):
+        if next(started) < 2:
+            first_two.wait()
+        return original_enhance(waveform, config)
+
+    def disk_full_once(path, features):
+        if next(writes) == 0:
+            raise OSError(28, "No space left on device")
+        time.sleep(0.5)  # the failed write is recorded meanwhile
+        return original_write(path, features)
+
+    monkeypatch.setattr(pipeline, "enhance_utterance", meeting)
+    monkeypatch.setattr(pipeline, "write_features", disk_full_once)
+    with pytest.raises(OSError, match="No space left"):
+        batch_enhance(manifest, config, tmp_path, split="test")
+    assert next(started) == 2 < len(manifest.split_entries("test"))
+
+
+BATCH_AFTER_THREADED_WPE = """
+import os, sys
 from pathlib import Path
 import numpy as np
-from specmap import wpe
+from specmap import _pool, wpe
 from specmap.corpus import CorpusManifest
 from specmap.pipeline import PipelineConfig, batch_enhance
 
-wpe._thread_limit = 2  # a helper thread even on one CPU
+_pool._thread_limit = 2  # a helper thread even on one CPU
 rng = np.random.default_rng(0)
 wpe.wpe_dereverberate(rng.normal(size=(300, 257)) + 0j)
 manifest = CorpusManifest.load(sys.argv[1])
@@ -249,103 +296,112 @@ config = PipelineConfig(
     magnitude_floor=manifest.feature_config["magnitude_floor"],
 )
 out = Path(sys.argv[2])
-runs = {jobs: batch_enhance(manifest, config, out / f"jobs{jobs}", split="dev", jobs=jobs)
-        for jobs in (2, 1)}
-assert runs[1].features == runs[2].features and runs[1].waveforms == runs[2].waveforms
-for rel in [*runs[1].features.values(), *runs[1].waveforms.values()]:
-    assert (out / "jobs1" / rel).read_bytes() == (out / "jobs2" / rel).read_bytes(), rel
-print(len(runs[1].features), len(runs[1].waveforms))
+pid = os.fork()
+if pid == 0:
+    code = 4
+    try:
+        runs = {}
+        for threads in (2, 1):
+            _pool._thread_limit = threads
+            runs[threads] = batch_enhance(manifest, config, out / f"threads{threads}", split="dev")
+        same = runs[1].features == runs[2].features and runs[1].waveforms == runs[2].waveforms
+        for rel in [*runs[1].features.values(), *runs[1].waveforms.values()]:
+            same = same and (out / "threads1" / rel).read_bytes() == (out / "threads2" / rel).read_bytes()
+        code = 0 if same and runs[1].features and runs[1].waveforms else 3
+    finally:
+        os._exit(code)
+_, status = os.waitpid(pid, 0)
+sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_parallel_wpe_after_threaded_wpe_matches_serial(tiny_corpus, tmp_path):
-    # Worker processes forked from a parent whose WPE already started helper
-    # threads must finish, and write the bytes of --jobs 1.
+    # A batch in a child forked from a parent whose WPE already started helper
+    # threads must finish, and write the bytes of a one-thread batch.
     manifest_path = tiny_corpus.root / "manifest.json"
-    result = run_script(JOBS_AFTER_THREADED_WPE, manifest_path, tmp_path, timeout=300)
+    result = run_script(BATCH_AFTER_THREADED_WPE, manifest_path, tmp_path, timeout=300)
     assert result.returncode == 0, result.stderr
     n_dev = len(tiny_corpus.split_entries("dev"))
-    assert result.stdout.split() == [str(n_dev), str(n_dev)]
+    for threads in (1, 2):
+        assert len(list((tmp_path / f"threads{threads}" / "features").iterdir())) == n_dev
 
 
-def test_batch_enhance_workers_run_wpe_on_one_thread(monkeypatch):
-    monkeypatch.setattr(wpe_module, "_thread_limit", None)
-    monkeypatch.setattr(pipeline, "_worker_config", None)
-    pipeline._init_worker(None)
+def test_batch_enhance_workers_run_wpe_on_one_thread(tiny_corpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(_pool, "_thread_limit", None)
+    monkeypatch.setattr(_pool, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", 1)  # many blocks per utterance
     original = wpe_module._dereverberate_block
-    threads = set()
+    threads_per_call = {}
 
-    def spy(*args):
-        threads.add(threading.get_ident())
-        return original(*args)
+    def spy(data, config, bins, widest, result):
+        threads_per_call.setdefault(id(result), set()).add(threading.get_ident())
+        return original(data, config, bins, widest, result)
 
     monkeypatch.setattr(wpe_module, "_dereverberate_block", spy)
-    monkeypatch.setattr(wpe_module, "_cpu_count", lambda: 4)
+    config = _pipeline_config(tiny_corpus, "wpe_only")
+    result = batch_enhance(tiny_corpus, config, tmp_path, split="dev", save_waveforms=False)
+    assert len(result.features) == len(tiny_corpus.split_entries("dev"))
+    assert all(len(threads) == 1 for threads in threads_per_call.values())
+    # After the batch, a call shares its blocks between threads again: its
+    # first two blocks meet, each on its own thread.
+    threads_per_call.clear()
+    first_two = threading.Barrier(2, timeout=60)
+    blocks_started = itertools.count()
+
+    def meeting(*args):
+        if next(blocks_started) < 2:
+            first_two.wait()
+        return spy(*args)
+
+    monkeypatch.setattr(wpe_module, "_dereverberate_block", meeting)
     _, reverberant, _ = make_reverberant_pair(0)
     wpe_dereverberate(stft(reverberant, StftConfig()))
-    assert threads == {threading.get_ident()}
+    (threads,) = threads_per_call.values()
+    assert len(threads) > 1
 
 
-def test_batch_enhance_parallel_mapper_matches_serial(tiny_corpus, toy_mapper, tmp_path):
+def test_batch_enhance_parallel_mapper_matches_serial(tiny_corpus, toy_mapper, tmp_path, monkeypatch):
+    # The float32 mapper is cast once per config, before the threads start,
+    # and every utterance maps as enhance_utterance does on its own.
     manifest = tiny_corpus
-    config = _pipeline_config(manifest, "dnn_only", model=toy_mapper.model_)
-    runs = {jobs: batch_enhance(manifest, config, tmp_path / f"jobs{jobs}", split="dev", jobs=jobs)
-            for jobs in (1, 2)}
-    assert runs[1].features == runs[2].features and not runs[2].failures
-    for rel in runs[1].features.values():
-        assert (tmp_path / "jobs1" / rel).read_bytes() == (tmp_path / "jobs2" / rel).read_bytes()
+    casts = []
+    as_float32 = type(toy_mapper.model_).as_float32
+
+    def counting(model):
+        if model is toy_mapper.model_:  # a cast, not the float32 copy returning itself
+            casts.append(threading.get_ident())
+        return as_float32(model)
+
+    monkeypatch.setattr(type(toy_mapper.model_), "as_float32", counting)
+    config = _pipeline_config(manifest, "wpe_dnn", model=toy_mapper.model_)
+    monkeypatch.setattr(_pool, "_thread_limit", 2)
+    result = batch_enhance(manifest, config, tmp_path, split="dev")
+    assert casts == [threading.get_ident()] and not result.failures
+    for entry in manifest.split_entries("dev"):
+        expected = enhance_utterance(load_wav(manifest.resolve(entry.noisy_wav)), config).features
+        written = read_features(tmp_path / result.features[entry.id])
+        assert np.array_equal(written, expected.astype(np.float32))
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: pickles what a real pool would send, runs inline."""
-
-    created = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.initializer, self.initargs, self.tasks = initializer, initargs, []
-        _InlinePool.created.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        self.initializer(*pickle.loads(pickle.dumps(self.initargs)))
-        self.tasks = [pickle.dumps(task) for task in tasks]
-        return [fn(pickle.loads(task)) for task in self.tasks]
-
-
-def test_parallel_tasks_carry_the_wav_path_not_the_model(tiny_corpus, toy_mapper, tmp_path, monkeypatch):
-    manifest = tiny_corpus
-    config = _pipeline_config(manifest, "dnn_only", model=toy_mapper.model_)
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(pipeline, "_worker_config", None)
-    _InlinePool.created.clear()
-    pooled = batch_enhance(manifest, config, tmp_path / "pooled", split="dev", jobs=2)
-    serial = batch_enhance(manifest, config, tmp_path / "serial", split="dev", jobs=1)
-    (pool,) = _InlinePool.created
-    weight_bytes = toy_mapper.model_.as_float32().weights[0].tobytes()
-    assert weight_bytes in pickle.dumps(pool.initargs)  # the mapper is sent once per worker
-    assert len(pool.tasks) == len(manifest.split_entries("dev"))
-    assert all(weight_bytes not in task and len(task) < 1000 for task in pool.tasks)
-    for rel in serial.features.values():
-        assert (tmp_path / "pooled" / rel).read_bytes() == (tmp_path / "serial" / rel).read_bytes()
-
-
-def test_pickled_config_carries_only_the_float32_mapper(tiny_corpus):
-    model = init_model([3 * 257, 256, 256, 40], "linear", seed=3)
-    config = _pipeline_config(tiny_corpus, "dnn_only", model=model)
-    digest = config_hash(config.describe())
-    both_models = len(pickle.dumps(config.__dict__))  # the state with float64 and float32 models
-    sent = pickle.dumps(config)
-    assert len(sent) <= 0.55 * both_models
-    restored = pickle.loads(sent)
-    assert restored.model is restored.mapper
-    assert all(p.dtype == np.float32 for p in restored.model.weights + restored.model.biases)
-    assert config_hash(restored.describe()) == digest
-    assert config.model is model  # pickling leaves the config itself alone
+def test_wpe_only_peak_memory_stays_within_a_few_spectrograms(monkeypatch):
+    # While two utterances of a batch are in flight, each one's arrays add to
+    # the process's peak: the noisy spectrogram is dropped once WPE is done,
+    # the WPE result once its waveform is synthesized, and stft and istft
+    # copy nothing they need not.
+    monkeypatch.setattr(_pool, "_thread_limit", 1)  # WPE's scratch, kept from the first call, stays out
+    _, reverberant, _ = make_reverberant_pair(0, seconds=3.0)
+    config = PipelineConfig(mode="wpe_only")
+    noisy_bytes = stft(reverberant, config.stft).data.nbytes
+    expected = enhance_utterance(reverberant, config)
+    tracemalloc.start()
+    try:
+        features = enhance_utterance(reverberant, config).features
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(features, expected.features)
+    assert peak <= 4 * noisy_bytes
 
 
 def test_reloaded_mapper_agrees_with_in_memory_model(tiny_corpus, toy_mapper, tmp_path):

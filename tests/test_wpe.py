@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_reverberant_pair, run_script
+from specmap import _pool
 from specmap.errors import NumericError
 from specmap.metrics import log_spectral_distortion
 from specmap.stft import StftConfig, log_magnitude, stft
@@ -472,7 +473,7 @@ def assert_split_does_not_matter(monkeypatch, data, config):
     for budget in (wpe_module._BLOCK_BYTES, 2**62, 1):
         monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
         for threads in (1, 2, 3):
-            monkeypatch.setattr(wpe_module, "_thread_limit", threads)
+            monkeypatch.setattr(_pool, "_thread_limit", threads)
             assert_same_result(wpe_module.wpe_dereverberate(data, config), default)
     monkeypatch.undo()
     return default
@@ -523,7 +524,7 @@ def test_singular_and_failing_bins_do_not_depend_on_the_bin_blocks(monkeypatch):
         for threads in (1, 2, 3):
             monkeypatch.setattr(wpe_module, "_lapack_solve", flaky)
             monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
-            monkeypatch.setattr(wpe_module, "_thread_limit", threads)
+            monkeypatch.setattr(_pool, "_thread_limit", threads)
             results.append(wpe_module.wpe_dereverberate(data, config))
             monkeypatch.undo()
     for result in results:
@@ -538,9 +539,9 @@ def test_a_helper_threads_exception_reaches_the_caller(monkeypatch):
     _, reverberant, _ = make_reverberant_pair(0)
     data = stft(reverberant, StftConfig()).data
     assert len(_bin_blocks(data.shape[1], 10, data.shape[0] - 12)) > 1
-    monkeypatch.setattr(wpe_module, "_thread_limit", 1)
+    monkeypatch.setattr(_pool, "_thread_limit", 1)
     serial = wpe_module.wpe_dereverberate(data)
-    monkeypatch.setattr(wpe_module, "_thread_limit", 2)
+    monkeypatch.setattr(_pool, "_thread_limit", 2)
 
     class HelperError(Exception):
         pass
@@ -571,7 +572,7 @@ def test_every_block_runs_once_on_more_threads_than_cpus(monkeypatch):
     data = rng.normal(size=(60, 257)) + 1j * rng.normal(size=(60, 257))
     expected = wpe_module.wpe_dereverberate(data)
     monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", 1)  # 128 blocks of two or three bins
-    monkeypatch.setattr(wpe_module, "_thread_limit", wpe_module._cpu_count() + 2)
+    monkeypatch.setattr(_pool, "_thread_limit", _pool._cpu_count() + 2)
     blocks = _bin_blocks(257, 10, 48)
     original = wpe_module._dereverberate_block
     starts = []
@@ -596,9 +597,9 @@ def test_every_block_runs_once_on_more_threads_than_cpus(monkeypatch):
 FORK_AFTER_THREADED_WPE = """
 import os, sys
 import numpy as np
-from specmap import wpe
+from specmap import _pool, wpe
 
-wpe._thread_limit = 2  # a helper thread even on one CPU
+_pool._thread_limit = 2  # a helper thread even on one CPU
 rng = np.random.default_rng(0)
 data = rng.normal(size=(300, 257)) + 1j * rng.normal(size=(300, 257))
 expected = wpe.wpe_dereverberate(data).enhanced
@@ -626,7 +627,7 @@ def scratch_per_thread(wpe_module, drop=False):
             wpe_module._scratch.buffer = None
         return 0 if buffer is None else buffer.nbytes
 
-    return [kept()] + [helper.submit(kept).result(timeout=60) for helper in wpe_module._helpers]
+    return [kept()] + [helper.submit(kept).result(timeout=60) for helper in _pool._helpers]
 
 
 def test_peak_memory_stays_within_a_few_inputs(monkeypatch):
@@ -636,7 +637,7 @@ def test_peak_memory_stays_within_a_few_inputs(monkeypatch):
     # tracemalloc, so every thread starts without any.
     import specmap.wpe as wpe_module
 
-    monkeypatch.setattr(wpe_module, "_thread_limit", 2)  # a helper even on one CPU
+    monkeypatch.setattr(_pool, "_thread_limit", 2)  # a helper even on one CPU
     rng = np.random.default_rng(10)
     data = rng.normal(size=(1000, 257)) + 1j * rng.normal(size=(1000, 257))
     scratch_per_thread(wpe_module, drop=True)
