@@ -31,10 +31,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration_seconds(self) -> float:
-        return len(self) / self.sample_rate
-
 
 _PCM16_SCALE = 32768.0
 

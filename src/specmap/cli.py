@@ -152,7 +152,6 @@ def cmd_enhance(args) -> int:
         stft=stft_config,
         mel=manifest.mel_config(),
         wpe=_wpe_config(config),
-        magnitude_floor=manifest.magnitude_floor,
         **mapping,
     )
     out_dir = Path(args.out)

@@ -18,7 +18,7 @@ from .errors import ConfigError, ManifestError, NumericError
 from .featio import write_features
 from .mel import MelConfig, log_mel, mel_matrix
 from .seeding import derive_seed
-from .stft import StftConfig, stft
+from .stft import DEFAULT_MAGNITUDE_FLOOR, StftConfig, stft
 from .validation import check_choice, check_nonnegative, check_positive
 
 SPLITS = ("train", "dev", "test")
@@ -271,10 +271,6 @@ class CorpusManifest:
     def mel_config(self) -> MelConfig:
         return self._corpus_config().mel_config()
 
-    @property
-    def magnitude_floor(self) -> float:
-        return self.feature_config["magnitude_floor"]
-
     def save(self, path=None) -> Path:
         path = Path(path) if path else self.root / "manifest.json"
         payload = {
@@ -337,7 +333,7 @@ class CorpusConfig:
     f_min: float = 0.0
     f_max: float = 8000.0
     mel_mode: str = "power"
-    magnitude_floor: float = 1e-10
+    magnitude_floor: float = DEFAULT_MAGNITUDE_FLOOR
     seed: int = 0
 
     def __post_init__(self):
@@ -360,7 +356,8 @@ class CorpusConfig:
 
     def mel_config(self) -> MelConfig:
         return MelConfig(
-            self.n_mels, self.f_min, self.f_max, self.sample_rate, self.fft_size, self.mel_mode
+            self.n_mels, self.f_min, self.f_max, self.sample_rate, self.fft_size, self.mel_mode,
+            self.magnitude_floor,
         )
 
     def feature_config_dict(self) -> dict:

@@ -20,7 +20,7 @@ from .audio import load_wav
 from .errors import ConfigError, ShapeError
 from .featio import read_features
 from .features import assemble_context, fit_normalizer, normalize
-from .mel import MEL_MODES
+from .mel import mel_matrix
 from .mlp import TrainConfig, init_model, map_features, train
 from .seeding import derive_seed
 from .stft import StftConfig, log_magnitude, stft
@@ -45,7 +45,7 @@ def training_features(manifest, split: str, wpe: Optional[WpeConfig] = None):
     the split's stored reference features.
     """
     stft_config = manifest.stft_config()
-    floor = manifest.magnitude_floor
+    floor = manifest.mel_config().magnitude_floor
     inputs, references = [], []
     for entry in manifest.split_entries(split):
         waveform = load_wav(manifest.resolve(entry.noisy_wav))
@@ -127,14 +127,13 @@ class SpectralFeatureMapper:
     def _assemble(self, log_specs: Sequence[np.ndarray]) -> list[np.ndarray]:
         return [assemble_context(np.asarray(s), self.context) for s in log_specs]
 
-    def fit(self, X, y, X_dev=None, y_dev=None, mel_filterbank=None, mel_mode="power"):
+    def fit(self, X, y, X_dev=None, y_dev=None, mel_config=None):
         """X: list of (T x bins) log-magnitude arrays; y: list of (T x 40) mel refs.
 
-        mel_filterbank and mel_mode (MelConfig.mode) describe the references;
-        transform inverts utterance-MVN outputs with them.
+        mel_config, the references' MelConfig, gives transform the filterbank,
+        mode and floor that enhance_utterance inverts utterance-MVN outputs with.
         """
         check_choice(self.recipe, RECIPES, "recipe")
-        check_choice(mel_mode, MEL_MODES, "mel_mode")
         if not X or not y or len(X) != len(y):
             raise ConfigError(
                 f"fit needs paired, nonempty X and y utterance lists, got {len(X)} and {len(y)}"
@@ -176,19 +175,17 @@ class SpectralFeatureMapper:
             rng_seed=derive_seed(self.seed, "train"),
         )
         self.model_, self.history_ = train(model, train_x, train_y, config, dev_x, dev_y)
-        self._mel_filterbank = mel_filterbank
-        self._mel_mode = mel_mode
+        self._mel_config = mel_config
         return self
 
     def transform(self, X) -> list[np.ndarray]:
         """Map utterances to mel features in the reference (log-mel) domain."""
         check_fitted(self, ("model_",))
         model = self.model_.as_float32()  # cast once, not per utterance
+        mel = self._mel_config
+        front_end = () if mel is None else (mel_matrix(mel), mel.magnitude_floor, mel.mode)
         return [
-            map_features(
-                model, np.asarray(log_spec), self.context, self._mel_filterbank,
-                mel_mode=self._mel_mode,
-            ).denormalized
+            map_features(model, np.asarray(log_spec), self.context, *front_end).denormalized
             for log_spec in X
         ]
 

@@ -22,12 +22,16 @@ def mel_to_hz(mel):
 
 @dataclass(frozen=True)
 class MelConfig:
+    """The references' front end: filterbank shape, mel mode, and the floor of
+    every natural log it takes (log-magnitude inputs and log-mel features)."""
+
     n_mels: int = 40
     f_min: float = 0.0
     f_max: float = 8000.0
     sample_rate: int = 16000
     fft_size: int = 512
     mode: str = "power"  # weight |X|^2; "magnitude" weights |X| instead
+    magnitude_floor: float = DEFAULT_MAGNITUDE_FLOOR
 
     def __post_init__(self):
         if self.n_mels < 1:
@@ -40,6 +44,7 @@ class MelConfig:
                 f"f_min={self.f_min}, f_max={self.f_max}, sample_rate={self.sample_rate}"
             )
         check_choice(self.mode, MEL_MODES, "mode")
+        check_positive(self.magnitude_floor, "magnitude_floor")
 
     @property
     def n_bins(self) -> int:

@@ -33,6 +33,7 @@ from .features import (
 )
 from .mel import MEL_MODES
 from .seeding import derive_seed
+from .stft import DEFAULT_MAGNITUDE_FLOOR
 from .validation import as_float_matrix, check_choice, check_positive
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
@@ -505,15 +506,12 @@ class MappedFeatures:
     For minmax-normalized references the inversion is exact via the stored
     range. For utterance-MVN references the clean utterance statistics are
     unknown at mapping time, so the inversion uses the statistics of the
-    degraded input's own mel features, in the references' mel mode, as a
-    stand-in; those statistics are returned so callers can redo the
-    inversion with better ones.
+    degraded input's own mel features, in the references' mel mode and
+    floor, as a stand-in; normalized keeps the output before that inversion.
     """
 
     normalized: np.ndarray
     denormalized: np.ndarray
-    inversion_mean: Optional[np.ndarray] = None
-    inversion_var: Optional[np.ndarray] = None
 
 
 def map_features(
@@ -521,7 +519,7 @@ def map_features(
     log_spec: np.ndarray,
     context: int,
     mel_filterbank: Optional[np.ndarray] = None,
-    magnitude_floor: float = 1e-10,
+    magnitude_floor: float = DEFAULT_MAGNITUDE_FLOOR,
     mel_mode: str = "power",
 ) -> MappedFeatures:
     """Run one utterance of log-magnitude frames through the mapper.
@@ -530,8 +528,8 @@ def map_features(
     float32 model to skip the per-call cast. Context assembly,
     normalization and denormalization run in float64, and every returned
     array is float64. The inputs are not modified. Utterance-MVN references
-    need the mel filterbank and mel mode (MelConfig.mode) of the references
-    to build the input's stand-in statistics.
+    need the filterbank, floor and mode of the references' MelConfig to
+    build the input's stand-in statistics.
     """
     spec = model.norm_spec
     if spec is None:
@@ -540,11 +538,15 @@ def map_features(
     if spec.reference_mode != "global_minmax_01" and mel_filterbank is None:
         raise ConfigError("utterance-MVN references need a mel filterbank to invert; pass one")
     assembled = assemble_context(log_spec, context)
+    n_bins = np.asarray(log_spec).shape[1]
     if assembled.shape[1] != model.input_dim:
         raise ShapeError(
-            f"context {context} over {np.asarray(log_spec).shape[1]} bins gives dim "
+            f"context {context} over {n_bins} bins gives dim "
             f"{assembled.shape[1]}, model expects {model.input_dim}"
         )
+    expected = (model.output_dim, n_bins)
+    if mel_filterbank is not None and mel_filterbank.shape != expected:
+        raise ShapeError(f"mel filterbank {mel_filterbank.shape} != (outputs, bins) {expected}")
     if len(assembled):
         normalized_in = normalize(assembled, spec, "input")
         output = forward(model.as_float32(), normalized_in).output.astype(np.float64)
@@ -558,5 +560,5 @@ def map_features(
     energy = np.exp(2.0 * log_spec) if mel_mode == "power" else np.exp(log_spec)
     proxy_mel = np.log(np.maximum(energy @ mel_filterbank.T, magnitude_floor))
     mean, var = utterance_stats(proxy_mel, spec.epsilon)
-    return MappedFeatures(output, invert_mvn(output, mean, var), mean, var)
+    return MappedFeatures(output, invert_mvn(output, mean, var))
 

@@ -42,7 +42,6 @@ class PipelineConfig:
     context: int = 5
     wpe: WpeConfig = field(default_factory=WpeConfig)
     model: Optional[MlpModel] = None
-    magnitude_floor: float = 1e-10
 
     def __post_init__(self):
         check_choice(self.mode, MODES, "mode")
@@ -56,6 +55,10 @@ class PipelineConfig:
                 raise ShapeError(
                     f"model input dim {self.model.input_dim} != context {self.context} "
                     f"over {self.stft.n_bins} bins ({expected})"
+                )
+            if self.model.output_dim != self.mel.n_mels:
+                raise ShapeError(
+                    f"model output dim {self.model.output_dim} != n_mels {self.mel.n_mels}"
                 )
         self._filterbank = mel_matrix(self.mel)
         self._mapper = self._model_id = None
@@ -113,17 +116,16 @@ class EnhancedUtterance:
 
 
 def _mapped_mel(config: PipelineConfig, spectrogram) -> np.ndarray:
-    logmag = log_magnitude(spectrogram, config.magnitude_floor)
-    return map_features(
-        config.mapper, logmag, config.context, config.filterbank, config.magnitude_floor,
-        config.mel.mode,
-    ).denormalized
+    floor, mode = config.mel.magnitude_floor, config.mel.mode
+    logmag = log_magnitude(spectrogram, floor)
+    mapped = map_features(config.mapper, logmag, config.context, config.filterbank, floor, mode)
+    return mapped.denormalized
 
 
 def enhance_utterance(waveform: Waveform, config: PipelineConfig) -> EnhancedUtterance:
     spectrogram = stft(waveform, config.stft)
     if config.mode == "baseline":
-        feats = log_mel(spectrogram, config.filterbank, config.magnitude_floor, config.mel.mode)
+        feats = log_mel(spectrogram, config.filterbank, config.mel.magnitude_floor, config.mel.mode)
         return EnhancedUtterance(feats, None)
 
     if config.mode == "dnn_only":
@@ -137,7 +139,7 @@ def enhance_utterance(waveform: Waveform, config: PipelineConfig) -> EnhancedUtt
     if config.mode == "wpe_only":
         del enhanced
         respec = stft(enhanced_wave, config.stft)
-        feats = log_mel(respec, config.filterbank, config.magnitude_floor, config.mel.mode)
+        feats = log_mel(respec, config.filterbank, config.mel.magnitude_floor, config.mel.mode)
         return EnhancedUtterance(feats, enhanced_wave)
 
     return EnhancedUtterance(_mapped_mel(config, enhanced), enhanced_wave)

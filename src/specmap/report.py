@@ -171,7 +171,7 @@ def evaluate_system(
     check_choice(mode, MODES, "mode")
     system_dir = Path(system_dir)
     stft_cfg = manifest.stft_config()
-    floor = manifest.magnitude_floor
+    floor = manifest.mel_config().magnitude_floor
 
     by_snr: dict = {}  # snr -> [(utterance id, metric -> value)]
     for entry in manifest.split_entries(split):

@@ -71,7 +71,9 @@ class WpeResult:
     enhanced: Union[Spectrogram, np.ndarray]
     filters: np.ndarray       # (bins, taps) complex prediction coefficients
     variance: np.ndarray      # (frames, bins) floored variance from the last iteration
-    objective: np.ndarray     # (iterations, bins) optimized cost after each iteration
+    # (iterations, bins) optimized cost after each iteration; (0, bins) for an
+    # utterance of at most taps + delay frames, which passes through unchanged.
+    objective: np.ndarray
     fallback_bins: tuple = ()
     """Sorted bins whose normal equations failed a solve check in any
     iteration (see solve_normal_equations); each got a zero filter for that

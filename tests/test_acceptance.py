@@ -195,14 +195,13 @@ def grid_setup(tmp_path_factory):
     manifest = build_corpus(CorpusConfig(**GRID_CORPUS), root)
     stft_cfg = manifest.stft_config()
     filterbank = mel_matrix(manifest.mel_config())
-    mel_mode = manifest.mel_config().mode
     floor = manifest.feature_config["magnitude_floor"]
     wpe_cfg = WpeConfig()
 
     train_x, train_y = training_features(manifest, "train")
     dev_x, dev_y = training_features(manifest, "dev")
     mapper = SpectralFeatureMapper(**MAPPER_SETTINGS)
-    mapper.fit(train_x, train_y, dev_x, dev_y, mel_filterbank=filterbank, mel_mode=mel_mode)
+    mapper.fit(train_x, train_y, dev_x, dev_y, mel_config=manifest.mel_config())
 
     baseline_dev, mapped_dev = [], []
     for entry, x in zip(manifest.split_entries("dev"), dev_x):
@@ -215,20 +214,16 @@ def grid_setup(tmp_path_factory):
     matched_x, _ = training_features(manifest, "train", wpe_cfg)
     matched_dev_x, _ = training_features(manifest, "dev", wpe_cfg)
     matched = SpectralFeatureMapper(**MAPPER_SETTINGS)
-    matched.fit(
-        matched_x, train_y, matched_dev_x, dev_y, mel_filterbank=filterbank, mel_mode=mel_mode
-    )
+    matched.fit(matched_x, train_y, matched_dev_x, dev_y, mel_config=manifest.mel_config())
 
     configs = {
-        "baseline": PipelineConfig(mode="baseline", stft=stft_cfg, mel=manifest.mel_config(),
-                                   magnitude_floor=floor),
+        "baseline": PipelineConfig(mode="baseline", stft=stft_cfg, mel=manifest.mel_config()),
         "wpe_only": PipelineConfig(mode="wpe_only", stft=stft_cfg, mel=manifest.mel_config(),
-                                   wpe=wpe_cfg, magnitude_floor=floor),
+                                   wpe=wpe_cfg),
         "dnn_only": PipelineConfig(mode="dnn_only", stft=stft_cfg, mel=manifest.mel_config(),
-                                   context=5, model=mapper.model_, magnitude_floor=floor),
+                                   context=5, model=mapper.model_),
         "wpe_dnn": PipelineConfig(mode="wpe_dnn", stft=stft_cfg, mel=manifest.mel_config(),
-                                  context=5, wpe=wpe_cfg, model=matched.model_,
-                                  magnitude_floor=floor),
+                                  context=5, wpe=wpe_cfg, model=matched.model_),
     }
     per_system = {name: {snr: [] for snr in SNR_GRID} for name in configs}
     for entry in manifest.split_entries("test"):

@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from conftest import run_script
 import specmap
 from specmap import estimators
 from specmap.cli import main
 from specmap.corpus import CorpusConfig
 from specmap.estimators import SpectralFeatureMapper
 from specmap.featio import load_model, read_features, save_model
-from specmap.mlp import early_stop_decision
+from specmap.features import NormalizationSpec
+from specmap.mlp import early_stop_decision, init_model
 from specmap.wpe import WpeConfig
 
 BASE_OVERRIDES = [
@@ -171,6 +173,25 @@ def test_enhance_rejects_a_checkpoint_of_another_sample_rate(cli_corpus, tmp_pat
     ])
     assert code == 1
     assert "sample_rate" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_enhance_rejects_a_mapper_of_another_output_width(tmp_path):
+    # A library-saved checkpoint stores no front end, so only the mapper's
+    # 40 outputs can tell it does not fit a 24-mel manifest.
+    corpus = tmp_path / "mel24"
+    assert main(["simulate", "--out", str(corpus), *BASE_OVERRIDES, "--set", "n_mels=24"]) == 0
+    checkpoint = tmp_path / "mapper.sfmd"
+    spec = NormalizationSpec(input_mode="utterance_mvn", reference_mode="utterance_mvn")
+    save_model(checkpoint, init_model([3 * 257, 4, 40], "linear", seed=1, norm_spec=spec))
+    done = run_script(
+        "import sys; from specmap.cli import main; sys.exit(main(sys.argv[1:]))",
+        "enhance", "--manifest", corpus / "manifest.json", "--out", tmp_path / "x",
+        "--mode", "dnn_only", "--checkpoint", checkpoint,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "n_mels 24" in done.stderr
+    assert "Traceback" not in done.stderr
     assert not (tmp_path / "x").exists()
 
 

@@ -15,6 +15,10 @@ from specmap.stft import StftConfig, stft
 from specmap.wpe import WpeConfig
 
 
+# The front end of the toy references: 4 mels over the 33 bins of a 64-point FFT.
+TOY_MEL = MelConfig(n_mels=4, fft_size=64)
+
+
 def _toy_training_data(n_utts=3, bins=33):
     rng = np.random.default_rng(0)
     xs, ys = [], []
@@ -78,12 +82,11 @@ def test_mapper_enhanced_recipe_needs_dev():
 
 def test_mapper_enhanced_recipe_runs_with_dev():
     xs, ys = _toy_training_data(4)
-    filterbank = np.abs(np.random.default_rng(2).normal(size=(4, 33)))
     est = SpectralFeatureMapper(
         hidden_units=(8, 8), context=0, recipe="enhanced",
         batch_size=16, learning_rate=0.1, max_epochs=4, dropout_rate=0.2, seed=2,
     )
-    est.fit(xs[:3], ys[:3], xs[3:], ys[3:], mel_filterbank=filterbank)
+    est.fit(xs[:3], ys[:3], xs[3:], ys[3:], mel_config=TOY_MEL)
     assert est.model_.output_activation == "linear"
     outputs = est.transform(xs[:1])
     assert outputs[0].shape == (xs[0].shape[0], 4)
@@ -92,14 +95,13 @@ def test_mapper_enhanced_recipe_runs_with_dev():
 def test_enhanced_recipe_fit_is_bit_reproducible():
     """Dropout, a linear output and early stopping on dev: two fits, the same bytes."""
     xs, ys = _toy_training_data(6)
-    filterbank = np.abs(np.random.default_rng(2).normal(size=(4, 33)))
     runs = []
     for _ in range(2):
         est = SpectralFeatureMapper(
             hidden_units=(16, 16), context=1, recipe="enhanced",
             batch_size=16, learning_rate=0.05, max_epochs=30, dropout_rate=0.2, seed=6,
         )
-        est.fit(xs[:4], ys[:4], xs[4:], ys[4:], mel_filterbank=filterbank)
+        est.fit(xs[:4], ys[:4], xs[4:], ys[4:], mel_config=TOY_MEL)
         runs.append(est)
     first, second = runs
     assert first.history_.stop_reason in ("dev_increase", "dev_plateau")
@@ -156,7 +158,7 @@ def test_fit_stacks_each_training_matrix_once(monkeypatch, recipe):
 def test_in_memory_wpe_dnn_sequence():
     """The README's library sequence: matched WPE training, then wpe_dnn enhancement."""
     stft_config, mel_config, wpe = StftConfig(), MelConfig(), WpeConfig()
-    floor = PipelineConfig().magnitude_floor
+    floor = mel_config.magnitude_floor
     filterbank = mel_matrix(mel_config)
     pairs = [make_reverberant_pair(seed, seconds=0.8) for seed in (10, 11)]
     inputs = [input_features(reverberant, stft_config, wpe, floor) for _, reverberant, _ in pairs]
@@ -165,7 +167,7 @@ def test_in_memory_wpe_dnn_sequence():
         hidden_units=(8, 8), context=1, recipe="original",
         batch_size=64, learning_rate=0.1, max_epochs=2, seed=4,
     )
-    mapper.fit(inputs, references, mel_filterbank=filterbank)
+    mapper.fit(inputs, references, mel_config=mel_config)
 
     config = PipelineConfig(
         "wpe_dnn", stft_config, mel_config, context=mapper.context, wpe=wpe, model=mapper.model_,

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import relative_error
 from specmap.errors import ConfigError, NumericError, ShapeError
-from specmap.features import NormalizationSpec
+from specmap.features import NormalizationSpec, invert_mvn, utterance_stats
 from specmap.mlp import (
     ADAGRAD_EPSILON,
     AdagradState,
@@ -320,8 +320,13 @@ def test_map_features_utterance_reference_needs_filterbank():
         map_features(model, log_spec, context=0)
     filterbank = np.abs(np.random.default_rng(27).normal(size=(2, 3)))
     mapped = map_features(model, log_spec, context=0, mel_filterbank=filterbank)
-    assert mapped.denormalized is not None
-    assert mapped.inversion_mean.shape == (2,)
+    # inverted with the power-mel statistics of the input itself, floored at 1e-10
+    proxy = np.log(np.maximum(np.exp(2.0 * log_spec) @ filterbank.T, 1e-10))
+    mean, var = utterance_stats(proxy, spec.epsilon)
+    assert np.array_equal(mapped.denormalized, invert_mvn(mapped.normalized, mean, var))
+    for wrong in (filterbank[:1], filterbank[:, :2]):  # mels != outputs, bins != input bins
+        with pytest.raises(ShapeError, match="filterbank"):
+            map_features(model, log_spec, context=0, mel_filterbank=wrong)
 
 
 # Slow references for the in-place hot path: the two-branch logistic, the

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import gathered_context, make_reverberant_pair, run_script
-from specmap.audio import load_wav
+from specmap.audio import load_wav, save_wav
+from specmap.cli import main
 from specmap.corpus import CorpusConfig, build_corpus
 from specmap.errors import ConfigError, ShapeError
 from specmap.estimators import SpectralFeatureMapper, training_features
@@ -34,16 +35,12 @@ from specmap.wpe import WpeConfig, wpe_dereverberate
 
 def _toy_mapper(manifest, n_train=4):
     """Tiny mapper fitted on a few utterances of the shared corpus."""
-    filterbank = mel_matrix(manifest.mel_config())
     xs, ys = training_features(manifest, "train")
     mapper = SpectralFeatureMapper(
         hidden_units=(16, 16), context=1, recipe="original",
         batch_size=64, learning_rate=0.1, max_epochs=4, seed=0,
     )
-    mapper.fit(
-        xs[:n_train], ys[:n_train], mel_filterbank=filterbank,
-        mel_mode=manifest.mel_config().mode,
-    )
+    mapper.fit(xs[:n_train], ys[:n_train], mel_config=manifest.mel_config())
     return mapper
 
 
@@ -60,7 +57,6 @@ def _pipeline_config(manifest, mode, model=None, context=1, **kwargs):
         context=context,
         wpe=WpeConfig(),
         model=model,
-        magnitude_floor=manifest.feature_config["magnitude_floor"],
         **kwargs,
     )
 
@@ -127,7 +123,6 @@ def test_clean_trained_toy_model_beats_untrained(tiny_corpus):
     manifest = tiny_corpus
     stft_cfg = manifest.stft_config()
     floor = manifest.feature_config["magnitude_floor"]
-    filterbank = mel_matrix(manifest.mel_config())
     entries = manifest.split_entries("train")[:2]
     xs = [
         log_magnitude(stft(load_wav(manifest.resolve(e.clean_wav)), stft_cfg), floor)
@@ -138,7 +133,7 @@ def test_clean_trained_toy_model_beats_untrained(tiny_corpus):
         hidden_units=(24, 24), context=1, recipe="original",
         batch_size=32, learning_rate=0.2, max_epochs=30, seed=0,
     )
-    mapper.fit(xs, ys, mel_filterbank=filterbank, mel_mode=manifest.mel_config().mode)
+    mapper.fit(xs, ys, mel_config=manifest.mel_config())
 
     wave = load_wav(manifest.resolve(entries[0].clean_wav))
     reference = ys[0]
@@ -161,6 +156,8 @@ def test_config_validation(tiny_corpus, toy_mapper):
         _pipeline_config(manifest, "dnn_only")  # no model
     with pytest.raises(ShapeError):
         _pipeline_config(manifest, "dnn_only", toy_mapper.model_, context=4)
+    with pytest.raises(ShapeError, match="n_mels"):  # 24 outputs for 40 mels
+        _pipeline_config(manifest, "dnn_only", init_model([3 * 257, 4, 24], seed=1))
 
 
 def test_batch_enhance_writes_features_and_log(tiny_corpus, tmp_path):
@@ -293,7 +290,6 @@ wpe.wpe_dereverberate(rng.normal(size=(300, 257)) + 0j)
 manifest = CorpusManifest.load(sys.argv[1])
 config = PipelineConfig(
     mode="wpe_only", stft=manifest.stft_config(), mel=manifest.mel_config(),
-    magnitude_floor=manifest.feature_config["magnitude_floor"],
 )
 out = Path(sys.argv[2])
 pid = os.fork()
@@ -332,17 +328,19 @@ def test_batch_enhance_workers_run_wpe_on_one_thread(tiny_corpus, tmp_path, monk
     monkeypatch.setattr(_pool, "_cpu_count", lambda: 4)
     monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", 1)  # many blocks per utterance
     original = wpe_module._dereverberate_block
+    # id(result) -> (result, threads): holding the result keeps its id from
+    # being reused by a later utterance's result on another thread.
     threads_per_call = {}
 
     def spy(data, config, bins, widest, result):
-        threads_per_call.setdefault(id(result), set()).add(threading.get_ident())
+        threads_per_call.setdefault(id(result), (result, set()))[1].add(threading.get_ident())
         return original(data, config, bins, widest, result)
 
     monkeypatch.setattr(wpe_module, "_dereverberate_block", spy)
     config = _pipeline_config(tiny_corpus, "wpe_only")
     result = batch_enhance(tiny_corpus, config, tmp_path, split="dev", save_waveforms=False)
     assert len(result.features) == len(tiny_corpus.split_entries("dev"))
-    assert all(len(threads) == 1 for threads in threads_per_call.values())
+    assert all(len(threads) == 1 for _, threads in threads_per_call.values())
     # After the batch, a call shares its blocks between threads again: its
     # first two blocks meet, each on its own thread.
     threads_per_call.clear()
@@ -357,7 +355,7 @@ def test_batch_enhance_workers_run_wpe_on_one_thread(tiny_corpus, tmp_path, monk
     monkeypatch.setattr(wpe_module, "_dereverberate_block", meeting)
     _, reverberant, _ = make_reverberant_pair(0)
     wpe_dereverberate(stft(reverberant, StftConfig()))
-    (threads,) = threads_per_call.values()
+    ((_, threads),) = threads_per_call.values()
     assert len(threads) > 1
 
 
@@ -427,7 +425,7 @@ def test_config_hash_covers_every_stft_mel_and_wpe_field(tiny_corpus):
     changed = {
         "stft": {"frame_len": 320, "hop": 80, "fft_size": 1024, "window": "hamming"},
         "mel": {"n_mels": 41, "f_min": 50.0, "f_max": 3000.0, "sample_rate": 8000,
-                "fft_size": 1024, "mode": "magnitude"},
+                "fft_size": 1024, "mode": "magnitude", "magnitude_floor": 1e-9},
         "wpe": {"taps": 11, "delay": 4, "iterations": 2, "variance_floor": 1e-9,
                 "delta": 1e-3, "variance_context": 0},
     }
@@ -441,7 +439,6 @@ def test_config_hash_covers_every_stft_mel_and_wpe_field(tiny_corpus):
     top_level = {
         "mode": {"mode": "dnn_only"},
         "context": {"context": 2},
-        "magnitude_floor": {"magnitude_floor": 1e-9},
         "model": {"model": init_model([3 * 257, 4, 40], seed=2)},
     }
     assert set(top_level) | set(changed) == set(fields)
@@ -486,7 +483,6 @@ def reference_map(model, log_spec, context, filterbank, floor, mel_mode="power")
 @pytest.fixture(scope="module")
 def mappers(tiny_corpus, toy_mapper):
     """(model, context) for the toy mapper, [2827,128,128,40] in both recipes, paper size."""
-    filterbank = mel_matrix(tiny_corpus.mel_config())
     train_x, train_y = training_features(tiny_corpus, "train")
     dev_x, dev_y = training_features(tiny_corpus, "dev")
     found = {"toy": (toy_mapper.model_, toy_mapper.context)}
@@ -495,10 +491,7 @@ def mappers(tiny_corpus, toy_mapper):
             hidden_units=(128, 128), context=5, recipe=recipe,
             batch_size=128, learning_rate=0.05, max_epochs=3, seed=0,
         )
-        mapper.fit(
-            train_x, train_y, dev_x, dev_y, mel_filterbank=filterbank,
-            mel_mode=tiny_corpus.mel_config().mode,
-        )
+        mapper.fit(train_x, train_y, dev_x, dev_y, mel_config=tiny_corpus.mel_config())
         found[recipe] = (mapper.model_, 5)
     norm = fit_normalizer([assemble_context(x, 5) for x in train_x], train_y)
     found["paper"] = (init_model([2827, 2048, 2048, 40], "sigmoid", seed=0, norm_spec=norm), 5)
@@ -557,34 +550,59 @@ def test_pipeline_and_estimator_map_the_same_bits(tiny_corpus, toy_mapper):
     assert config.mapper.as_float32() is config.mapper
     for entry in manifest.split_entries("test"):
         wave = load_wav(manifest.resolve(entry.noisy_wav))
-        logmag = log_magnitude(stft(wave, config.stft), config.magnitude_floor)
+        logmag = log_magnitude(stft(wave, config.stft), config.mel.magnitude_floor)
         (estimated,) = toy_mapper.transform([logmag])
         assert np.array_equal(enhance_utterance(wave, config).features, estimated)
 
 
-def test_estimator_inverts_in_the_references_mel_mode(tmp_path):
+@pytest.mark.parametrize("mel_mode", ["power", "magnitude"])
+def test_estimator_and_cli_invert_with_the_references_mel_config(tmp_path, mel_mode):
     # The enhanced recipe inverts utterance-MVN outputs with the input's own
-    # mel statistics; on a magnitude-mel corpus transform must take them in
-    # magnitude mode, as the pipeline does, not with the power-mel proxy.
+    # mel statistics, taken in the references' mel mode and floored at their
+    # magnitude_floor. A quarter second of digital silence puts mel bands
+    # under a 1e-2 floor, so a path that floored at another value, or took
+    # the statistics in another mode, would map those frames apart.
     manifest = build_corpus(
         CorpusConfig(utterance_seconds=1.0, n_train=3, n_dev=2, n_test=1, n_rirs=2,
-                     n_noises=2, mel_mode="magnitude", seed=3),
-        tmp_path,
+                     n_noises=2, mel_mode=mel_mode, magnitude_floor=1e-2, seed=3),
+        tmp_path / "corpus",
     )
+    mel = manifest.mel_config()
+    entries = manifest.split_entries("test")
+    silenced = manifest.resolve(entries[0].noisy_wav)
+    wave = load_wav(silenced)
+    wave.samples[:4000] = 0.0
+    save_wav(wave, silenced, encoding="float32")
     mapper = SpectralFeatureMapper(
         hidden_units=(16, 16), context=1, recipe="enhanced",
         batch_size=64, learning_rate=0.05, max_epochs=2, seed=0,
     )
     mapper.fit(
         *training_features(manifest, "train"), *training_features(manifest, "dev"),
-        mel_filterbank=mel_matrix(manifest.mel_config()), mel_mode=manifest.mel_config().mode,
+        mel_config=mel,
     )
-    config = _pipeline_config(manifest, "dnn_only", model=mapper.model_)
     test_inputs, _ = training_features(manifest, "test")
-    for entry, log_spec in zip(manifest.split_entries("test"), test_inputs):
-        wave = load_wav(manifest.resolve(entry.noisy_wav))
+    energy = np.exp((2.0 if mel_mode == "power" else 1.0) * test_inputs[0]) @ mel_matrix(mel).T
+    # Floored magnitudes keep every magnitude-mel energy above the floor on
+    # this corpus; power-mel energies of the silence fall under it.
+    assert np.any(energy < mel.magnitude_floor) == (mel_mode == "power")
+
+    # The CLI path: the checkpoint round trip, then the manifest's front end.
+    checkpoint = tmp_path / "mapper.sfmd"
+    save_model(checkpoint, mapper.model_)
+    assert main([
+        "enhance", "--manifest", str(manifest.root / "manifest.json"), "--out",
+        str(tmp_path / "cli"), "--mode", "dnn_only", "--checkpoint", str(checkpoint),
+    ]) == 0
+    in_memory = _pipeline_config(manifest, "dnn_only", model=mapper.model_)
+    reloaded = _pipeline_config(manifest, "dnn_only", model=load_model(checkpoint)[0])
+    for entry, log_spec in zip(entries, test_inputs):
         (estimated,) = mapper.transform([log_spec])
-        assert np.array_equal(enhance_utterance(wave, config).features, estimated)
+        wave = load_wav(manifest.resolve(entry.noisy_wav))
+        assert np.array_equal(enhance_utterance(wave, in_memory).features, estimated)
+        assert np.array_equal(enhance_utterance(wave, reloaded).features, estimated)
+        written = read_features(tmp_path / "cli" / "features" / f"{entry.id}.sfmf")
+        assert np.array_equal(written, estimated.astype(np.float32))
 
 
 def test_batch_enhance_records_failures_and_continues(tiny_corpus, tmp_path):

@@ -192,7 +192,6 @@ def test_evaluate_system_on_corpus(tiny_corpus, tmp_path):
     manifest = tiny_corpus
     config = PipelineConfig(
         mode="baseline", stft=manifest.stft_config(), mel=manifest.mel_config(),
-        magnitude_floor=manifest.feature_config["magnitude_floor"],
     )
     out = tmp_path / "baseline_sys"
     batch_enhance(manifest, config, out, split="test")
@@ -228,7 +227,6 @@ def test_a_missing_waveform_leaves_its_condition_without_a_mean(tiny_corpus, tmp
     manifest = tiny_corpus
     config = PipelineConfig(
         mode="wpe_only", stft=manifest.stft_config(), mel=manifest.mel_config(),
-        magnitude_floor=manifest.feature_config["magnitude_floor"],
     )
     systems = {}
     for mode in ("baseline", "wpe_only"):
