@@ -82,7 +82,6 @@ def cmd_simulate(args) -> int:
     config = _resolve(SIMULATE_DEFAULTS, args)
     corpus_config = corpus_mod.CorpusConfig(**config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = corpus_mod.build_corpus(corpus_config, out_dir)
     write_resolved(config, out_dir)
     per_split = {s: len(manifest.split_entries(s)) for s in corpus_mod.SPLITS}

@@ -7,6 +7,7 @@ the file-list arguments of build_corpus.
 """
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -306,9 +307,12 @@ class CorpusManifest:
             )
             manifest.stft_config()  # each checks the sample rate and front-end values
             manifest.mel_config()
-            return manifest
         except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
             raise ManifestError(f"{path}: malformed manifest ({exc!r})") from exc
+        repeated = sorted(i for i, n in Counter(e.id for e in manifest.entries).items() if n > 1)
+        if repeated:
+            raise ManifestError(f"{path}: entry ids must be unique, repeated: {repeated}")
+        return manifest
 
 
 @dataclass(frozen=True)
@@ -398,16 +402,17 @@ def build_corpus(
     corpus byte for byte. RIR and noise pools are drawn per split, so test
     rooms and noises differ from training ones.
     """
-    root = Path(out_dir)
-    for sub in ("clean", "reverb", "noisy", "ref_mel", "rir", "noise"):
-        (root / sub).mkdir(parents=True, exist_ok=True)
-
+    # Everything that can refuse the config runs before the first directory is made.
     stft_cfg = config.stft_config()
     filterbank = mel_matrix(config.mel_config())
     sr = config.sample_rate
 
     external_clean = _load_sources(clean_files, sr, "clean") if clean_files else None
     external_noise = _load_sources(noise_files, sr, "noise") if noise_files else None
+
+    root = Path(out_dir)
+    for sub in ("clean", "reverb", "noisy", "ref_mel", "rir", "noise"):
+        (root / sub).mkdir(parents=True, exist_ok=True)
 
     manifest = CorpusManifest(
         root=root, sample_rate=sr, feature_config=config.feature_config_dict()

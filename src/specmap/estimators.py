@@ -181,11 +181,10 @@ class SpectralFeatureMapper:
     def transform(self, X) -> list[np.ndarray]:
         """Map utterances to mel features in the reference (log-mel) domain."""
         check_fitted(self, ("model_",))
-        model = self.model_.as_float32()  # cast once, not per utterance
         mel = self._mel_config
         front_end = () if mel is None else (mel_matrix(mel), mel.magnitude_floor, mel.mode)
         return [
-            map_features(model, np.asarray(log_spec), self.context, *front_end).denormalized
+            map_features(self.model_, np.asarray(log_spec), self.context, *front_end).denormalized
             for log_spec in X
         ]
 

@@ -80,6 +80,11 @@ def save_model(path, model: MlpModel, config: dict | None = None) -> None:
 
 
 def load_model(path) -> tuple[MlpModel, dict]:
+    """The checkpoint's model, with the float32 parameters it stores, and its config.
+
+    A malformed file, or a non-finite weight, bias or normalization
+    statistic, which would fail every utterance, is a FormatError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -99,11 +104,10 @@ def load_model(path) -> tuple[MlpModel, dict]:
         w_bytes, b_bytes = 4 * rows * cols, 4 * cols
         if pos + w_bytes + b_bytes > len(blob):
             raise FormatError(f"{path}: truncated parameter payload")
-        weights.append(
-            np.frombuffer(blob[pos:pos + w_bytes], dtype="<f4").astype(np.float64).reshape(rows, cols)
-        )
+        w = np.frombuffer(blob, "<f4", rows * cols, pos)
+        weights.append(w.astype(np.float32).reshape(rows, cols))
         pos += w_bytes
-        biases.append(np.frombuffer(blob[pos:pos + b_bytes], dtype="<f4").astype(np.float64))
+        biases.append(np.frombuffer(blob, "<f4", cols, pos).astype(np.float32))
         pos += b_bytes
     if pos + 4 > len(blob):
         raise FormatError(f"{path}: missing metadata block")
@@ -132,4 +136,10 @@ def load_model(path) -> tuple[MlpModel, dict]:
             raise TypeError(f"config is a {type(config).__name__}, not an object")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed metadata ({exc!r})") from exc
+    arrays = {f"layer {i} weights": w for i, w in enumerate(weights)}
+    arrays.update({f"layer {i} biases": b for i, b in enumerate(biases)})
+    arrays.update(vars(model.norm_spec) if model.norm_spec is not None else {})
+    for name, values in arrays.items():
+        if isinstance(values, np.ndarray) and not np.all(np.isfinite(values)):
+            raise FormatError(f"{path}: non-finite values in {name}")
     return model, config

@@ -1,20 +1,18 @@
 """Sigmoid multilayer perceptron with adagrad training and early stopping.
 
 The mapper network takes normalized log-magnitude context windows and
-produces 40 mel features per frame, on the CPU. Every pass computes in the
-dtype of the model's weights. Mapping runs in float32 through a float32
-copy of the model, the precision that checkpoints store, so a model kept
-in memory and the same model reloaded from its checkpoint map every
-utterance to the same bits. Training runs at the same precision with
-float64 master weights (mixed-precision training, Micikevicius et al.,
-ICLR 2018): each step's forward and backward passes run in float32 on a
-working copy of the parameters, and the adagrad update accumulates and
-applies the float32 gradients to the float64 parameters and accumulators.
-Training and mapping are byte-identical on reruns for a fixed seed,
-sequential execution and a fixed BLAS thread count: the GEMMs split their
-sums by thread, so between one and two OpenBLAS threads the paper-size
-forward pass differs by about 3e-16 in float64 and its float32 mapping by
-about 2e-7 (2.7e-6 nats on log-mel features).
+produces 40 mel features per frame, on the CPU. Every pass, training
+included, computes in the dtype of the model's weights. init_model gives
+float64 parameters, for the gradient checks; train() narrows them to
+float32 once, as MlpModel.as_float32() rounds them, and trains and returns
+that single float32 copy, the precision that checkpoints store. A trained
+model, the same model reloaded from its checkpoint and the estimator that
+holds it therefore map every utterance to the same bits. Training and
+mapping are byte-identical on reruns for a fixed seed, sequential
+execution and a fixed BLAS thread count: the GEMMs split their sums by
+thread, so between one and two OpenBLAS threads the paper-size forward
+pass differs by about 3e-16 in float64 and its float32 mapping by about
+2e-7 (2.7e-6 nats on log-mel features).
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -175,8 +173,8 @@ def forward(model: MlpModel, batch: np.ndarray, dropout_masks=None) -> ForwardSt
     """Activations of every layer for one batch; the batch is not modified.
 
     Computes in the dtype of the model's weights. With float64 weights every
-    operation runs in float64. With float32 weights (mapping and training,
-    see MlpModel.as_float32 and AdagradState) the checked float64 batch is
+    operation runs in float64. With float32 weights (every trained or loaded
+    model, see train and MlpModel.as_float32) the checked float64 batch is
     cast to float32 once and every layer runs in float32, with float32
     dropout masks. Each layer adds its bias to the fresh product a @ W and
     applies the sigmoid to it in place, so the sum and the activation need
@@ -263,11 +261,11 @@ def _loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, dropout_m
     return loss, grads_w, grads_b
 
 
-# Elements per block of the adagrad update. A block's two float64 scratch
-# rows and its slices of the parameter, accumulator, gradient and working
-# copy (1.3 MB) stay in a core's L2 cache through the update's nine passes:
-# on the paper-size mapper, with 2 MB of L2 per core, one update took 72 ms
-# in blocks of 32768 against 125 ms over whole arrays.
+# Elements per block of the adagrad update. A block's scratch row and its
+# slices of the parameter, accumulator and gradient (512 KB in float32)
+# stay in a core's L2 cache through the update's seven passes: on the
+# paper-size mapper, with 2 MB of L2 per core, one float32 update took a
+# median 27 ms in blocks of 32768 against 37 ms over whole arrays.
 _UPDATE_BLOCK = 32768
 
 
@@ -277,30 +275,21 @@ def _block_rows(param: np.ndarray) -> int:
 
 
 class AdagradState:
-    """Adagrad state for training one model at float32 compute precision.
+    """Adagrad state for training one model in the dtype of its parameters.
 
     - accum_w, accum_b: the squared-gradient accumulators, in the dtype of
-      the model's parameters (float64 for init_model and load_model);
-    - working: a float32 copy of the model, on which every training
-      forward and backward pass runs. It rounds as MlpModel.as_float32()
-      does, and train_step refreshes it in place after each update, so
-      while the state is in use the model's parameters change only
-      through train_step;
-    - two float64 scratch rows of one update block, shared by every
-      parameter, so an update allocates nothing.
+      the model's parameters (float32 in train(), float64 for a model of
+      init_model stepped directly);
+    - scratch: one row of one update block, in the same dtype and shared
+      by every parameter, so an update allocates nothing.
     """
 
     def __init__(self, model: MlpModel):
         self.accum_w = [np.zeros_like(w) for w in model.weights]
         self.accum_b = [np.zeros_like(b) for b in model.biases]
-        self.working = replace(
-            model,
-            weights=[w.astype(np.float32) for w in model.weights],
-            biases=[b.astype(np.float32) for b in model.biases],
-        )
         params = model.weights + model.biases
         width = max(min(len(p), _block_rows(p)) * p[0].size for p in params)
-        self.scratch = np.empty((2, width), dtype=self.accum_w[0].dtype)
+        self.scratch = np.empty(width, dtype=self.accum_w[0].dtype)
 
 
 @dataclass(frozen=True)
@@ -332,12 +321,12 @@ def train_step(
 ) -> float:
     """One adagrad update in place; returns the batch MSE before the update.
 
-    The forward and backward passes run in float32 on state.working, so
-    the gradients are float32; the loss is float64. Per parameter, with g
-    the gradient in float64 (exact), accum += g*g, then
+    The forward and backward passes run in the dtype of the model's
+    weights, so the gradients have that dtype; the loss is float64. Per
+    parameter, with g its gradient, accum += g*g, then
     param -= lr * (g / sqrt(accum + ADAGRAD_EPSILON)), evaluated in that
-    order in cache-sized blocks, and state.working takes the new
-    parameters. The batch, reference and masks are not modified.
+    order in cache-sized blocks and in the parameters' dtype. The batch,
+    reference and masks are not modified.
     """
     x = as_float_matrix(batch, "batch")
     y = as_float_matrix(reference, "reference")
@@ -353,23 +342,17 @@ def _train_step(
     dropout_masks=None,
 ) -> float:
     """train_step() on float64 matrices already checked to be finite."""
-    loss, grads_w, grads_b = _loss_and_gradients(state.working, x, y, dropout_masks)
+    loss, grads_w, grads_b = _loss_and_gradients(model, x, y, dropout_masks)
     if not np.isfinite(loss):
         raise NumericError(f"training diverged: batch cost is {loss}")
-    wide, square = state.scratch
-    for param, grad, accum, work in zip(
-        model.weights + model.biases,
-        grads_w + grads_b,
-        state.accum_w + state.accum_b,
-        state.working.weights + state.working.biases,
+    for param, grad, accum in zip(
+        model.weights + model.biases, grads_w + grads_b, state.accum_w + state.accum_b
     ):
         rows = _block_rows(param)
         for start in range(0, len(param), rows):
             block = slice(start, start + rows)
-            p, a = param[block], accum[block]
-            g = wide[:p.size].reshape(p.shape)
-            s = square[:p.size].reshape(p.shape)
-            np.copyto(g, grad[block])
+            p, a, g = param[block], accum[block], grad[block]
+            s = state.scratch[:p.size].reshape(p.shape)
             np.multiply(g, g, out=s)
             a += s
             np.add(a, ADAGRAD_EPSILON, out=s)
@@ -377,7 +360,6 @@ def _train_step(
             np.divide(g, s, out=s)
             s *= config.learning_rate
             p -= s
-            np.copyto(work[block], p)
     return loss
 
 
@@ -392,9 +374,9 @@ def _paired_matrices(inputs, references, inputs_name: str, references_name: str)
 def evaluate_cost(model: MlpModel, inputs: np.ndarray, references: np.ndarray) -> float:
     """Full-set MSE without dropout, at the float32 precision training computes in.
 
-    The model runs through model.as_float32(), which holds the same bits as
-    the working copy that train() takes its dev cost from. The squared
-    errors are summed in float64 in a fixed order of 4096-frame chunks.
+    The model runs through model.as_float32(), itself for a trained model,
+    so this is the dev cost that train() records. The squared errors are
+    summed in float64 in a fixed order of 4096-frame chunks.
     """
     x, y = _paired_matrices(inputs, references, "inputs", "references")
     return _evaluate_cost(model.as_float32(), x, y)
@@ -447,12 +429,13 @@ def train(
 ) -> tuple[MlpModel, TrainHistory]:
     """Epoch loop with seeded shuffling, optional dropout and early stopping.
 
-    Each step runs in float32 on the working copy of AdagradState and
-    updates the model's own (float64) parameters; the dev cost is that of
-    the working copy, as evaluate_cost computes it. When a stop rule fires
-    after epoch e, the parameters from epoch e-1 are restored and reported
-    as best_epoch. Dedicated child seeds keep the shuffle and dropout
-    streams independent of each other and of init.
+    Trains one float32 copy of the parameters in place and returns its
+    model: a float32 model is that copy; a float64 model is narrowed once,
+    as MlpModel.as_float32() rounds it, and left as it was. The dev cost
+    is evaluate_cost's. When a stop rule fires after epoch e, the
+    parameters from epoch e-1 are restored and reported as best_epoch.
+    Dedicated child seeds keep the shuffle and dropout streams independent
+    of each other and of init.
     """
     x = as_float_matrix(train_inputs, "train inputs")
     y = as_float_matrix(train_references, "train references")
@@ -468,6 +451,7 @@ def train(
 
     shuffle_rng = np.random.default_rng(derive_seed(config.rng_seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(config.rng_seed, "dropout"))
+    model = model.as_float32()
     hidden_dims = model.layer_dims[1:-1]
     adagrad = AdagradState(model)
     history = TrainHistory()
@@ -485,7 +469,7 @@ def train(
             batch_costs.append(_train_step(model, x[rows], y[rows], config, adagrad, masks))
         history.train_cost.append(float(np.mean(batch_costs)))
         if has_dev:
-            history.dev_cost.append(_evaluate_cost(adagrad.working, dev_x, dev_y))
+            history.dev_cost.append(_evaluate_cost(model, dev_x, dev_y))
         if config.early_stop:
             reason = early_stop_decision(history.dev_cost)
             if reason is not None:

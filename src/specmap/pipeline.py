@@ -69,13 +69,14 @@ class PipelineConfig:
 
     @property
     def mapper(self) -> Optional[MlpModel]:
-        """The float32 copy of the model that every mapping runs through.
+        """The float32 model that every mapping runs through.
 
-        Cast and hashed once per config, not per utterance: for the
-        paper-size model the two take about 80 ms together. Both happen on
-        first use rather than at construction, so that a caller which
-        builds a new config while an old one is alive does not hold two
-        float32 copies at once.
+        A trained or loaded model is float32 already and is its own mapper.
+        A float64 model, as init_model makes, is cast once per config, not
+        per utterance. The mapper is cast (if need be) and hashed on first
+        use rather than at construction: for the paper-size model the two
+        take about 80 ms together, and a caller which builds a new config
+        while an old one is alive then does not hold two casts at once.
         """
         if self._mapper is None and self.model is not None:
             self._mapper = self.model.as_float32()

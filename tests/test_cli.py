@@ -66,6 +66,14 @@ def test_simulate_invalid_t60_names_field(tmp_path, capsys):
     assert "t60" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["n_mels=0", "n_mels=200", "window=blackman", "f_max=9000"])
+def test_simulate_with_a_bad_front_end_writes_nothing(tmp_path, capsys, setting):
+    out = tmp_path / "corpus"
+    assert main(["simulate", "--out", str(out), *BASE_OVERRIDES, "--set", setting]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
 def test_unknown_mode_and_usage_errors(tmp_path, capsys):
     assert main(["enhance", "--manifest", "nope.json", "--out", str(tmp_path)]) == 2
     code = main(["bogus-command"])

@@ -108,7 +108,7 @@ def test_enhanced_recipe_fit_is_bit_reproducible():
     assert json.dumps(first.history_.to_dict()) == json.dumps(second.history_.to_dict())
     for a, b in zip(first.model_.weights + first.model_.biases,
                     second.model_.weights + second.model_.biases):
-        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+        assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("recipe", ["original", "enhanced"])

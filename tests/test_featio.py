@@ -8,7 +8,9 @@ from specmap.cli import main
 from specmap.errors import FormatError
 from specmap.featio import load_model, read_features, save_model, write_features
 from specmap.features import NormalizationSpec
-from specmap.mlp import init_model
+from specmap.mlp import TrainConfig, init_model, train
+from specmap.pipeline import PipelineConfig
+from specmap.runconfig import config_hash
 
 
 def test_feature_roundtrip(tmp_path):
@@ -63,8 +65,8 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.layer_dims == [6, 4, 4, 2]
     assert loaded.output_activation == "sigmoid"
     assert loaded.seed == 3
-    for a, b in zip(loaded.weights, model.weights):
-        assert np.array_equal(a, b.astype(np.float32).astype(np.float64))
+    for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+        assert a.dtype == np.float32 and np.array_equal(a, b.astype(np.float32))
     assert np.array_equal(loaded.norm_spec.input_mean, model.norm_spec.input_mean)
     assert loaded.norm_spec.reference_mode == "global_minmax_01"
 
@@ -167,3 +169,50 @@ def test_enhance_takes_the_context_from_the_model_dims(tiny_corpus, tmp_path, ca
     capsys.readouterr()
     assert _enhance_dnn(tiny_corpus, wrong_dim, tmp_path / "wrong") == 2
     assert "model input dim" in capsys.readouterr().err
+
+
+def test_trained_model_is_float32_and_survives_a_checkpoint_round_trip(tmp_path):
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(40, 6)), rng.uniform(0.2, 0.8, size=(40, 2))
+    initial = init_model([6, 4, 2], "sigmoid", seed=3, norm_spec=_norm_spec())
+    model, _ = train(initial, x, y, TrainConfig(batch_size=8, max_epochs=2, rng_seed=1))
+    assert all(p.dtype == np.float32 for p in model.weights + model.biases)
+    assert all(p.dtype == np.float64 for p in initial.weights + initial.biases)  # left as it was
+    path = tmp_path / "m.sfmd"
+    save_model(path, model)
+    loaded, _ = load_model(path)
+    for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+        assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
+    # wpe_only checks no model dims against the front end, so a toy model hashes
+    configs = [PipelineConfig(mode="wpe_only", model=m) for m in (model, loaded)]
+    assert configs[0].mapper is model  # a trained model maps through itself, uncast
+    assert config_hash(configs[0].describe()) == config_hash(configs[1].describe())
+
+
+def _nan_weight(model):
+    model.weights[1][2, 1] = np.nan
+
+
+def _inf_input_var(model):
+    model.norm_spec.input_var[4] = np.inf
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [(_nan_weight, "layer 1 weights"), (_inf_input_var, "input_var")],
+    ids=["nan_weight", "inf_input_var"],
+)
+def test_non_finite_checkpoint_is_refused_before_any_utterance(
+    damage, named, tiny_corpus, tmp_path, capsys
+):
+    model = init_model([6, 4, 2], "sigmoid", seed=3, norm_spec=_norm_spec())
+    damage(model)
+    path = tmp_path / "m.sfmd"
+    save_model(path, model)
+    with pytest.raises(FormatError, match=f"non-finite values in {named}"):
+        load_model(path)
+    capsys.readouterr()
+    assert _enhance_dnn(tiny_corpus, path, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and named in err
+    assert not (tmp_path / "out").exists()

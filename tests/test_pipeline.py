@@ -61,6 +61,15 @@ def _pipeline_config(manifest, mode, model=None, context=1, **kwargs):
     )
 
 
+def _widened(model):
+    """The model with float64 copies of its parameters."""
+    return dataclasses.replace(
+        model,
+        weights=[w.astype(np.float64) for w in model.weights],
+        biases=[b.astype(np.float64) for b in model.biases],
+    )
+
+
 def test_baseline_equals_signal_core(tiny_corpus):
     manifest = tiny_corpus
     entry = manifest.split_entries("test")[0]
@@ -360,19 +369,22 @@ def test_batch_enhance_workers_run_wpe_on_one_thread(tiny_corpus, tmp_path, monk
 
 
 def test_batch_enhance_parallel_mapper_matches_serial(tiny_corpus, toy_mapper, tmp_path, monkeypatch):
-    # The float32 mapper is cast once per config, before the threads start,
-    # and every utterance maps as enhance_utterance does on its own.
+    # A trained model maps through itself. A float64 model (as init_model
+    # makes) is cast once per config, before the threads start, and every
+    # utterance maps as enhance_utterance does on its own.
     manifest = tiny_corpus
+    assert _pipeline_config(manifest, "wpe_dnn", model=toy_mapper.model_).mapper is toy_mapper.model_
+    wide = _widened(toy_mapper.model_)
     casts = []
-    as_float32 = type(toy_mapper.model_).as_float32
+    as_float32 = type(wide).as_float32
 
     def counting(model):
-        if model is toy_mapper.model_:  # a cast, not the float32 copy returning itself
+        if model is wide:  # a cast, not the float32 copy returning itself
             casts.append(threading.get_ident())
         return as_float32(model)
 
-    monkeypatch.setattr(type(toy_mapper.model_), "as_float32", counting)
-    config = _pipeline_config(manifest, "wpe_dnn", model=toy_mapper.model_)
+    monkeypatch.setattr(type(wide), "as_float32", counting)
+    config = _pipeline_config(manifest, "wpe_dnn", model=wide)
     monkeypatch.setattr(_pool, "_thread_limit", 2)
     result = batch_enhance(manifest, config, tmp_path, split="dev")
     assert casts == [threading.get_ident()] and not result.failures
@@ -500,10 +512,12 @@ def mappers(tiny_corpus, toy_mapper):
 
 @pytest.mark.parametrize("name", ["toy", "original", "enhanced", "paper"])
 def test_float32_mapping_matches_float64_forward(tiny_corpus, mappers, name):
-    # Measured worst cases over the 12 test utterances, one or two OpenBLAS
-    # threads: 1.1e-6 on the network output (enhanced recipe) and 7.4e-6
-    # nats on log-mel features (paper-size mapper).
+    # Against the float64 forward of the same parameters. Measured worst
+    # cases over the 12 test utterances, one or two OpenBLAS threads: 1.1e-6
+    # on the network output (enhanced recipe) and 7.4e-6 nats on log-mel
+    # features (paper-size mapper).
     model, context = mappers[name]
+    wide = _widened(model)
     filterbank = mel_matrix(tiny_corpus.mel_config())
     floor = tiny_corpus.feature_config["magnitude_floor"]
     params = [p.copy() for p in model.weights + model.biases]
@@ -518,13 +532,13 @@ def test_float32_mapping_matches_float64_forward(tiny_corpus, mappers, name):
         output, features = reference_map(model.as_float32(), log_spec, context, filterbank, floor)
         assert mapped.normalized.tobytes() == output.astype(np.float64).tobytes()
         assert mapped.denormalized.tobytes() == features.tobytes()
-        output, features = reference_map(model, log_spec, context, filterbank, floor)
+        output, features = reference_map(wide, log_spec, context, filterbank, floor)
         assert mapped.normalized.dtype == np.float64 and mapped.denormalized.dtype == np.float64
         assert np.max(np.abs(mapped.normalized - output)) <= 2e-6
         assert np.max(np.abs(mapped.denormalized - features)) <= 1.5e-5
         assert np.array_equal(log_spec, untouched)
     for before, after in zip(params, model.weights + model.biases):
-        assert after.dtype == np.float64 and np.array_equal(before, after)
+        assert after.dtype == before.dtype and np.array_equal(before, after)
     for key, before in spec_arrays.items():
         assert getattr(spec, key).tobytes() == before.tobytes(), key
     if model.norm_spec.reference_mode == "utterance_mvn":
@@ -536,16 +550,17 @@ def test_float32_mapping_matches_float64_forward(tiny_corpus, mappers, name):
             wave = load_wav(tiny_corpus.resolve(entry.noisy_wav))
             log_spec = log_magnitude(stft(wave, config.stft), floor)
             mapped = map_features(model, log_spec, context, filterbank, floor, "magnitude")
-            _, features = reference_map(model, log_spec, context, filterbank, floor, "magnitude")
+            _, features = reference_map(wide, log_spec, context, filterbank, floor, "magnitude")
             assert np.max(np.abs(mapped.denormalized - features)) <= 1.5e-5
             assert np.array_equal(enhance_utterance(wave, config).features, mapped.denormalized)
 
 
 def test_pipeline_and_estimator_map_the_same_bits(tiny_corpus, toy_mapper):
-    # enhance_utterance maps through the config's float32 copy, cast once
-    # per config; SpectralFeatureMapper.transform casts the float64 model.
+    # enhance_utterance and SpectralFeatureMapper.transform both map through
+    # the trained float32 model itself.
     manifest = tiny_corpus
     config = _pipeline_config(manifest, "dnn_only", model=toy_mapper.model_)
+    assert config.mapper is toy_mapper.model_
     assert config.mapper.weights[0].dtype == np.float32
     assert config.mapper.as_float32() is config.mapper
     for entry in manifest.split_entries("test"):
