@@ -83,7 +83,8 @@ def load_model(path) -> tuple[MlpModel, dict]:
     """The checkpoint's model, with the float32 parameters it stores, and its config.
 
     A malformed file, or a non-finite weight, bias or normalization
-    statistic, which would fail every utterance, is a FormatError.
+    statistic (which NormalizationSpec refuses), any of which would fail
+    every utterance, is a FormatError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -138,8 +139,7 @@ def load_model(path) -> tuple[MlpModel, dict]:
         raise FormatError(f"{path}: malformed metadata ({exc!r})") from exc
     arrays = {f"layer {i} weights": w for i, w in enumerate(weights)}
     arrays.update({f"layer {i} biases": b for i, b in enumerate(biases)})
-    arrays.update(vars(model.norm_spec) if model.norm_spec is not None else {})
     for name, values in arrays.items():
-        if isinstance(values, np.ndarray) and not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(values)):
             raise FormatError(f"{path}: non-finite values in {name}")
     return model, config

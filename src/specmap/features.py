@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .validation import as_float_matrix, check_choice, check_nonnegative, check_positive
 
 INPUT_MODES = ("global_mvn", "utterance_mvn")
@@ -60,6 +60,10 @@ class NormalizationSpec:
         check_choice(self.input_mode, INPUT_MODES, "input_mode")
         check_choice(self.reference_mode, REFERENCE_MODES, "reference_mode")
         check_positive(self.epsilon, "epsilon")
+        for name in ("input_mean", "input_var", "ref_min", "ref_max"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"non-finite values in {name}")
         if self.input_var is not None and np.any(np.asarray(self.input_var) <= 0):
             raise ConfigError("input_var entries must be positive (clamped at fit time)")
         if self.ref_min is not None and self.ref_max is not None:
@@ -115,37 +119,85 @@ def invert_mvn(x: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     return x * np.sqrt(var) + mean
 
 
+def _checked_utterances(utterances: Sequence[np.ndarray], name: str) -> list[np.ndarray]:
+    """Each utterance as a finite float64 matrix (a view when it is one); one width for all."""
+    checked = [as_float_matrix(m, name) for m in utterances]
+    if len({m.shape[1] for m in checked}) > 1:
+        raise ShapeError(f"{name} utterances must share one dimension")
+    if not any(len(m) for m in checked):
+        raise ConfigError(f"fit_normalizer needs at least one frame of {name}")
+    return checked
+
+
+def _pooled_reduce(ufunc: np.ufunc, utterances: list[np.ndarray], center=None) -> np.ndarray:
+    """ufunc.reduce(np.vstack(utterances), axis=0), one utterance at a time.
+
+    With center, the rows reduced are the squared deviations
+    (m - center)**2, as np.var takes them. numpy reduces a C-contiguous
+    matrix of two or more columns over axis 0 one row after another, so
+    folding each utterance into the running result as the first row of
+    [result; rows] gives the pooled bits. One column it reduces pairwise
+    instead, so a single column is pooled; it holds one float per frame.
+    """
+    if utterances[0].shape[1] == 1:
+        utterances = [np.vstack(utterances)]
+    buffer = np.empty((1 + max(len(m) for m in utterances), utterances[0].shape[1]))
+    result = None
+    for m in utterances:
+        if not len(m):
+            continue
+        rows = buffer[1:1 + len(m)]
+        if center is None:
+            rows[...] = m
+        else:
+            np.subtract(m, center, out=rows)
+            np.square(rows, out=rows)
+        if result is None:
+            result = ufunc.reduce(rows, axis=0)
+        else:
+            buffer[0] = result
+            ufunc.reduce(buffer[:1 + len(m)], axis=0, out=result)
+    return result
+
+
 def fit_normalizer(
     inputs: Sequence[np.ndarray],
     references: Sequence[np.ndarray],
     input_mode: str = "global_mvn",
     reference_mode: str = "global_minmax_01",
 ) -> NormalizationSpec:
-    """Compute normalization statistics over the pooled training utterances."""
+    """Compute normalization statistics over the pooled training utterances.
+
+    The statistics are computed one utterance at a time, with no pooled
+    copy of the utterances and no matrix of deviations, and equal np.mean,
+    np.var, np.min and np.max of the pooled frames bit for bit (see
+    _pooled_reduce). The global_mvn variance is clamped at epsilon.
+    """
     check_choice(input_mode, INPUT_MODES, "input_mode")
     check_choice(reference_mode, REFERENCE_MODES, "reference_mode")
     if not inputs or not references:
         raise ConfigError("fit_normalizer needs a nonempty training set")
 
-    spec = NormalizationSpec(input_mode=input_mode, reference_mode=reference_mode)
-    epsilon = spec.epsilon
+    epsilon = NormalizationSpec.epsilon
+    stats = {}
     if input_mode == "global_mvn":
-        pooled = np.vstack([as_float_matrix(m, "inputs") for m in inputs])
-        mean = pooled.mean(axis=0)
-        var = pooled.var(axis=0)
+        feats = _checked_utterances(inputs, "inputs")
+        n_frames = sum(len(m) for m in feats)
+        mean = _pooled_reduce(np.add, feats) / n_frames
+        var = _pooled_reduce(np.add, feats, center=mean) / n_frames
         flat = int(np.sum(var < epsilon))
         if flat:
             warnings.warn(f"{flat} input dimension(s) have near-zero variance; clamped to epsilon")
-        spec.input_mean = mean
-        spec.input_var = np.maximum(var, epsilon)
+        stats.update(input_mean=mean, input_var=np.maximum(var, epsilon))
     if reference_mode == "global_minmax_01":
-        pooled = np.vstack([as_float_matrix(m, "references") for m in references])
-        spec.ref_min = pooled.min(axis=0)
-        spec.ref_max = pooled.max(axis=0)
-        flat = int(np.sum((spec.ref_max - spec.ref_min) < epsilon))
+        refs = _checked_utterances(references, "references")
+        ref_min = _pooled_reduce(np.minimum, refs)
+        ref_max = _pooled_reduce(np.maximum, refs)
+        flat = int(np.sum((ref_max - ref_min) < epsilon))
         if flat:
             warnings.warn(f"{flat} reference dimension(s) have near-zero range")
-    return spec
+        stats.update(ref_min=ref_min, ref_max=ref_max)
+    return NormalizationSpec(input_mode=input_mode, reference_mode=reference_mode, **stats)
 
 
 def normalize(x: np.ndarray, spec: NormalizationSpec, role: str) -> np.ndarray:

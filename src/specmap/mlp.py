@@ -5,7 +5,10 @@ produces 40 mel features per frame, on the CPU. Every pass, training
 included, computes in the dtype of the model's weights. init_model gives
 float64 parameters, for the gradient checks; train() narrows them to
 float32 once, as MlpModel.as_float32() rounds them, and trains and returns
-that single float32 copy, the precision that checkpoints store. A trained
+that single float32 copy, the precision that checkpoints store. train()
+likewise holds one float32 copy of its training and dev inputs (a float32
+matrix is used as is) and gathers every batch from it; the references
+stay float64, because the loss is taken in float64. A trained
 model, the same model reloaded from its checkpoint and the estimator that
 holds it therefore map every utterance to the same bits. Training and
 mapping are byte-identical on reruns for a fixed seed, sequential
@@ -32,7 +35,7 @@ from .features import (
 from .mel import MEL_MODES
 from .seeding import derive_seed
 from .stft import DEFAULT_MAGNITUDE_FLOOR
-from .validation import as_float_matrix, check_choice, check_positive
+from .validation import as_float_matrix, check_choice, check_finite, check_positive
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
 
@@ -222,7 +225,9 @@ def loss_and_gradients(model: MlpModel, batch, reference, dropout_masks=None):
 
 
 def _loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, dropout_masks=None):
-    """loss_and_gradients() on float64 matrices already checked to be finite.
+    """loss_and_gradients() on matrices already checked to be finite.
+
+    x is float64 or already in the weights' dtype; y is float64.
 
     The output error out - y is taken in float64, for the loss, and cast
     to the weights' dtype once it is scaled into the output gradient. The
@@ -341,7 +346,7 @@ def _train_step(
     state: AdagradState,
     dropout_masks=None,
 ) -> float:
-    """train_step() on float64 matrices already checked to be finite."""
+    """train_step() on matrices already checked, as _loss_and_gradients takes them."""
     loss, grads_w, grads_b = _loss_and_gradients(model, x, y, dropout_masks)
     if not np.isfinite(loss):
         raise NumericError(f"training diverged: batch cost is {loss}")
@@ -363,12 +368,25 @@ def _train_step(
     return loss
 
 
-def _paired_matrices(inputs, references, inputs_name: str, references_name: str):
-    x = as_float_matrix(inputs, inputs_name)
-    y = as_float_matrix(references, references_name)
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError(f"{inputs_name} and {references_name} must have the same frame count")
-    return x, y
+def _float32_matrix(x, name: str) -> np.ndarray:
+    """x as one finite float32 matrix: a float32 array as is, anything else narrowed once.
+
+    The narrowing rounds as astype(np.float32) does, so rows gathered from
+    the copy equal the same rows gathered in float64 and then narrowed. A
+    finite float64 value beyond float32's range, which narrows to inf, is
+    a NumericError naming the matrix, as a non-finite value is.
+    """
+    arr = np.asarray(x)
+    if arr.dtype != np.float32:
+        arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
+    with np.errstate(over="ignore"):
+        narrow = arr.astype(np.float32, copy=False)
+    if not np.all(np.isfinite(narrow)):
+        check_finite(arr, name)
+        raise NumericError(f"{name} hold values beyond float32 range")
+    return narrow
 
 
 def evaluate_cost(model: MlpModel, inputs: np.ndarray, references: np.ndarray) -> float:
@@ -378,7 +396,10 @@ def evaluate_cost(model: MlpModel, inputs: np.ndarray, references: np.ndarray) -
     so this is the dev cost that train() records. The squared errors are
     summed in float64 in a fixed order of 4096-frame chunks.
     """
-    x, y = _paired_matrices(inputs, references, "inputs", "references")
+    x = as_float_matrix(inputs, "inputs")
+    y = as_float_matrix(references, "references")
+    if x.shape[0] != y.shape[0]:
+        raise ShapeError("inputs and references must have the same frame count")
     return _evaluate_cost(model.as_float32(), x, y)
 
 
@@ -431,13 +452,19 @@ def train(
 
     Trains one float32 copy of the parameters in place and returns its
     model: a float32 model is that copy; a float64 model is narrowed once,
-    as MlpModel.as_float32() rounds it, and left as it was. The dev cost
-    is evaluate_cost's. When a stop rule fires after epoch e, the
+    as MlpModel.as_float32() rounds it, and left as it was. The training
+    and dev inputs are checked once and narrowed to one float32 copy each
+    (a float32 matrix is used as is), and every batch is gathered from that
+    copy: the same bits as gathering float64 rows and narrowing each batch,
+    since both are elementwise. An input that is not finite, or a finite
+    float64 input beyond float32's range, is a NumericError raised before
+    the first step. The references stay float64. The dev cost is
+    evaluate_cost's. When a stop rule fires after epoch e, the
     parameters from epoch e-1 are restored and reported as best_epoch.
     Dedicated child seeds keep the shuffle and dropout streams independent
     of each other and of init.
     """
-    x = as_float_matrix(train_inputs, "train inputs")
+    x = _float32_matrix(train_inputs, "train inputs")
     y = as_float_matrix(train_references, "train references")
     if x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ConfigError("training set must be nonempty with paired inputs/references")
@@ -447,7 +474,10 @@ def train(
             "early stopping cross-validates against a development set; none was provided"
         )
     if has_dev:
-        dev_x, dev_y = _paired_matrices(dev_inputs, dev_references, "dev inputs", "dev references")
+        dev_x = _float32_matrix(dev_inputs, "dev inputs")
+        dev_y = as_float_matrix(dev_references, "dev references")
+        if dev_x.shape[0] != dev_y.shape[0]:
+            raise ShapeError("dev inputs and dev references must have the same frame count")
 
     shuffle_rng = np.random.default_rng(derive_seed(config.rng_seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(config.rng_seed, "dropout"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gathered_context
-from specmap.errors import ConfigError
+from specmap.errors import ConfigError, ShapeError
 from specmap.features import (
     NormalizationSpec,
     assemble_context,
@@ -154,3 +154,76 @@ def test_denormalize_inverts():
 def test_fit_normalizer_requires_data():
     with pytest.raises(ConfigError):
         fit_normalizer([], [], "global_mvn", "global_minmax_01")
+
+
+# fit_normalizer reduces one utterance at a time; the pooled statistics it
+# replaced are the reference, bit for bit.
+
+def _pooled_stats(inputs, refs):
+    pooled, ref_pool = np.vstack(inputs), np.vstack(refs)
+    var = np.maximum(pooled.var(axis=0), NormalizationSpec.epsilon)
+    return pooled.mean(axis=0), var, ref_pool.min(axis=0), ref_pool.max(axis=0)
+
+
+def _ragged(rng, lengths, dim, scale=1.0):
+    return [rng.normal(size=(n, dim)) * scale + rng.normal() * 40.0 for n in lengths]
+
+
+@pytest.mark.filterwarnings("ignore:.*near-zero")  # the one-frame set
+@pytest.mark.parametrize("dim", [1, 2, 7, 40, 363])
+@pytest.mark.parametrize("lengths", [(1,), (1, 250, 3), (97, 0, 180, 1, 61, 130)], ids=str)
+def test_fit_normalizer_equals_the_pooled_statistics_bitwise(dim, lengths):
+    rng = np.random.default_rng(50 + dim + len(lengths))
+    inputs = _ragged(rng, lengths, dim, scale=10 ** rng.uniform(-2, 2))
+    refs = _ragged(rng, lengths, 4)
+    spec = fit_normalizer(inputs, refs)
+    got = (spec.input_mean, spec.input_var, spec.ref_min, spec.ref_max)
+    for a, b in zip(got, _pooled_stats(inputs, refs)):
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+def test_fit_normalizer_reads_context_views_as_pooled():
+    rng = np.random.default_rng(57)
+    logs = _ragged(rng, (1, 140, 33, 210), 33)
+    inputs = [assemble_context(x, 5) for x in logs]  # read-only overlapping views
+    assert not any(m.flags.writeable or m.flags.c_contiguous for m in inputs[1:])
+    refs = _ragged(rng, (1, 140, 33, 210), 40)
+    spec = fit_normalizer(inputs, refs)
+    pooled = _pooled_stats([m.copy() for m in inputs], refs)
+    for a, b in zip((spec.input_mean, spec.input_var, spec.ref_min, spec.ref_max), pooled):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_fit_normalizer_holds_no_pooled_copy():
+    rng = np.random.default_rng(58)
+    lengths = rng.integers(100, 200, size=24)
+    inputs = [assemble_context(x, 5) for x in _ragged(rng, lengths, 33)]
+    refs = _ragged(rng, lengths, 40)
+    longest = max(lengths) * inputs[0].shape[1] * 8
+    pooled = sum(lengths) * inputs[0].shape[1] * 8
+    tracemalloc.start()
+    try:
+        fit_normalizer(inputs, refs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Measured 1.24x the longest utterance; pooling the utterances and
+    # their deviations peaked at 2.0x the pooled matrix.
+    assert peak < 3 * longest < pooled / 4
+
+
+def test_fit_normalizer_refuses_mixed_widths_and_no_frames():
+    with pytest.raises(ShapeError):
+        fit_normalizer([np.zeros((3, 2)), np.zeros((3, 3))], [np.zeros((3, 1))] * 2)
+    with pytest.raises(ConfigError, match="at least one frame"):
+        fit_normalizer([np.zeros((0, 2))], [np.zeros((0, 1))])
+
+
+@pytest.mark.parametrize("name", ["input_mean", "input_var", "ref_min", "ref_max"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_refuses_non_finite_statistics(name, bad):
+    stats = {"input_mean": np.zeros(3), "input_var": np.ones(3),
+             "ref_min": np.zeros(2), "ref_max": np.ones(2)}
+    stats[name][1] = bad
+    with pytest.raises(ConfigError, match=f"non-finite values in {name}"):
+        NormalizationSpec(**stats)

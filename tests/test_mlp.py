@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import relative_error
 from specmap.errors import ConfigError, NumericError, ShapeError
 from specmap.features import NormalizationSpec, invert_mvn, utterance_stats
+from specmap import mlp
 from specmap.mlp import (
     ADAGRAD_EPSILON,
     AdagradState,
     MlpModel,
     TrainConfig,
+    TrainHistory,
     early_stop_decision,
     evaluate_cost,
     forward,
@@ -20,6 +24,7 @@ from specmap.mlp import (
     train,
     train_step,
 )
+from specmap.seeding import derive_seed
 
 
 def test_init_deterministic_and_zero_biases():
@@ -592,3 +597,106 @@ def test_train_step_rejects_nan_batch():
         train_step(model, batch, np.full((4, 2), 0.5), TrainConfig(), AdagradState(model))
     for w_before, w_after in zip(before, model.weights):
         assert np.array_equal(w_before, w_after)
+
+
+# train() gathers its batches from one float32 copy of the inputs. The
+# reference is the loop it replaced: float64 rows gathered per batch and
+# narrowed inside each step, the dev cost narrowed chunk by chunk.
+
+def reference_train(model, x, y, config, dev_x=None, dev_y=None):
+    shuffle_rng = np.random.default_rng(derive_seed(config.rng_seed, "shuffle"))
+    dropout_rng = np.random.default_rng(derive_seed(config.rng_seed, "dropout"))
+    model = model.as_float32()
+    state = AdagradState(model)
+    history = TrainHistory()
+    for epoch in range(1, config.max_epochs + 1):
+        previous = model.copy_parameters()
+        order = shuffle_rng.permutation(len(x))
+        costs = []
+        for start in range(0, len(order), config.batch_size):
+            rows = order[start:start + config.batch_size]
+            masks = None
+            if config.dropout_rate:
+                masks = make_dropout_masks(
+                    dropout_rng, model.layer_dims[1:-1], len(rows), config.dropout_rate
+                )
+            costs.append(train_step(model, x[rows], y[rows], config, state, masks))
+        history.train_cost.append(float(np.mean(costs)))
+        if dev_x is not None:
+            history.dev_cost.append(evaluate_cost(model, dev_x, dev_y))
+        reason = early_stop_decision(history.dev_cost) if config.early_stop else None
+        if reason is not None:
+            model.set_parameters(*previous)
+            history.stop_reason, history.best_epoch = reason, epoch - 1
+            return model, history
+    history.best_epoch = config.max_epochs
+    return model, history
+
+
+@pytest.mark.parametrize(
+    "activation, dropout_rate, early_stop, with_dev",
+    [("sigmoid", 0.0, False, False), ("sigmoid", 0.0, False, True), ("linear", 0.3, True, True)],
+    ids=["plain", "dev", "dropout-early-stop"],
+)
+def test_train_matches_the_per_batch_narrowing_loop_bitwise(activation, dropout_rate, early_stop, with_dev):
+    rng = np.random.default_rng(60)
+    x = rng.normal(size=(70, 9)) * 3.0
+    y = rng.normal(size=(70, 3)) if activation == "linear" else rng.uniform(0.1, 0.9, size=(70, 3))
+    dev_x = rng.normal(size=(23, 9)) * 3.0 if with_dev else None
+    dev_y = None
+    if with_dev:
+        dev_y = y[:23] + (4.0 if early_stop else 0.0)  # unrelated targets stop early
+    config = TrainConfig(batch_size=16, learning_rate=0.05, max_epochs=12,
+                         dropout_rate=dropout_rate, early_stop=early_stop, rng_seed=7)
+    model = init_model([9, 11, 6, 3], activation, seed=61)
+    untouched = [a.copy() for a in (x, y) + ((dev_x, dev_y) if with_dev else ())]
+    got, got_history = train(model, x, y, config, dev_x, dev_y)
+    want, want_history = reference_train(model, x, y, config, dev_x, dev_y)
+    assert got_history == want_history
+    assert len(got_history.dev_cost) == (len(got_history.train_cost) if with_dev else 0)
+    if early_stop:
+        assert got_history.stop_reason in ("dev_increase", "dev_plateau")
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.dtype == np.float32
+        assert_same_bits(a, b)
+    for before, after in zip(untouched, (x, y) + ((dev_x, dev_y) if with_dev else ())):
+        assert_same_bits(before, after)
+
+
+def _traced_train_peak(x, dev_x, y, dev_y):
+    config = TrainConfig(batch_size=256, max_epochs=1, rng_seed=3)
+    model = init_model([x.shape[1], 16, 4], "sigmoid", seed=62).as_float32()
+    tracemalloc.start()
+    try:
+        train(model, x, y, config, dev_x, dev_y)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_uses_float32_inputs_without_a_copy():
+    rng = np.random.default_rng(63)
+    x = rng.normal(size=(20000, 64)).astype(np.float32)
+    dev_x = rng.normal(size=(5000, 64)).astype(np.float32)
+    y, dev_y = rng.uniform(0.1, 0.9, size=(20000, 4)), rng.uniform(0.1, 0.9, size=(5000, 4))
+    inputs_bytes = x.nbytes + dev_x.nbytes
+    # Measured 0.20x, the finiteness mask of the larger matrix; float64
+    # inputs, narrowed into new float32 copies, measured 1.12x.
+    assert _traced_train_peak(x, dev_x, y, dev_y) < 0.5 * inputs_bytes
+    assert _traced_train_peak(x.astype(np.float64), dev_x.astype(np.float64), y, dev_y) > inputs_bytes
+
+
+@pytest.mark.parametrize("matrix", ["train inputs", "dev inputs"])
+@pytest.mark.parametrize("value, message", [(1e39, "beyond float32 range"), (-1e300, "beyond float32 range"),
+                                            (np.nan, "non-finite"), (np.inf, "non-finite")])
+def test_train_refuses_inputs_float32_cannot_hold_before_any_step(monkeypatch, matrix, value, message):
+    rng = np.random.default_rng(64)
+    x, dev_x = rng.normal(size=(20, 3)), rng.normal(size=(6, 3))
+    y, dev_y = rng.uniform(0.2, 0.8, size=(20, 2)), rng.uniform(0.2, 0.8, size=(6, 2))
+    (x if matrix == "train inputs" else dev_x)[4, 1] = value
+    steps = []
+    monkeypatch.setattr(mlp, "_train_step", lambda *args: steps.append(args))
+    model = init_model([3, 4, 2], "sigmoid", seed=65)
+    with pytest.raises(NumericError, match=f"{matrix}.*{message}"):
+        train(model, x, y, TrainConfig(batch_size=8, max_epochs=2), dev_x, dev_y)
+    assert steps == []
