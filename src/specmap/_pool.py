@@ -1,16 +1,15 @@
-"""The threads that share a call's independent items: utterances or blocks of bins.
+"""The threads that share a split's utterances.
 
-batch_enhance runs a batch's utterances here, and wpe_dereverberate the
-blocks of bins of one call. run_items shares the items between the
-calling thread and up to one helper thread per further CPU the process may
-run on (os.sched_getaffinity): each thread claims the next unclaimed item
-until none is left or one has raised. The threads never nest: an item that
-reaches run_items again from a thread that is sharing items (WPE inside a
-batch) runs those items inline, on its own thread. A helper that handed
-them out would wait on its own busy executor, and inline each utterance of
-a batch does exactly the arithmetic of a one-thread run. The helper threads
-start on the first call that needs them and live as long as the process;
-a forked child starts its own.
+batch_enhance and training_features run a split's utterances here, and
+nothing else in specmap starts a thread: each utterance's WPE runs on its
+utterance's thread. run_items shares the items between the calling thread
+and up to one helper thread per further CPU the process may run on
+(os.sched_getaffinity): each thread claims the next unclaimed item until
+none is left or one has raised. An item that reaches run_items again runs
+those items inline, on its own thread: a helper that handed them out would
+wait on its own busy executor. The helper threads start on the first call
+that needs them and live as long as the process; a forked child starts its
+own.
 """
 
 import os

@@ -40,17 +40,11 @@ DRR_JITTER_DB = 3.0
 class RirConfig:
     t60: float = 0.5
     length: int = 8000
-    direct_delay: int = 0
     seed: int = 0
 
     def __post_init__(self):
         check_positive(self.t60, "t60")
-        check_nonnegative(self.direct_delay, "direct_delay")
-        if not self.length > self.direct_delay:
-            raise ConfigError(
-                f"length must exceed direct_delay, got length={self.length}, "
-                f"direct_delay={self.direct_delay}"
-            )
+        check_positive(self.length, "length")
 
 
 def synth_rir(config: RirConfig, sample_rate: int) -> Waveform:
@@ -62,8 +56,8 @@ def synth_rir(config: RirConfig, sample_rate: int) -> Waveform:
     """
     rng = np.random.default_rng(config.seed)
     impulse_response = np.zeros(config.length)
-    impulse_response[config.direct_delay] = 1.0
-    tail_len = config.length - config.direct_delay - 1
+    impulse_response[0] = 1.0
+    tail_len = config.length - 1
     if tail_len > 0:
         t = np.arange(1, tail_len + 1) / sample_rate
         envelope = np.exp(-3.0 * np.log(10.0) * t / config.t60)
@@ -71,7 +65,7 @@ def synth_rir(config: RirConfig, sample_rate: int) -> Waveform:
         energy = float(np.sum(tail ** 2))
         if energy > 0:
             tail /= np.sqrt(energy)
-        impulse_response[config.direct_delay + 1:] = tail
+        impulse_response[1:] = tail
     return Waveform(impulse_response, sample_rate)
 
 

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _pool
 from .audio import load_wav
 from .errors import ConfigError, ShapeError
 from .featio import read_features
@@ -42,16 +43,25 @@ def training_features(manifest, split: str, wpe: Optional[WpeConfig] = None):
     """(inputs, references) of one manifest split, as SpectralFeatureMapper.fit takes them.
 
     Inputs come from the noisy WAVs through input_features, references are
-    the split's stored reference features.
+    the split's stored reference features. The utterances run on the
+    threads of specmap._pool, as batch_enhance's do, each with its WPE on
+    its own thread, and come back in manifest order; the first error to
+    load or read one is raised.
     """
     stft_config = manifest.stft_config()
     floor = manifest.mel_config().magnitude_floor
-    inputs, references = [], []
-    for entry in manifest.split_entries(split):
+    entries = manifest.split_entries(split)
+
+    def features(index: int):
+        entry = entries[index]
         waveform = load_wav(manifest.resolve(entry.noisy_wav))
-        inputs.append(input_features(waveform, stft_config, wpe, floor))
-        references.append(read_features(manifest.resolve(entry.reference_features)))
-    return inputs, references
+        return (
+            input_features(waveform, stft_config, wpe, floor),
+            read_features(manifest.resolve(entry.reference_features)),
+        )
+
+    pairs = _pool.run_items(features, len(entries))
+    return [inputs for inputs, _ in pairs], [reference for _, reference in pairs]
 
 
 def _normalized_rows(utterances, norm, role: str) -> np.ndarray:
@@ -106,6 +116,7 @@ class SpectralFeatureMapper:
         self.seed = seed
         self.model_ = None
         self.history_ = None
+        self.mel_config_ = None
 
     @classmethod
     def _parameter_names(cls):
@@ -134,8 +145,9 @@ class SpectralFeatureMapper:
     def fit(self, X, y, X_dev=None, y_dev=None, mel_config=None):
         """X: list of (T x bins) log-magnitude arrays; y: list of (T x 40) mel refs.
 
-        mel_config, the references' MelConfig, gives transform the filterbank,
-        mode and floor that enhance_utterance inverts utterance-MVN outputs with.
+        mel_config, the references' MelConfig, kept as mel_config_, gives
+        transform the filterbank, mode and floor that enhance_utterance
+        inverts utterance-MVN outputs with.
         """
         check_choice(self.recipe, RECIPES, "recipe")
         if not X or not y or len(X) != len(y):
@@ -179,13 +191,13 @@ class SpectralFeatureMapper:
             rng_seed=derive_seed(self.seed, "train"),
         )
         self.model_, self.history_ = train(model, train_x, train_y, config, dev_x, dev_y)
-        self._mel_config = mel_config
+        self.mel_config_ = mel_config
         return self
 
     def transform(self, X) -> list[np.ndarray]:
         """Map utterances to mel features in the reference (log-mel) domain."""
         check_fitted(self, ("model_",))
-        mel = self._mel_config
+        mel = self.mel_config_
         front_end = () if mel is None else (mel_matrix(mel), mel.magnitude_floor, mel.mode)
         return [
             map_features(self.model_, np.asarray(log_spec), self.context, *front_end).denormalized

@@ -6,8 +6,9 @@ context windows to mel features), and wpe_dnn (dereverberate, then map).
 wpe_dnn maps the dereverberated spectrogram, as matched training does.
 
 batch_enhance runs a split's utterances on the threads of specmap._pool,
-one utterance per thread at a time, and each utterance's WPE on that
-utterance's thread, so the outputs do not depend on the number of CPUs.
+as training_features does, one utterance per thread at a time. WPE runs on
+its calling thread, so each utterance does the arithmetic of a one-thread
+run and the outputs do not depend on the number of CPUs.
 """
 
 import dataclasses

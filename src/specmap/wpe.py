@@ -12,13 +12,11 @@ its prediction one small batched real GEMM.
 
 Because the bins are independent, they run in contiguous blocks, each
 through all its iterations, sized so that a block's stack stays in cache.
-The blocks of one call are shared by the threads of specmap._pool: the
-calling thread and up to one helper thread per further CPU the process may
-run on, or, inside a batch of utterances, the utterance's own thread
-alone. Every bin's arithmetic is the same under any split and on any
-thread, so the output depends on neither, bit for bit. Each thread keeps
-its scratch buffer for later calls, so a call holds at most
-threads x _BLOCK_BYTES of scratch.
+A call runs its blocks one after another on its calling thread; what runs
+in parallel is utterances (batch_enhance, training_features), each on its
+own thread. Every bin's arithmetic is the same under any split, so the
+output does not depend on it, bit for bit. Each thread keeps its scratch
+buffer, at most _BLOCK_BYTES, for later calls.
 """
 
 import logging
@@ -28,7 +26,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _pool
 from .errors import ConfigError, NumericError
 from .stft import Spectrogram
 from .validation import as_complex_matrix, check_positive
@@ -107,13 +104,6 @@ def solve_normal_equations(normal: np.ndarray, rhs: np.ndarray, delta: np.ndarra
     solve; if that raises LinAlgError (a singular system), each is solved on
     its own, falling back to least squares where the direct solve fails.
     """
-    return _solve_normal_equations(normal, rhs, delta)
-
-
-def _solve_normal_equations(normal: np.ndarray, rhs: np.ndarray, delta: np.ndarray):
-    # The body of solve_normal_equations, which wpe_dereverberate's helper
-    # threads call under this private name: a profiler that wraps the public
-    # functions keeps one span stack, not one per thread.
     R = np.asarray(normal, dtype=np.complex128)
     r = np.asarray(rhs, dtype=np.complex128)
     n_sys, k = r.shape
@@ -190,8 +180,8 @@ def _tap_stack(
 
 
 # Bins whose weighted taps wpe_dereverberate holds at once. Four and eight
-# bins timed alike on 3 s utterances, and four kept peak memory lower with
-# two threads, each holding its own.
+# bins timed alike on 3 s utterances, and four kept peak memory lower; each
+# thread that runs WPE holds its own.
 _WEIGHTED_BINS = 4
 
 
@@ -261,9 +251,7 @@ def _smoothed_power(signal: np.ndarray, half_width: int) -> np.ndarray:
 # a few bins at a time, a block's scratch is a little over half of that.
 # On 3 s utterances, budgets of 4 to 12 MiB (6 to 2 blocks) timed alike, and
 # faster than both smaller blocks and one whole-utterance block, on a Xeon
-# with 2 MiB of L2 per core and one BLAS thread; on two threads, 6 MiB
-# blocks beat 3 and 4 MiB ones, whose extra Python work per block holds
-# the interpreter lock.
+# with 2 MiB of L2 per core and one BLAS thread.
 _BLOCK_BYTES = 6 * 2**20
 
 
@@ -348,7 +336,7 @@ def _dereverberate_block(
             else:
                 delta_per_bin = 1e-6 * np.einsum("bkk->b", normal).real / taps
 
-        filters, failure = _solve_normal_equations(normal, rhs, delta_per_bin)
+        filters, failure = solve_normal_equations(normal, rhs, delta_per_bin)
         fallback.update(np.flatnonzero(failure).tolist())
 
         np.subtract(
@@ -371,18 +359,13 @@ def _dereverberate_block(
 def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult:
     """Dereverberate a (frames x bins) complex spectrogram.
 
-    The bins run in contiguous blocks sized so that a block's stack stays
-    in cache through all its iterations. The calling thread and
-    min(CPUs, blocks) - 1 helper threads share the blocks, CPUs being those
-    the process may run on (os.sched_getaffinity); each thread takes the
-    next unclaimed block until none is left, and the results are merged on
-    the calling thread in block order. Called on one of batch_enhance's
-    utterance threads, it runs every block on that thread. Every bin's
-    arithmetic is the same whatever the split and the thread, so the
-    result depends on neither. Each thread keeps its scratch buffer, at
-    most _BLOCK_BYTES, for later calls, so a call holds at most
-    threads x _BLOCK_BYTES of scratch beside its inputs and outputs (more
-    only where a block cannot be narrower than two bins).
+    The bins run in contiguous blocks, one after another on the calling
+    thread, sized so that a block's stack stays in cache through all its
+    iterations. Every bin's arithmetic is the same whatever the split, so
+    the result does not depend on it. The calling thread keeps its scratch
+    buffer, at most _BLOCK_BYTES, for later calls, so a call holds at most
+    _BLOCK_BYTES of scratch beside its inputs and outputs (more only where
+    a block cannot be narrower than two bins).
 
     Each block is first laid out as one real (bins, 2*taps + 2, frames)
     stack: the real parts of the taps, their imaginary parts, and the real
@@ -390,7 +373,7 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
     floored variance from the current dereverberated signal, scales the tap
     rows by its reciprocal, and reads every bin's normal matrix and rhs out
     of that bin's real GEMM of those rows against the stack. It solves the
-    (bins, taps, taps) systems with one batched call to the body of
+    (bins, taps, taps) systems with one batched call to
     solve_normal_equations, predicts the tail with one batched real GEMM of
     the filters against the tap rows, and subtracts it in place.
     solve_normal_equations checks each bin's system; a bin that fails a
@@ -427,11 +410,10 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
     )
     blocks = _bin_blocks(n_bins, taps, n_frames - (delay + taps - 1))
     widest = max(bins.stop - bins.start for bins in blocks)
-    block_fallback = _pool.run_items(
-        lambda i: _dereverberate_block(data, config, blocks[i], widest, result), len(blocks)
-    )
     result.fallback_bins = tuple(
-        bins.start + b for bins, fallback in zip(blocks, block_fallback) for b in fallback
+        bins.start + b
+        for bins in blocks
+        for b in _dereverberate_block(data, config, bins, widest, result)
     )
     if result.fallback_bins:
         log.warning("WPE fell back to zero filters on %d bin(s)", len(result.fallback_bins))

@@ -33,7 +33,7 @@ def tiny_corpus(tmp_path_factory):
 def make_reverberant_pair(seed: int, t60: float = 0.5, seconds: float = 1.5):
     """(clean, reverberant) waveform pair with a known synthetic room response."""
     clean = synth_speech(seconds, 16000, 1000 + seed)
-    rir = synth_rir(RirConfig(t60=t60, length=8000, direct_delay=0, seed=2000 + seed), 16000)
+    rir = synth_rir(RirConfig(t60=t60, length=8000, seed=2000 + seed), 16000)
     reverberant = Waveform(convolve(clean, rir).samples[: len(clean)], 16000)
     return clean, reverberant, rir
 

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import run_script
 import specmap
-from specmap import estimators
+from specmap import _pool, estimators
 from specmap.cli import main
-from specmap.corpus import CorpusConfig
+from specmap.corpus import CorpusConfig, CorpusManifest
 from specmap.estimators import SpectralFeatureMapper
 from specmap.featio import load_model, read_features, save_model
 from specmap.features import NormalizationSpec
@@ -216,6 +216,28 @@ def test_train_enhanced_requires_dev_split(tmp_path, capsys):
     ])
     assert code == 1
     assert "cross-validates" in capsys.readouterr().err
+
+
+def test_train_names_a_truncated_noisy_wav_and_writes_no_model(cli_corpus, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_pool, "_thread_limit", 2)  # a helper thread even on one CPU
+    manifest = CorpusManifest.load(cli_corpus / "manifest.json")
+    broken = manifest.resolve(manifest.split_entries("train")[1].noisy_wav)
+    original = broken.read_bytes()
+    try:
+        broken.write_bytes(original[:len(original) // 2])
+        code = main([
+            "train", "--manifest", str(cli_corpus / "manifest.json"), "--out", str(tmp_path / "m"),
+            *TRAIN_OVERRIDES,
+        ])
+    finally:
+        broken.write_bytes(original)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        f"error: {broken}: declared data length exceeds actual file size"
+    ]
+    assert "Traceback" not in err
+    assert not (tmp_path / "m" / "model.sfmd").exists()
 
 
 def test_train_enhanced_recipe_records_consistent_history(cli_corpus, tmp_path):

@@ -23,16 +23,18 @@ from specmap.stft import stft
 
 
 def test_rir_direct_impulse_and_determinism():
-    config = RirConfig(t60=0.4, length=4000, direct_delay=32, seed=5)
+    config = RirConfig(t60=0.4, length=4000, seed=5)
     rir = synth_rir(config, 16000)
-    assert rir.samples[32] == 1.0
-    assert np.all(rir.samples[:32] == 0.0)
+    assert rir.samples[0] == 1.0 and len(rir.samples) == 4000
     again = synth_rir(config, 16000)
     assert np.array_equal(rir.samples, again.samples)
+    assert np.array_equal(synth_rir(RirConfig(length=1), 16000).samples, [1.0])
+    with pytest.raises(ConfigError, match="length"):
+        RirConfig(length=0)
 
 
 def test_rir_tail_energy_matches_direct():
-    rir = synth_rir(RirConfig(t60=0.5, length=8000, direct_delay=0, seed=1), 16000)
+    rir = synth_rir(RirConfig(t60=0.5, length=8000, seed=1), 16000)
     assert np.sum(rir.samples[1:] ** 2) == pytest.approx(1.0)
 
 
@@ -51,7 +53,7 @@ def schroeder_decay_slope(tail: np.ndarray, sample_rate: int) -> float:
 @pytest.mark.parametrize("t60", [0.3, 0.5])
 def test_rir_decay_matches_t60(t60):
     sample_rate = 16000
-    rir = synth_rir(RirConfig(t60=t60, length=int(t60 * sample_rate), direct_delay=0, seed=9), sample_rate)
+    rir = synth_rir(RirConfig(t60=t60, length=int(t60 * sample_rate), seed=9), sample_rate)
     slope = schroeder_decay_slope(rir.samples[1:], sample_rate)
     expected = -60.0 / t60
     assert abs(slope - expected) <= 0.15 * abs(expected)

@@ -1,13 +1,17 @@
+import itertools
 import json
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_reverberant_pair
-from specmap import estimators
+from specmap import _pool, estimators
+from specmap.audio import load_wav
 from specmap.errors import ConfigError, NotFittedError
-from specmap.estimators import SpectralFeatureMapper, input_features
+from specmap.estimators import SpectralFeatureMapper, input_features, training_features
+from specmap.featio import read_features
 from specmap.features import assemble_context, normalize
 from specmap.mel import MelConfig, log_mel, mel_matrix
 from specmap.pipeline import PipelineConfig, enhance_utterance
@@ -56,6 +60,23 @@ def test_mapper_requires_fit_before_transform():
     est = SpectralFeatureMapper(hidden_units=(8,), context=0)
     with pytest.raises(NotFittedError):
         est.transform([np.zeros((4, 33))])
+
+
+def test_a_mapper_given_its_model_maps_with_the_original_recipe():
+    # An original-recipe model inverts its min-max references without a mel
+    # front end, so a mapper whose model_ is assigned, as from a checkpoint,
+    # maps what the fitted mapper maps.
+    xs, ys = _toy_training_data()
+    fitted = SpectralFeatureMapper(
+        hidden_units=(8, 8), context=1, recipe="original",
+        batch_size=16, learning_rate=0.1, max_epochs=2, seed=1,
+    ).fit(xs, ys, mel_config=TOY_MEL)
+    assert fitted.mel_config_ is TOY_MEL
+    by_hand = SpectralFeatureMapper(**fitted.get_params())
+    assert by_hand.mel_config_ is None
+    by_hand.model_ = fitted.model_
+    for mapped, expected in zip(by_hand.transform(xs), fitted.transform(xs)):
+        assert np.array_equal(mapped, expected)
 
 
 def test_mapper_fit_transform_shapes():
@@ -180,3 +201,42 @@ def test_in_memory_wpe_dnn_sequence():
     features = enhance_utterance(reverberant, config).features
     assert features.shape == (stft(reverberant, stft_config).n_frames, 40)
     assert np.array_equal(features, mapper.transform(inputs[:1])[0])
+
+
+def _one_at_a_time(manifest, split, wpe):
+    """training_features' (inputs, references), each utterance in turn on this thread."""
+    stft_config, floor = manifest.stft_config(), manifest.mel_config().magnitude_floor
+    inputs, references = [], []
+    for entry in manifest.split_entries(split):
+        waveform = load_wav(manifest.resolve(entry.noisy_wav))
+        inputs.append(input_features(waveform, stft_config, wpe, floor))
+        references.append(read_features(manifest.resolve(entry.reference_features)))
+    return inputs, references
+
+
+@pytest.mark.parametrize("wpe", [None, WpeConfig()], ids=["noisy", "wpe"])
+def test_training_features_do_not_depend_on_the_thread_count(tiny_corpus, monkeypatch, wpe):
+    expected = _one_at_a_time(tiny_corpus, "train", wpe)
+    n_entries = len(tiny_corpus.split_entries("train"))
+    original = estimators.input_features
+    # (_thread_limit, _cpu_count): 1, 2 and 3 threads, and one per CPU of four.
+    cpus = _pool._cpu_count
+    settings = [(1, cpus), (2, cpus), (3, cpus), (None, lambda: 4)]
+    for threads, cpu_count in settings:
+        monkeypatch.setattr(_pool, "_thread_limit", threads)
+        monkeypatch.setattr(_pool, "_cpu_count", cpu_count)
+        # On more than one thread, the first two utterances run at once.
+        first_two = threading.Barrier(1 if threads == 1 else 2, timeout=60)
+        started = itertools.count()
+
+        def meeting(*args):
+            if next(started) < 2:
+                first_two.wait()
+            return original(*args)
+
+        monkeypatch.setattr(estimators, "input_features", meeting)
+        for got, want in zip(training_features(tiny_corpus, "train", wpe), expected):
+            assert len(got) == len(want) == n_entries
+            for matrix, wanted in zip(got, want):
+                assert matrix.dtype == wanted.dtype and matrix.shape == wanted.shape
+                assert matrix.tobytes() == wanted.tobytes()

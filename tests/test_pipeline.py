@@ -29,7 +29,7 @@ from specmap.mel import log_mel, mel_matrix
 from specmap.mlp import forward, init_model, map_features
 from specmap.pipeline import PipelineConfig, batch_enhance, enhance_utterance
 from specmap.runconfig import config_hash
-from specmap.stft import StftConfig, log_magnitude, stft
+from specmap.stft import log_magnitude, stft
 from specmap.wpe import WpeConfig, wpe_dereverberate
 
 
@@ -288,19 +288,17 @@ def test_batch_enhance_stops_handing_out_utterances_after_a_write_fails(tiny_cor
 BATCH_AFTER_THREADED_WPE = """
 import os, sys
 from pathlib import Path
-import numpy as np
-from specmap import _pool, wpe
+from specmap import _pool
 from specmap.corpus import CorpusManifest
 from specmap.pipeline import PipelineConfig, batch_enhance
 
 _pool._thread_limit = 2  # a helper thread even on one CPU
-rng = np.random.default_rng(0)
-wpe.wpe_dereverberate(rng.normal(size=(300, 257)) + 0j)
 manifest = CorpusManifest.load(sys.argv[1])
 config = PipelineConfig(
     mode="wpe_only", stft=manifest.stft_config(), mel=manifest.mel_config(),
 )
 out = Path(sys.argv[2])
+batch_enhance(manifest, config, out / "parent", split="dev", save_waveforms=False)
 pid = os.fork()
 if pid == 0:
     code = 4
@@ -322,8 +320,9 @@ sys.exit(os.waitstatus_to_exitcode(status))
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_parallel_wpe_after_threaded_wpe_matches_serial(tiny_corpus, tmp_path):
-    # A batch in a child forked from a parent whose WPE already started helper
-    # threads must finish, and write the bytes of a one-thread batch.
+    # A batch in a child forked from a parent whose wpe_only batch already
+    # started helper threads must finish, and write the bytes of a one-thread
+    # batch.
     manifest_path = tiny_corpus.root / "manifest.json"
     result = run_script(BATCH_AFTER_THREADED_WPE, manifest_path, tmp_path, timeout=300)
     assert result.returncode == 0, result.stderr
@@ -349,23 +348,8 @@ def test_batch_enhance_workers_run_wpe_on_one_thread(tiny_corpus, tmp_path, monk
     config = _pipeline_config(tiny_corpus, "wpe_only")
     result = batch_enhance(tiny_corpus, config, tmp_path, split="dev", save_waveforms=False)
     assert len(result.features) == len(tiny_corpus.split_entries("dev"))
+    assert len(threads_per_call) == len(result.features)
     assert all(len(threads) == 1 for _, threads in threads_per_call.values())
-    # After the batch, a call shares its blocks between threads again: its
-    # first two blocks meet, each on its own thread.
-    threads_per_call.clear()
-    first_two = threading.Barrier(2, timeout=60)
-    blocks_started = itertools.count()
-
-    def meeting(*args):
-        if next(blocks_started) < 2:
-            first_two.wait()
-        return spy(*args)
-
-    monkeypatch.setattr(wpe_module, "_dereverberate_block", meeting)
-    _, reverberant, _ = make_reverberant_pair(0)
-    wpe_dereverberate(stft(reverberant, StftConfig()))
-    ((_, threads),) = threads_per_call.values()
-    assert len(threads) > 1
 
 
 def test_batch_enhance_parallel_mapper_matches_serial(tiny_corpus, toy_mapper, tmp_path, monkeypatch):
@@ -394,16 +378,15 @@ def test_batch_enhance_parallel_mapper_matches_serial(tiny_corpus, toy_mapper, t
         assert np.array_equal(written, expected.astype(np.float32))
 
 
-def test_wpe_only_peak_memory_stays_within_a_few_spectrograms(monkeypatch):
+def test_wpe_only_peak_memory_stays_within_a_few_spectrograms():
     # While two utterances of a batch are in flight, each one's arrays add to
     # the process's peak: the noisy spectrogram is dropped once WPE is done,
     # the WPE result once its waveform is synthesized, and stft and istft
     # copy nothing they need not.
-    monkeypatch.setattr(_pool, "_thread_limit", 1)  # WPE's scratch, kept from the first call, stays out
     _, reverberant, _ = make_reverberant_pair(0, seconds=3.0)
     config = PipelineConfig(mode="wpe_only")
     noisy_bytes = stft(reverberant, config.stft).data.nbytes
-    expected = enhance_utterance(reverberant, config)
+    expected = enhance_utterance(reverberant, config)  # WPE's scratch, kept from here, stays out
     tracemalloc.start()
     try:
         features = enhance_utterance(reverberant, config).features

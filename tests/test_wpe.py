@@ -1,14 +1,10 @@
 import dataclasses
-import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_reverberant_pair, run_script
-from specmap import _pool
+from conftest import make_reverberant_pair
 from specmap.errors import NumericError
 from specmap.metrics import log_spectral_distortion
 from specmap.stft import StftConfig, log_magnitude, stft
@@ -466,15 +462,13 @@ def assert_same_result(result, expected):
 
 def assert_split_does_not_matter(monkeypatch, data, config):
     """Every WpeResult field under the default split, one block and blocks of
-    two bins, each on 1, 2 and 3 threads."""
+    two bins."""
     import specmap.wpe as wpe_module
 
     default = wpe_module.wpe_dereverberate(data, config)
     for budget in (wpe_module._BLOCK_BYTES, 2**62, 1):
         monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
-        for threads in (1, 2, 3):
-            monkeypatch.setattr(_pool, "_thread_limit", threads)
-            assert_same_result(wpe_module.wpe_dereverberate(data, config), default)
+        assert_same_result(wpe_module.wpe_dereverberate(data, config), default)
     monkeypatch.undo()
     return default
 
@@ -514,133 +508,41 @@ def test_singular_and_failing_bins_do_not_depend_on_the_bin_blocks(monkeypatch):
     original = wpe_module._lapack_solve
 
     def flaky(matrices, rhs):
-        # NaN for bin 2's system, whichever block and thread solve it.
+        # NaN for bin 2's system, whichever block solves it.
         coefficients = original(matrices, rhs)
         coefficients[(rhs == bin_rhs[2]).all(axis=1)] = np.nan
         return coefficients
 
     results = []
     for budget in (6 * 2**20, 2**62, 1):
-        for threads in (1, 2, 3):
-            monkeypatch.setattr(wpe_module, "_lapack_solve", flaky)
-            monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
-            monkeypatch.setattr(_pool, "_thread_limit", threads)
-            results.append(wpe_module.wpe_dereverberate(data, config))
-            monkeypatch.undo()
+        monkeypatch.setattr(wpe_module, "_lapack_solve", flaky)
+        monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", budget)
+        results.append(wpe_module.wpe_dereverberate(data, config))
+        monkeypatch.undo()
     for result in results:
         assert result.fallback_bins == (2,)
         assert np.all(result.filters[2] == 0)
         assert_same_result(result, results[0])
 
 
-def test_a_helper_threads_exception_reaches_the_caller(monkeypatch):
-    import specmap.wpe as wpe_module
-
-    _, reverberant, _ = make_reverberant_pair(0)
-    data = stft(reverberant, StftConfig()).data
-    assert len(_bin_blocks(data.shape[1], 10, data.shape[0] - 12)) > 1
-    monkeypatch.setattr(_pool, "_thread_limit", 1)
-    serial = wpe_module.wpe_dereverberate(data)
-    monkeypatch.setattr(_pool, "_thread_limit", 2)
-
-    class HelperError(Exception):
-        pass
-
-    caller = threading.get_ident()
-    helper_failed = threading.Event()
-    original = wpe_module._lapack_solve
-
-    def failing(matrices, rhs):
-        if threading.get_ident() != caller:
-            helper_failed.set()
-            raise HelperError("a helper's block failed")
-        # Hold the calling thread's block until a helper has failed on another.
-        assert helper_failed.wait(timeout=60)
-        return original(matrices, rhs)
-
-    monkeypatch.setattr(wpe_module, "_lapack_solve", failing)
-    with pytest.raises(HelperError):
-        wpe_module.wpe_dereverberate(data)
-    monkeypatch.setattr(wpe_module, "_lapack_solve", original)
-    assert_same_result(wpe_module.wpe_dereverberate(data), serial)
-
-
-def test_every_block_runs_once_on_more_threads_than_cpus(monkeypatch):
-    import specmap.wpe as wpe_module
-
-    rng = np.random.default_rng(12)
-    data = rng.normal(size=(60, 257)) + 1j * rng.normal(size=(60, 257))
-    expected = wpe_module.wpe_dereverberate(data)
-    monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", 1)  # 128 blocks of two or three bins
-    monkeypatch.setattr(_pool, "_thread_limit", _pool._cpu_count() + 2)
-    blocks = _bin_blocks(257, 10, 48)
-    original = wpe_module._dereverberate_block
-    starts = []
-
-    def spy(data, config, bins, widest, result):
-        starts.append(bins.start)
-        return original(data, config, bins, widest, result)
-
-    monkeypatch.setattr(wpe_module, "_dereverberate_block", spy)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            starts.clear()
-            result = wpe_module.wpe_dereverberate(data)
-            assert sorted(starts) == [bins.start for bins in blocks]
-            assert_same_result(result, expected)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-FORK_AFTER_THREADED_WPE = """
-import os, sys
-import numpy as np
-from specmap import _pool, wpe
-
-_pool._thread_limit = 2  # a helper thread even on one CPU
-rng = np.random.default_rng(0)
-data = rng.normal(size=(300, 257)) + 1j * rng.normal(size=(300, 257))
-expected = wpe.wpe_dereverberate(data).enhanced
-pid = os.fork()
-if pid == 0:
-    os._exit(0 if np.array_equal(wpe.wpe_dereverberate(data).enhanced, expected) else 3)
-_, status = os.waitpid(pid, 0)
-sys.exit(os.waitstatus_to_exitcode(status))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_runs_threaded_wpe():
-    # The child inherits no helper threads; handing blocks to the parent's
-    # would wait forever.
-    result = run_script(FORK_AFTER_THREADED_WPE, timeout=120)
-    assert result.returncode == 0, result.stderr
-
-
-def scratch_per_thread(wpe_module, drop=False):
-    """Bytes of scratch the calling thread and each helper thread keep; drop frees it."""
-    def kept():
-        buffer = getattr(wpe_module._scratch, "buffer", None)
-        if drop:
-            wpe_module._scratch.buffer = None
-        return 0 if buffer is None else buffer.nbytes
-
-    return [kept()] + [helper.submit(kept).result(timeout=60) for helper in _pool._helpers]
+def kept_scratch(wpe_module, drop=False):
+    """Bytes of scratch the calling thread keeps; drop frees it."""
+    buffer = getattr(wpe_module._scratch, "buffer", None)
+    if drop:
+        wpe_module._scratch.buffer = None
+    return 0 if buffer is None else buffer.nbytes
 
 
 def test_peak_memory_stays_within_a_few_inputs(monkeypatch):
     # Whole-utterance buffers peaked at 25x the input (102 MB here); blocks
-    # of bins keep the working set to a few MB per thread whatever the
-    # utterance length. Scratch kept from earlier calls would escape
-    # tracemalloc, so every thread starts without any.
+    # of bins keep the working set to a few MB whatever the utterance
+    # length. Scratch kept from earlier calls would escape tracemalloc, so
+    # the call starts without any.
     import specmap.wpe as wpe_module
 
-    monkeypatch.setattr(_pool, "_thread_limit", 2)  # a helper even on one CPU
     rng = np.random.default_rng(10)
     data = rng.normal(size=(1000, 257)) + 1j * rng.normal(size=(1000, 257))
-    scratch_per_thread(wpe_module, drop=True)
+    kept_scratch(wpe_module, drop=True)
     tracemalloc.start()
     try:
         wpe_dereverberate(data)
@@ -648,15 +550,14 @@ def test_peak_memory_stays_within_a_few_inputs(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * data.nbytes
-    kept = scratch_per_thread(wpe_module)
-    assert kept[0] > 0 and max(kept) <= wpe_module._BLOCK_BYTES
+    assert 0 < kept_scratch(wpe_module) <= wpe_module._BLOCK_BYTES
     # The next call reuses the calling thread's scratch.
     buffer = wpe_module._scratch.buffer
     wpe_dereverberate(data)
     assert wpe_module._scratch.buffer is buffer
     # Blocks that the two-bin minimum makes wider than the budget get scratch
     # for the call only.
-    scratch_per_thread(wpe_module, drop=True)
+    kept_scratch(wpe_module, drop=True)
     monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", 1)
     wpe_dereverberate(data[:100])
-    assert not any(scratch_per_thread(wpe_module))
+    assert kept_scratch(wpe_module) == 0
