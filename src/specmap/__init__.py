@@ -37,12 +37,11 @@ from .mlp import (
     init_model,
     map_features,
     train,
-    train_step,
 )
 from .pipeline import PipelineConfig, batch_enhance, enhance_utterance
 from .report import SystemEvaluation, build_report, condition_average, evaluate_system
 from .stft import Spectrogram, StftConfig, istft, log_magnitude, stft, window_coefficients
-from .wpe import WpeConfig, WpeResult, solve_hermitian, wpe_dereverberate
+from .wpe import WpeConfig, WpeResult, wpe_dereverberate
 
 __version__ = "0.1.0"
 
@@ -101,13 +100,11 @@ __all__ = [
     "save_wav",
     "segmental_snr",
     "segmental_snr_gain",
-    "solve_hermitian",
     "stft",
     "synth_noise",
     "synth_rir",
     "synth_speech",
     "train",
-    "train_step",
     "window_coefficients",
     "wpe_dereverberate",
     "write_features",

@@ -85,6 +85,13 @@ def _normalized_rows(utterances, norm, role: str) -> np.ndarray:
     return stacked
 
 
+def _check_one_width(utterances, role: str) -> None:
+    """ShapeError unless the 2-D training and dev utterances of one role share one width."""
+    widths = sorted({np.shape(m)[1] for m in utterances if np.ndim(m) == 2})
+    if len(widths) > 1:
+        raise ShapeError(f"{role} utterances must share one width across the training and dev sets, got {widths}")
+
+
 class SpectralFeatureMapper:
     """Trainable mapper from noisy log-magnitude spectra to clean mel features.
 
@@ -147,7 +154,9 @@ class SpectralFeatureMapper:
 
         mel_config, the references' MelConfig, kept as mel_config_, gives
         transform the filterbank, mode and floor that enhance_utterance
-        inverts utterance-MVN outputs with.
+        inverts utterance-MVN outputs with. X and X_dev must share one width,
+        as must y and y_dev; that and the training settings are checked
+        before anything is normalized.
         """
         check_choice(self.recipe, RECIPES, "recipe")
         if not X or not y or len(X) != len(y):
@@ -157,8 +166,10 @@ class SpectralFeatureMapper:
         for xs, ys in zip(X, y):
             if np.asarray(xs).shape[0] != np.asarray(ys).shape[0]:
                 raise ShapeError("input and reference utterances must align frame for frame")
+        has_dev = X_dev is not None and y_dev is not None and len(X_dev) > 0
+        _check_one_width([*X, *(X_dev if has_dev else ())], "input")
+        _check_one_width([*y, *(y_dev if has_dev else ())], "reference")
 
-        assembled = self._assemble(X)
         if self.recipe == "original":
             input_mode, reference_mode = "global_mvn", "global_minmax_01"
             output_activation = "sigmoid"
@@ -167,21 +178,10 @@ class SpectralFeatureMapper:
             input_mode, reference_mode = "utterance_mvn", "utterance_mvn"
             output_activation = "linear"
             dropout, early_stop = self.dropout_rate, True
-            if X_dev is None or y_dev is None or len(X_dev) == 0:
+            if not has_dev:
                 raise ConfigError(
                     "the enhanced recipe cross-validates each epoch and needs a dev set"
                 )
-
-        norm = fit_normalizer(assembled, list(y), input_mode, reference_mode)
-        train_x = _normalized_rows(assembled, norm, "input")
-        train_y = _normalized_rows(y, norm, "reference")
-        dev_x = dev_y = None
-        if X_dev is not None and y_dev is not None and len(X_dev):
-            dev_x = _normalized_rows(self._assemble(X_dev), norm, "input")
-            dev_y = _normalized_rows(y_dev, norm, "reference")
-
-        dims = [train_x.shape[1], *self.hidden_units, train_y.shape[1]]
-        model = init_model(dims, output_activation, derive_seed(self.seed, "init"), norm)
         config = TrainConfig(
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,
@@ -190,6 +190,18 @@ class SpectralFeatureMapper:
             early_stop=early_stop,
             rng_seed=derive_seed(self.seed, "train"),
         )
+
+        assembled = self._assemble(X)
+        norm = fit_normalizer(assembled, list(y), input_mode, reference_mode)
+        train_x = _normalized_rows(assembled, norm, "input")
+        train_y = _normalized_rows(y, norm, "reference")
+        dev_x = dev_y = None
+        if has_dev:
+            dev_x = _normalized_rows(self._assemble(X_dev), norm, "input")
+            dev_y = _normalized_rows(y_dev, norm, "reference")
+
+        dims = [train_x.shape[1], *self.hidden_units, train_y.shape[1]]
+        model = init_model(dims, output_activation, derive_seed(self.seed, "init"), norm)
         self.model_, self.history_ = train(model, train_x, train_y, config, dev_x, dev_y)
         self.mel_config_ = mel_config
         return self

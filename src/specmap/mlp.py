@@ -8,7 +8,12 @@ float32 once, as MlpModel.as_float32() rounds them, and trains and returns
 that single float32 copy, the precision that checkpoints store. train()
 likewise holds one float32 copy of its training and dev inputs (a float32
 matrix is used as is) and gathers every batch from it; the references
-stay float64, because the loss is taken in float64. A trained
+stay float64, because the loss is taken in float64. Each computation is
+one function: train() calls train_step and evaluate_cost, train_step calls
+loss_and_gradients, and that calls forward. The four check only shapes;
+data is checked where it enters, in train() and (through assemble_context
+and normalize) in map_features, so a NaN passed to forward gives NaN out,
+and train_step refuses a non-finite batch loss before any update. A trained
 model, the same model reloaded from its checkpoint and the estimator that
 holds it therefore map every utterance to the same bits. Training and
 mapping are byte-identical on reruns for a fixed seed, sequential
@@ -177,17 +182,15 @@ def forward(model: MlpModel, batch: np.ndarray, dropout_masks=None) -> ForwardSt
 
     Computes in the dtype of the model's weights. With float64 weights every
     operation runs in float64. With float32 weights (every trained or loaded
-    model, see train and MlpModel.as_float32) the checked float64 batch is
-    cast to float32 once and every layer runs in float32, with float32
-    dropout masks. Each layer adds its bias to the fresh product a @ W and
-    applies the sigmoid to it in place, so the sum and the activation need
-    no arrays of their own.
+    model, see train and MlpModel.as_float32) the batch is cast to float32
+    once and every layer runs in float32, with float32 dropout masks. Each
+    layer adds its bias to the fresh product a @ W and applies the sigmoid
+    to it in place, so the sum and the activation need no arrays of their
+    own. Only the batch's shape is checked: a NaN in it gives NaN out.
     """
-    return _forward(model, as_float_matrix(batch, "batch"), dropout_masks)
-
-
-def _forward(model: MlpModel, x: np.ndarray, dropout_masks=None) -> ForwardState:
-    """forward() on a matrix already checked to be finite."""
+    x = np.asarray(batch)
+    if x.ndim != 2:
+        raise ShapeError(f"batch must be 2-D, got shape {x.shape}")
     if x.shape[1] != model.input_dim:
         raise ShapeError(f"batch has dim {x.shape[1]}, model expects {model.input_dim}")
     n_hidden = len(model.weights) - 1
@@ -216,30 +219,19 @@ def _forward(model: MlpModel, x: np.ndarray, dropout_masks=None) -> ForwardState
 def loss_and_gradients(model: MlpModel, batch, reference, dropout_masks=None):
     """Mean-squared-error loss and backpropagated parameter gradients.
 
-    The gradients have the dtype of the model's weights. The loss is
-    computed in float64 from the output and the float64 reference.
+    The gradients have the dtype of the model's weights. The output error
+    out - reference is taken in float64 from a float64 reference, for the
+    loss, and cast to the weights' dtype once it is scaled into the output
+    gradient. The backward pass scales each layer's fresh upstream product
+    by the mask, h and 1 - h in place, in that order. The batch and
+    reference are taken as checked, as forward takes them.
     """
-    x = as_float_matrix(batch, "batch")
-    y = as_float_matrix(reference, "reference")
-    return _loss_and_gradients(model, x, y, dropout_masks)
-
-
-def _loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, dropout_masks=None):
-    """loss_and_gradients() on matrices already checked to be finite.
-
-    x is float64 or already in the weights' dtype; y is float64.
-
-    The output error out - y is taken in float64, for the loss, and cast
-    to the weights' dtype once it is scaled into the output gradient. The
-    backward pass scales each layer's fresh upstream product by the mask,
-    h and 1 - h in place, in that order.
-    """
-    x = x.astype(model.weights[0].dtype, copy=False)
-    state = _forward(model, x, dropout_masks)
+    x = np.asarray(batch).astype(model.weights[0].dtype, copy=False)
+    state = forward(model, x, dropout_masks)
     out = state.output
-    if out.shape != y.shape:
-        raise ShapeError(f"output {out.shape} vs reference {y.shape}")
-    error = out - y
+    if out.shape != reference.shape:
+        raise ShapeError(f"output {out.shape} vs reference {reference.shape}")
+    error = out - reference
     loss = float(np.mean(error ** 2))
 
     d_out = (2.0 * error / out.size).astype(out.dtype, copy=False)
@@ -307,11 +299,11 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "max_epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         check_positive(self.learning_rate, "learning_rate")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
@@ -331,23 +323,11 @@ def train_step(
     parameter, with g its gradient, accum += g*g, then
     param -= lr * (g / sqrt(accum + ADAGRAD_EPSILON)), evaluated in that
     order in cache-sized blocks and in the parameters' dtype. The batch,
-    reference and masks are not modified.
+    reference and masks are not modified. They are taken as checked, as
+    loss_and_gradients takes them: a non-finite batch gives a non-finite
+    loss, which is a NumericError raised before any parameter moves.
     """
-    x = as_float_matrix(batch, "batch")
-    y = as_float_matrix(reference, "reference")
-    return _train_step(model, x, y, config, state, dropout_masks)
-
-
-def _train_step(
-    model: MlpModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    config: TrainConfig,
-    state: AdagradState,
-    dropout_masks=None,
-) -> float:
-    """train_step() on matrices already checked, as _loss_and_gradients takes them."""
-    loss, grads_w, grads_b = _loss_and_gradients(model, x, y, dropout_masks)
+    loss, grads_w, grads_b = loss_and_gradients(model, batch, reference, dropout_masks)
     if not np.isfinite(loss):
         raise NumericError(f"training diverged: batch cost is {loss}")
     for param, grad, accum in zip(
@@ -389,27 +369,28 @@ def _float32_matrix(x, name: str) -> np.ndarray:
     return narrow
 
 
+def _check_widths(model: MlpModel, x: np.ndarray, y: np.ndarray, split: str) -> None:
+    if x.shape[1] != model.input_dim or y.shape[1] != model.output_dim:
+        raise ShapeError(f"{split} inputs and references have widths {x.shape[1]} and {y.shape[1]}, "
+                         f"model maps {model.input_dim} to {model.output_dim}")
+
+
 def evaluate_cost(model: MlpModel, inputs: np.ndarray, references: np.ndarray) -> float:
     """Full-set MSE without dropout, at the float32 precision training computes in.
 
     The model runs through model.as_float32(), itself for a trained model,
     so this is the dev cost that train() records. The squared errors are
-    summed in float64 in a fixed order of 4096-frame chunks.
+    summed in float64 in a fixed order of 4096-frame chunks. The inputs and
+    references are taken as checked, as forward takes them.
     """
-    x = as_float_matrix(inputs, "inputs")
-    y = as_float_matrix(references, "references")
-    if x.shape[0] != y.shape[0]:
+    if len(inputs) != len(references):
         raise ShapeError("inputs and references must have the same frame count")
-    return _evaluate_cost(model.as_float32(), x, y)
-
-
-def _evaluate_cost(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    """evaluate_cost() in the model's own dtype, on matrices already checked."""
+    model = model.as_float32()
     total, chunk = 0.0, 4096
-    for start in range(0, x.shape[0], chunk):
-        out = _forward(model, x[start:start + chunk]).output
-        total += float(np.sum((out - y[start:start + chunk]) ** 2))
-    return total / max(1, y.size)
+    for start in range(0, len(inputs), chunk):
+        out = forward(model, inputs[start:start + chunk]).output
+        total += float(np.sum((out - references[start:start + chunk]) ** 2))
+    return total / max(1, references.size)
 
 
 def early_stop_decision(dev_costs: Sequence[float]) -> Optional[str]:
@@ -458,9 +439,10 @@ def train(
     copy: the same bits as gathering float64 rows and narrowing each batch,
     since both are elementwise. An input that is not finite, or a finite
     float64 input beyond float32's range, is a NumericError raised before
-    the first step. The references stay float64. The dev cost is
-    evaluate_cost's. When a stop rule fires after epoch e, the
-    parameters from epoch e-1 are restored and reported as best_epoch.
+    the first step, as is a width the model does not map (a ShapeError).
+    The references stay float64. Each batch goes through train_step, and
+    the dev cost is evaluate_cost's. When a stop rule fires after epoch e,
+    the parameters from epoch e-1 are restored and reported as best_epoch.
     Dedicated child seeds keep the shuffle and dropout streams independent
     of each other and of init.
     """
@@ -468,6 +450,7 @@ def train(
     y = as_float_matrix(train_references, "train references")
     if x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ConfigError("training set must be nonempty with paired inputs/references")
+    _check_widths(model, x, y, "train")
     has_dev = dev_inputs is not None and dev_references is not None and len(dev_inputs) > 0
     if config.early_stop and not has_dev:
         raise ConfigError(
@@ -478,6 +461,7 @@ def train(
         dev_y = as_float_matrix(dev_references, "dev references")
         if dev_x.shape[0] != dev_y.shape[0]:
             raise ShapeError("dev inputs and dev references must have the same frame count")
+        _check_widths(model, dev_x, dev_y, "dev")
 
     shuffle_rng = np.random.default_rng(derive_seed(config.rng_seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(config.rng_seed, "dropout"))
@@ -496,10 +480,10 @@ def train(
             masks = None
             if config.dropout_rate > 0.0:
                 masks = make_dropout_masks(dropout_rng, hidden_dims, len(rows), config.dropout_rate)
-            batch_costs.append(_train_step(model, x[rows], y[rows], config, adagrad, masks))
+            batch_costs.append(train_step(model, x[rows], y[rows], config, adagrad, masks))
         history.train_cost.append(float(np.mean(batch_costs)))
         if has_dev:
-            history.dev_cost.append(_evaluate_cost(model, dev_x, dev_y))
+            history.dev_cost.append(evaluate_cost(model, dev_x, dev_y))
         if config.early_stop:
             reason = early_stop_decision(history.dev_cost)
             if reason is not None:

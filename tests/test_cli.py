@@ -11,7 +11,7 @@ from specmap import _pool, estimators
 from specmap.cli import main
 from specmap.corpus import CorpusConfig, CorpusManifest
 from specmap.estimators import SpectralFeatureMapper
-from specmap.featio import load_model, read_features, save_model
+from specmap.featio import load_model, read_features, save_model, write_features
 from specmap.features import NormalizationSpec
 from specmap.mlp import early_stop_decision, init_model
 from specmap.wpe import WpeConfig
@@ -236,6 +236,29 @@ def test_train_names_a_truncated_noisy_wav_and_writes_no_model(cli_corpus, tmp_p
     assert [line for line in err.splitlines() if line.startswith("error: ")] == [
         f"error: {broken}: declared data length exceeds actual file size"
     ]
+    assert "Traceback" not in err
+    assert not (tmp_path / "m" / "model.sfmd").exists()
+
+
+@pytest.mark.parametrize("recipe", ["original", "enhanced"])
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_train_names_a_reference_of_another_width_and_writes_no_model(
+    cli_corpus, tmp_path, capsys, split, recipe
+):
+    manifest = CorpusManifest.load(cli_corpus / "manifest.json")
+    narrow = manifest.resolve(manifest.split_entries(split)[1].reference_features)
+    original = narrow.read_bytes()
+    try:
+        write_features(narrow, read_features(narrow)[:, :-1])  # 39 of the 40 mels
+        code = main([
+            "train", "--manifest", str(cli_corpus / "manifest.json"), "--out", str(tmp_path / "m"),
+            "--recipe", recipe, *TRAIN_OVERRIDES,
+        ])
+    finally:
+        narrow.write_bytes(original)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: reference utterances must share one width")
     assert "Traceback" not in err
     assert not (tmp_path / "m" / "model.sfmd").exists()
 

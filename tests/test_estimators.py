@@ -9,7 +9,7 @@ import pytest
 from conftest import make_reverberant_pair
 from specmap import _pool, estimators
 from specmap.audio import load_wav
-from specmap.errors import ConfigError, NotFittedError
+from specmap.errors import ConfigError, NotFittedError, ShapeError
 from specmap.estimators import SpectralFeatureMapper, input_features, training_features
 from specmap.featio import read_features
 from specmap.features import assemble_context, normalize
@@ -98,6 +98,29 @@ def test_mapper_enhanced_recipe_needs_dev():
     xs, ys = _toy_training_data()
     est = SpectralFeatureMapper(hidden_units=(8,), context=0, recipe="enhanced", max_epochs=2)
     with pytest.raises(ConfigError):
+        est.fit(xs, ys)
+
+
+@pytest.mark.parametrize("recipe", ["original", "enhanced"])
+@pytest.mark.parametrize("split", ["train", "dev"])
+@pytest.mark.parametrize("role", ["input", "reference"])
+def test_fit_refuses_utterances_of_another_width_before_normalizing(monkeypatch, recipe, split, role):
+    xs, ys = _toy_training_data(4)
+    utterances = xs if role == "input" else ys
+    index = 1 if split == "train" else 3
+    utterances[index] = utterances[index][:, :-1]
+    monkeypatch.setattr(estimators, "fit_normalizer", lambda *args: pytest.fail("normalized"))
+    est = SpectralFeatureMapper(hidden_units=(8,), context=0, recipe=recipe, max_epochs=2)
+    with pytest.raises(ShapeError, match=f"{role} utterances must share one width"):
+        est.fit(xs[:3], ys[:3], xs[3:], ys[3:], mel_config=TOY_MEL)
+
+
+@pytest.mark.parametrize("setting", [{"max_epochs": 2.5}, {"batch_size": 8.0}, {"batch_size": True}])
+def test_fit_refuses_a_non_integer_count_before_normalizing(monkeypatch, setting):
+    xs, ys = _toy_training_data()
+    monkeypatch.setattr(estimators, "fit_normalizer", lambda *args: pytest.fail("normalized"))
+    est = SpectralFeatureMapper(hidden_units=(8,), context=0, **setting)
+    with pytest.raises(ConfigError, match="must be an integer >= 1"):
         est.fit(xs, ys)
 
 

@@ -584,19 +584,22 @@ def test_float32_forward_runs_in_float32_with_and_without_dropout():
         assert wide.output.dtype == np.float64
         assert np.max(np.abs(state.output - wide.output)) <= 1e-6
     x[3, 4] = np.nan
+    assert np.all(np.isnan(forward(narrow, x).output[3]))  # forward takes checked batches
+    narrow.norm_spec = NormalizationSpec(input_mean=np.zeros(30), input_var=np.ones(30),
+                                         ref_min=np.zeros(5), ref_max=np.ones(5))
     with pytest.raises(NumericError):
-        forward(narrow, x)
+        map_features(narrow, x, context=0)
 
 
 def test_train_step_rejects_nan_batch():
     model = init_model([3, 4, 2], "sigmoid", seed=38)
     batch = np.ones((4, 3))
     batch[1, 2] = np.nan
-    before = [w.copy() for w in model.weights]
-    with pytest.raises(NumericError, match="non-finite"):
+    before = [p.copy() for p in model.weights + model.biases]
+    with pytest.raises(NumericError, match="diverged"):
         train_step(model, batch, np.full((4, 2), 0.5), TrainConfig(), AdagradState(model))
-    for w_before, w_after in zip(before, model.weights):
-        assert np.array_equal(w_before, w_after)
+    for p_before, p_after in zip(before, model.weights + model.biases):
+        assert np.array_equal(p_before, p_after)
 
 
 # train() gathers its batches from one float32 copy of the inputs. The
@@ -695,8 +698,51 @@ def test_train_refuses_inputs_float32_cannot_hold_before_any_step(monkeypatch, m
     y, dev_y = rng.uniform(0.2, 0.8, size=(20, 2)), rng.uniform(0.2, 0.8, size=(6, 2))
     (x if matrix == "train inputs" else dev_x)[4, 1] = value
     steps = []
-    monkeypatch.setattr(mlp, "_train_step", lambda *args: steps.append(args))
+    monkeypatch.setattr(mlp, "train_step", lambda *args: steps.append(args))
     model = init_model([3, 4, 2], "sigmoid", seed=65)
     with pytest.raises(NumericError, match=f"{matrix}.*{message}"):
         train(model, x, y, TrainConfig(batch_size=8, max_epochs=2), dev_x, dev_y)
+    assert steps == []
+
+
+def test_train_reaches_each_step_function_through_the_module_globals(monkeypatch):
+    # A wrapper bound to a name in specmap.mlp, as the benchmark's tracer
+    # binds its spans, sees every batch step and dev cost that train() takes.
+    calls = {}
+    for name in ("train_step", "loss_and_gradients", "forward", "evaluate_cost"):
+        def counted(*args, _name=name, _original=getattr(mlp, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(mlp, name, counted)
+    rng = np.random.default_rng(66)
+    x, dev_x = rng.normal(size=(20, 3)), rng.normal(size=(6, 3))
+    y, dev_y = rng.uniform(0.2, 0.8, size=(20, 2)), rng.uniform(0.2, 0.8, size=(6, 2))
+    model = init_model([3, 4, 2], "sigmoid", seed=67)
+    train(model, x, y, TrainConfig(batch_size=8, max_epochs=2), dev_x, dev_y)
+    # 3 batches in each of 2 epochs, one dev cost per epoch, one forward pass each
+    assert calls == {"train_step": 6, "loss_and_gradients": 6, "evaluate_cost": 2, "forward": 8}
+
+
+@pytest.mark.parametrize("field", ["batch_size", "max_epochs"])
+@pytest.mark.parametrize("value", [2.5, 8.0, True, "8", 0])
+def test_train_config_takes_only_positive_integer_counts(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1"):
+        TrainConfig(**{field: value})
+    assert getattr(TrainConfig(**{field: np.int64(3)}), field) == 3
+
+
+@pytest.mark.parametrize("split", ["train", "dev"])
+@pytest.mark.parametrize("matrix", ["inputs", "references"])
+def test_train_refuses_a_width_the_model_does_not_map_before_any_step(monkeypatch, split, matrix):
+    rng = np.random.default_rng(68)
+    data = {"train": [rng.normal(size=(20, 3)), rng.uniform(0.2, 0.8, size=(20, 2))],
+            "dev": [rng.normal(size=(6, 3)), rng.uniform(0.2, 0.8, size=(6, 2))]}
+    pair = data[split]
+    column = 0 if matrix == "inputs" else 1
+    pair[column] = pair[column][:, :-1]
+    steps = []
+    monkeypatch.setattr(mlp, "train_step", lambda *args: steps.append(args))
+    model = init_model([3, 4, 2], "sigmoid", seed=69)
+    with pytest.raises(ShapeError, match=f"{split} inputs and references have widths"):
+        train(model, *data["train"], TrainConfig(batch_size=8, max_epochs=2), *data["dev"])
     assert steps == []
