@@ -155,18 +155,25 @@ class SpectralFeatureMapper:
         mel_config, the references' MelConfig, kept as mel_config_, gives
         transform the filterbank, mode and floor that enhance_utterance
         inverts utterance-MVN outputs with. X and X_dev must share one width,
-        as must y and y_dev; that and the training settings are checked
-        before anything is normalized.
+        as must y and y_dev, and each input utterance, training or dev, must
+        align frame for frame with its reference; that and the training
+        settings are checked before anything is normalized. The model that
+        init_model returns is trained in place and kept as model_.
         """
         check_choice(self.recipe, RECIPES, "recipe")
         if not X or not y or len(X) != len(y):
             raise ConfigError(
                 f"fit needs paired, nonempty X and y utterance lists, got {len(X)} and {len(y)}"
             )
-        for xs, ys in zip(X, y):
+        pairs = list(zip(X, y))
+        has_dev = X_dev is not None and y_dev is not None and len(X_dev) > 0
+        if has_dev:
+            if len(X_dev) != len(y_dev):
+                raise ShapeError(f"fit needs paired dev utterance lists, got {len(X_dev)} and {len(y_dev)}")
+            pairs += zip(X_dev, y_dev)
+        for xs, ys in pairs:
             if np.asarray(xs).shape[0] != np.asarray(ys).shape[0]:
                 raise ShapeError("input and reference utterances must align frame for frame")
-        has_dev = X_dev is not None and y_dev is not None and len(X_dev) > 0
         _check_one_width([*X, *(X_dev if has_dev else ())], "input")
         _check_one_width([*y, *(y_dev if has_dev else ())], "reference")
 

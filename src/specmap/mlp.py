@@ -3,12 +3,13 @@
 The mapper network takes normalized log-magnitude context windows and
 produces 40 mel features per frame, on the CPU. Every pass, training
 included, computes in the dtype of the model's weights. init_model gives
-float64 parameters, for the gradient checks; train() narrows them to
-float32 once, as MlpModel.as_float32() rounds them, and trains and returns
-that single float32 copy, the precision that checkpoints store. train()
-likewise holds one float32 copy of its training and dev inputs (a float32
-matrix is used as is) and gathers every batch from it; the references
-stay float64, because the loss is taken in float64. Each computation is
+float32 parameters, the precision that checkpoints store, and train()
+trains that single copy in place and returns it, so an initialized,
+trained or loaded model is its own mapper; the gradient checks build
+float64 models of their own and step them directly. train() likewise
+holds one float32 copy of its training and dev inputs (a float32 matrix
+is used as is) and gathers every batch from it; the references stay
+float64, because the loss is taken in float64. Each computation is
 one function: train() calls train_step and evaluate_cost, train_step calls
 loss_and_gradients, and that calls forward. The four check only shapes;
 data is checked where it enters, in train() and (through assemble_context
@@ -143,15 +144,28 @@ def init_model(
     seed: int = 0,
     norm_spec: Optional[NormalizationSpec] = None,
 ) -> MlpModel:
-    """Uniform(+/- sqrt(6/(fan_in+fan_out))) weights, zero biases, seeded."""
+    """Uniform(+/- sqrt(6/(fan_in+fan_out))) float32 weights, zero float32 biases, seeded.
+
+    Each layer's float64 draws are made one block of rows at a time, cut as
+    train_step's update blocks are (at most 32768 draws, or one row of a
+    wider layer), and rounded into the layer's float32 array, so no float64
+    layer is ever held. The blocks consume the generator's stream in the
+    order of one whole-layer draw, so the weights equal that draw narrowed
+    with astype(np.float32), bit for bit.
+    """
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ConfigError(f"dims must chain at least input->output, got {dims}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        w = np.empty((fan_in, fan_out), dtype=np.float32)
+        rows = _block_rows(w)
+        for start in range(0, fan_in, rows):
+            block = w[start:start + rows]
+            block[...] = rng.uniform(-limit, limit, size=block.shape)
+        weights.append(w)
+        biases.append(np.zeros(fan_out, dtype=np.float32))
     return MlpModel(weights, biases, output_activation, norm_spec, seed)
 
 
@@ -267,7 +281,7 @@ _UPDATE_BLOCK = 32768
 
 
 def _block_rows(param: np.ndarray) -> int:
-    """Leading-axis rows per update block of one parameter: at least one."""
+    """Leading-axis rows per block of one parameter: at least one."""
     return max(1, _UPDATE_BLOCK // max(1, param[0].size))
 
 
@@ -275,8 +289,8 @@ class AdagradState:
     """Adagrad state for training one model in the dtype of its parameters.
 
     - accum_w, accum_b: the squared-gradient accumulators, in the dtype of
-      the model's parameters (float32 in train(), float64 for a model of
-      init_model stepped directly);
+      the model's parameters (float32 in train(), float64 for a float64
+      model stepped directly);
     - scratch: one row of one update block, in the same dtype and shared
       by every parameter, so an update allocates nothing.
     """
@@ -432,19 +446,20 @@ def train(
     """Epoch loop with seeded shuffling, optional dropout and early stopping.
 
     Trains one float32 copy of the parameters in place and returns its
-    model: a float32 model is that copy; a float64 model is narrowed once,
-    as MlpModel.as_float32() rounds it, and left as it was. The training
-    and dev inputs are checked once and narrowed to one float32 copy each
-    (a float32 matrix is used as is), and every batch is gathered from that
-    copy: the same bits as gathering float64 rows and narrowing each batch,
-    since both are elementwise. An input that is not finite, or a finite
-    float64 input beyond float32's range, is a NumericError raised before
-    the first step, as is a width the model does not map (a ShapeError).
-    The references stay float64. Each batch goes through train_step, and
-    the dev cost is evaluate_cost's. When a stop rule fires after epoch e,
-    the parameters from epoch e-1 are restored and reported as best_epoch.
-    Dedicated child seeds keep the shuffle and dropout streams independent
-    of each other and of init.
+    model: a float32 model, as init_model makes, is that copy, so a caller
+    that reuses its initial model copies it first; a float64 model is narrowed
+    once, as MlpModel.as_float32() rounds it, and left as it was. The
+    training and dev inputs are checked once and narrowed to one float32
+    copy each (a float32 matrix is used as is), and every batch is gathered
+    from that copy: the same bits as gathering float64 rows and narrowing
+    each batch, since both are elementwise. An input that is not finite, or
+    a finite float64 input beyond float32's range, is a NumericError raised
+    before the first step, as is a width the model does not map (a
+    ShapeError). The references stay float64. Each batch goes through
+    train_step, and the dev cost is evaluate_cost's. When a stop rule fires
+    after epoch e, the parameters from epoch e-1 are restored and reported
+    as best_epoch. Dedicated child seeds keep the shuffle and dropout
+    streams independent of each other and of init.
     """
     x = _float32_matrix(train_inputs, "train inputs")
     y = as_float_matrix(train_references, "train references")
@@ -522,12 +537,14 @@ def map_features(
 ) -> MappedFeatures:
     """Run one utterance of log-magnitude frames through the mapper.
 
-    The mapping runs in float32 through model.as_float32(), so pass a
-    float32 model to skip the per-call cast. Context assembly,
-    normalization and denormalization run in float64, and every returned
-    array is float64. The inputs are not modified. Utterance-MVN references
-    need the filterbank, floor and mode of the references' MelConfig to
-    build the input's stand-in statistics.
+    The mapping runs in float32 through model.as_float32(), itself for every
+    model that init_model, train and load_model return; a float64 model is
+    cast on each call. Context assembly, normalization and denormalization
+    run in float64, and every returned array is float64. The inputs are not
+    modified. Utterance-MVN references need the filterbank, floor and mode
+    of the references' MelConfig to build the input's stand-in statistics.
+    An utterance of no frames maps to (0, outputs) arrays, with no
+    statistics taken.
     """
     spec = model.norm_spec
     if spec is None:
@@ -545,11 +562,11 @@ def map_features(
     expected = (model.output_dim, n_bins)
     if mel_filterbank is not None and mel_filterbank.shape != expected:
         raise ShapeError(f"mel filterbank {mel_filterbank.shape} != (outputs, bins) {expected}")
-    if len(assembled):
-        normalized_in = normalize(assembled, spec, "input")
-        output = forward(model.as_float32(), normalized_in).output.astype(np.float64)
-    else:
-        output = np.zeros((0, model.output_dim))
+    if not len(assembled):
+        # No frames: no output to invert, and no utterance statistics to take.
+        return MappedFeatures(np.zeros((0, model.output_dim)), np.zeros((0, model.output_dim)))
+    normalized_in = normalize(assembled, spec, "input")
+    output = forward(model.as_float32(), normalized_in).output.astype(np.float64)
 
     if spec.reference_mode == "global_minmax_01":
         return MappedFeatures(output, denormalize(output, spec))

@@ -72,12 +72,13 @@ class PipelineConfig:
     def mapper(self) -> Optional[MlpModel]:
         """The float32 model that every mapping runs through.
 
-        A trained or loaded model is float32 already and is its own mapper.
-        A float64 model, as init_model makes, is cast once per config, not
-        per utterance. The mapper is cast (if need be) and hashed on first
-        use rather than at construction: for the paper-size model the two
-        take about 80 ms together, and a caller which builds a new config
-        while an old one is alive then does not hold two casts at once.
+        A model that init_model, train or load_model returns is float32
+        already and is its own mapper. A float64 model, which a caller
+        builds by hand, is cast once per config, not per utterance. The
+        mapper is cast (if need be) and hashed on first use rather than at
+        construction: hashing the paper-size model takes about 30 ms, and
+        a caller which builds a new config from a float64 model while an
+        old one is alive then does not hold two casts at once.
         """
         if self._mapper is None and self.model is not None:
             self._mapper = self.model.as_float32()

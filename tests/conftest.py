@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import signal
 import subprocess
@@ -41,6 +42,19 @@ def make_reverberant_pair(seed: int, t60: float = 0.5, seconds: float = 1.5):
 def relative_error(a, b, floor=1e-8):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def float64_model(model):
+    """A copy of model with its parameters widened to float64, for the float64 reference paths.
+
+    init_model gives float32 parameters; the widened copy holds the same
+    values, and every pass through it computes in float64.
+    """
+    return dataclasses.replace(
+        model,
+        weights=[w.astype(np.float64) for w in model.weights],
+        biases=[b.astype(np.float64) for b in model.biases],
+    )
 
 
 def gathered_context(feats, context):

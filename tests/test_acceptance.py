@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_reverberant_pair, relative_error
+from conftest import float64_model, make_reverberant_pair, relative_error
 from specmap.audio import Waveform, load_wav
 from specmap.cli import main as cli_main
 from specmap.corpus import CorpusConfig, build_corpus
@@ -75,7 +75,7 @@ def test_criterion_02_gradient_oracle():
     worst = 0.0
     for activation in ("sigmoid", "linear"):
         for dropout in (False, True):
-            model = init_model([6, 5, 5, 3], activation, seed=31)
+            model = float64_model(init_model([6, 5, 5, 3], activation, seed=31))
             rng = np.random.default_rng(17)
             x = rng.normal(size=(4, 6))
             y = rng.uniform(0.2, 0.8, size=(4, 3))

@@ -115,6 +115,50 @@ def test_fit_refuses_utterances_of_another_width_before_normalizing(monkeypatch,
         est.fit(xs[:3], ys[:3], xs[3:], ys[3:], mel_config=TOY_MEL)
 
 
+@pytest.mark.parametrize("recipe", ["original", "enhanced"])
+@pytest.mark.parametrize("fault", ["train", "dev", "dev count"])
+def test_fit_refuses_utterances_out_of_frame_alignment_before_normalizing(monkeypatch, recipe, fault):
+    xs, ys = _toy_training_data(5)
+    frames = [len(x) for x in xs]
+    swap = {"train": (0, 1), "dev": (3, 4), "dev count": (3, 4)}[fault]
+    assert frames[swap[0]] != frames[swap[1]]
+    if fault == "dev count":
+        ys = ys[:4]  # one dev reference for two dev inputs
+    else:
+        # Each reference is swapped with its neighbour's: the split's frame
+        # totals still match, but no utterance aligns with its reference.
+        ys[swap[0]], ys[swap[1]] = ys[swap[1]], ys[swap[0]]
+    monkeypatch.setattr(estimators, "fit_normalizer", lambda *args: pytest.fail("normalized"))
+    est = SpectralFeatureMapper(hidden_units=(8,), context=0, recipe=recipe, max_epochs=2)
+    match = "paired dev utterance lists" if fault == "dev count" else "align frame for frame"
+    with pytest.raises(ShapeError, match=match):
+        est.fit(xs[:3], ys[:3], xs[3:], ys[3:], mel_config=TOY_MEL)
+
+
+def test_fit_trains_the_model_init_model_returns_in_place(monkeypatch):
+    original, made = estimators.init_model, []
+
+    def init_model(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(estimators, "init_model", init_model)
+    xs, ys = _toy_training_data()
+    est = SpectralFeatureMapper(hidden_units=(8,), context=0, max_epochs=2).fit(xs, ys)
+    assert len(made) == 1 and est.model_ is made[0]
+    assert all(p.dtype == np.float32 for p in est.model_.weights + est.model_.biases)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("recipe", ["original", "enhanced"])
+def test_transform_maps_an_utterance_of_no_frames_without_statistics(recipe):
+    xs, ys = _toy_training_data(4)
+    est = SpectralFeatureMapper(hidden_units=(8,), context=1, recipe=recipe, max_epochs=2)
+    est.fit(xs[:3], ys[:3], xs[3:], ys[3:], mel_config=TOY_MEL)
+    (mapped,) = est.transform([np.zeros((0, 33))])
+    assert mapped.shape == (0, 4) and mapped.dtype == np.float64
+
+
 @pytest.mark.parametrize("setting", [{"max_epochs": 2.5}, {"batch_size": 8.0}, {"batch_size": True}])
 def test_fit_refuses_a_non_integer_count_before_normalizing(monkeypatch, setting):
     xs, ys = _toy_training_data()

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import float64_model
 from specmap.cli import main
 from specmap.errors import FormatError
 from specmap.featio import load_model, read_features, save_model, write_features
@@ -174,7 +175,7 @@ def test_enhance_takes_the_context_from_the_model_dims(tiny_corpus, tmp_path, ca
 def test_trained_model_is_float32_and_survives_a_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     x, y = rng.normal(size=(40, 6)), rng.uniform(0.2, 0.8, size=(40, 2))
-    initial = init_model([6, 4, 2], "sigmoid", seed=3, norm_spec=_norm_spec())
+    initial = float64_model(init_model([6, 4, 2], "sigmoid", seed=3, norm_spec=_norm_spec()))
     model, _ = train(initial, x, y, TrainConfig(batch_size=8, max_epochs=2, rng_seed=1))
     assert all(p.dtype == np.float32 for p in model.weights + model.biases)
     assert all(p.dtype == np.float64 for p in initial.weights + initial.biases)  # left as it was

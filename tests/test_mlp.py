@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import relative_error
+from conftest import float64_model, relative_error
 from specmap.errors import ConfigError, NumericError, ShapeError
 from specmap.features import NormalizationSpec, invert_mvn, utterance_stats
 from specmap import mlp
@@ -44,6 +44,37 @@ def test_init_weight_mean_within_three_sigma():
     sigma_mean = (limit / np.sqrt(3.0)) / np.sqrt(w.size)
     assert abs(w.mean()) < 3 * sigma_mean
     assert np.all(np.abs(w) <= limit)
+
+
+def _whole_layer_draws(dims, seed):
+    """Weights as one float64 draw per layer, narrowed to float32: the stream init_model blocks."""
+    rng = np.random.default_rng(seed)
+    weights = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32))
+    return weights
+
+
+@pytest.mark.parametrize("dims", [[256, 1024, 40], [301, 3000, 7], [2827, 2048]],
+                         ids=["fan-out-divides-block", "fan-out-does-not", "paper-input-layer"])
+def test_init_model_equals_the_whole_layer_draw_narrowed_to_float32(dims):
+    model = init_model(dims, "sigmoid", seed=5)
+    for w, expected in zip(model.weights, _whole_layer_draws(dims, 5), strict=True):
+        assert w.dtype == np.float32
+        assert_same_bits(w, expected)
+    assert all(b.dtype == np.float32 and not b.any() for b in model.biases)
+
+
+def test_init_model_holds_no_float64_layer():
+    tracemalloc.start()
+    try:
+        model = init_model([2827, 2048, 2048, 40], "sigmoid", seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measured 1.007x: one block of float64 draws beside the parameters.
+    assert peak < 1.1 * sum(p.nbytes for p in model.weights + model.biases)
 
 
 def test_forward_zero_parameters_gives_half():
@@ -110,7 +141,7 @@ def test_zero_loss_means_no_update():
 @pytest.mark.parametrize("with_dropout", [False, True])
 def test_gradients_match_finite_differences(activation, with_dropout):
     rng = np.random.default_rng(7)
-    model = init_model([6, 5, 5, 3], activation, seed=11)
+    model = float64_model(init_model([6, 5, 5, 3], activation, seed=11))
     x = rng.normal(size=(4, 6))
     y = rng.uniform(0.2, 0.8, size=(4, 3))
     masks = make_dropout_masks(np.random.default_rng(8), [5, 5], 4, 0.3) if with_dropout else None
@@ -283,7 +314,7 @@ def test_train_bit_reproducible():
 
 
 def test_training_divergence_raises():
-    model = init_model([2, 3, 1], "linear", seed=0)
+    model = float64_model(init_model([2, 3, 1], "linear", seed=0))
     model.weights[0] *= 1e200
     model.weights[1] *= 1e200
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
@@ -439,7 +470,7 @@ def test_sigmoid_propagates_nan():
 @pytest.mark.parametrize("with_dropout", [False, True])
 def test_forward_matches_reference_bitwise(activation, with_dropout):
     rng = np.random.default_rng(31)
-    model = init_model([30, 24, 24, 5], activation, seed=32)
+    model = float64_model(init_model([30, 24, 24, 5], activation, seed=32))
     model.biases = [rng.normal(size=b.shape) for b in model.biases]
     x = rng.normal(scale=3.0, size=(17, 30))
     masks = make_dropout_masks(rng, [24, 24], 17, 0.25) if with_dropout else None
@@ -469,8 +500,8 @@ def _steps(step, model, state, dropout_rate):
 
 def _trained_pair(reference_step, dropout_rate, reference_dtype):
     """A float32 model stepped by train_step, and one of reference_dtype by reference_step."""
-    fast = init_model([12, 9, 9, 4], "sigmoid", seed=34).as_float32()
-    slow = init_model([12, 9, 9, 4], "sigmoid", seed=34)
+    fast = init_model([12, 9, 9, 4], "sigmoid", seed=34)
+    slow = float64_model(init_model([12, 9, 9, 4], "sigmoid", seed=34))
     if reference_dtype == np.float32:
         slow = slow.as_float32()
     fast_state, slow_state = AdagradState(fast), AdagradState(slow)
@@ -497,7 +528,7 @@ def test_train_step_matches_out_of_place_float32_reference_bitwise(dropout_rate)
 
 # Largest relative distance of a float32 model's steps from the float64
 # reference over 20 steps, as a parameter array's norm and per loss:
-# measured 4.5e-7 and 7.0e-8 without dropout, 1.7e-7 and 8.8e-8 with it.
+# measured 3.8e-7 and 6.6e-8 without dropout, 1.7e-7 and 8.3e-8 with it.
 MIXED_PRECISION_BOUND = 2e-6
 
 
@@ -516,7 +547,7 @@ def test_train_steps_stay_near_the_float64_reference(dropout_rate):
 @pytest.mark.parametrize("with_dropout", [False, True])
 def test_loss_and_gradients_of_a_float64_model_stay_float64(with_dropout):
     rng = np.random.default_rng(39)
-    model = init_model([6, 5, 5, 3], "sigmoid", seed=40)
+    model = float64_model(init_model([6, 5, 5, 3], "sigmoid", seed=40))
     x = rng.normal(size=(4, 6))
     y = rng.uniform(0.2, 0.8, size=(4, 3))
     masks = make_dropout_masks(rng, [5, 5], 4, 0.3) if with_dropout else None
@@ -559,7 +590,7 @@ def test_sigmoid_without_out_computes_in_float64():
 
 
 def test_as_float32_copy_keeps_metadata_and_leaves_the_model_alone():
-    model = init_model([9, 5, 2], "linear", seed=2, norm_spec=_minmax_spec(9))
+    model = float64_model(init_model([9, 5, 2], "linear", seed=2, norm_spec=_minmax_spec(9)))
     copy = model.as_float32()
     assert all(p.dtype == np.float32 for p in copy.weights + copy.biases)
     assert all(p.dtype == np.float64 for p in model.weights + model.biases)
@@ -572,7 +603,7 @@ def test_as_float32_copy_keeps_metadata_and_leaves_the_model_alone():
 
 def test_float32_forward_runs_in_float32_with_and_without_dropout():
     rng = np.random.default_rng(37)
-    model = init_model([30, 24, 24, 5], "sigmoid", seed=32)
+    model = float64_model(init_model([30, 24, 24, 5], "sigmoid", seed=32))
     x = rng.normal(scale=3.0, size=(17, 30))
     narrow = model.as_float32()
     masks = make_dropout_masks(rng, [24, 24], 17, 0.25)
@@ -652,9 +683,10 @@ def test_train_matches_the_per_batch_narrowing_loop_bitwise(activation, dropout_
     config = TrainConfig(batch_size=16, learning_rate=0.05, max_epochs=12,
                          dropout_rate=dropout_rate, early_stop=early_stop, rng_seed=7)
     model = init_model([9, 11, 6, 3], activation, seed=61)
+    initial = MlpModel(*model.copy_parameters(), activation)  # train() steps model in place
     untouched = [a.copy() for a in (x, y) + ((dev_x, dev_y) if with_dev else ())]
     got, got_history = train(model, x, y, config, dev_x, dev_y)
-    want, want_history = reference_train(model, x, y, config, dev_x, dev_y)
+    want, want_history = reference_train(initial, x, y, config, dev_x, dev_y)
     assert got_history == want_history
     assert len(got_history.dev_cost) == (len(got_history.train_cost) if with_dev else 0)
     if early_stop:
@@ -668,7 +700,7 @@ def test_train_matches_the_per_batch_narrowing_loop_bitwise(activation, dropout_
 
 def _traced_train_peak(x, dev_x, y, dev_y):
     config = TrainConfig(batch_size=256, max_epochs=1, rng_seed=3)
-    model = init_model([x.shape[1], 16, 4], "sigmoid", seed=62).as_float32()
+    model = init_model([x.shape[1], 16, 4], "sigmoid", seed=62)
     tracemalloc.start()
     try:
         train(model, x, y, config, dev_x, dev_y)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gathered_context, make_reverberant_pair, run_script
+from conftest import float64_model, gathered_context, make_reverberant_pair, run_script
 from specmap.audio import load_wav, save_wav
 from specmap.cli import main
 from specmap.corpus import CorpusConfig, build_corpus
@@ -58,15 +58,6 @@ def _pipeline_config(manifest, mode, model=None, context=1, **kwargs):
         wpe=WpeConfig(),
         model=model,
         **kwargs,
-    )
-
-
-def _widened(model):
-    """The model with float64 copies of its parameters."""
-    return dataclasses.replace(
-        model,
-        weights=[w.astype(np.float64) for w in model.weights],
-        biases=[b.astype(np.float64) for b in model.biases],
     )
 
 
@@ -353,12 +344,12 @@ def test_batch_enhance_workers_run_wpe_on_one_thread(tiny_corpus, tmp_path, monk
 
 
 def test_batch_enhance_parallel_mapper_matches_serial(tiny_corpus, toy_mapper, tmp_path, monkeypatch):
-    # A trained model maps through itself. A float64 model (as init_model
-    # makes) is cast once per config, before the threads start, and every
+    # A trained model maps through itself. A float64 model (built by
+    # hand) is cast once per config, before the threads start, and every
     # utterance maps as enhance_utterance does on its own.
     manifest = tiny_corpus
     assert _pipeline_config(manifest, "wpe_dnn", model=toy_mapper.model_).mapper is toy_mapper.model_
-    wide = _widened(toy_mapper.model_)
+    wide = float64_model(toy_mapper.model_)
     casts = []
     as_float32 = type(wide).as_float32
 
@@ -500,7 +491,7 @@ def test_float32_mapping_matches_float64_forward(tiny_corpus, mappers, name):
     # on the network output (enhanced recipe) and 7.4e-6 nats on log-mel
     # features (paper-size mapper).
     model, context = mappers[name]
-    wide = _widened(model)
+    wide = float64_model(model)
     filterbank = mel_matrix(tiny_corpus.mel_config())
     floor = tiny_corpus.feature_config["magnitude_floor"]
     params = [p.copy() for p in model.weights + model.biases]
