@@ -154,7 +154,8 @@ class SpectralFeatureMapper:
 
         mel_config, the references' MelConfig, kept as mel_config_, gives
         transform the filterbank, mode and floor that enhance_utterance
-        inverts utterance-MVN outputs with. X and X_dev must share one width,
+        inverts utterance-MVN outputs with. X_dev and y_dev come as a pair of
+        lists of one length, as X and y do. X and X_dev must share one width,
         as must y and y_dev, and each input utterance, training or dev, must
         align frame for frame with its reference; that and the training
         settings are checked before anything is normalized. The model that
@@ -165,11 +166,14 @@ class SpectralFeatureMapper:
             raise ConfigError(
                 f"fit needs paired, nonempty X and y utterance lists, got {len(X)} and {len(y)}"
             )
+        n_dev = [0 if part is None else len(part) for part in (X_dev, y_dev)]
+        if n_dev[0] != n_dev[1]:
+            raise ConfigError(
+                f"fit needs paired X_dev and y_dev utterance lists, got {n_dev[0]} and {n_dev[1]}"
+            )
         pairs = list(zip(X, y))
-        has_dev = X_dev is not None and y_dev is not None and len(X_dev) > 0
+        has_dev = n_dev[0] > 0
         if has_dev:
-            if len(X_dev) != len(y_dev):
-                raise ShapeError(f"fit needs paired dev utterance lists, got {len(X_dev)} and {len(y_dev)}")
             pairs += zip(X_dev, y_dev)
         for xs, ys in pairs:
             if np.asarray(xs).shape[0] != np.asarray(ys).shape[0]:

@@ -116,23 +116,35 @@ def test_fit_refuses_utterances_of_another_width_before_normalizing(monkeypatch,
 
 
 @pytest.mark.parametrize("recipe", ["original", "enhanced"])
-@pytest.mark.parametrize("fault", ["train", "dev", "dev count"])
-def test_fit_refuses_utterances_out_of_frame_alignment_before_normalizing(monkeypatch, recipe, fault):
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_fit_refuses_utterances_out_of_frame_alignment_before_normalizing(monkeypatch, recipe, split):
     xs, ys = _toy_training_data(5)
     frames = [len(x) for x in xs]
-    swap = {"train": (0, 1), "dev": (3, 4), "dev count": (3, 4)}[fault]
+    swap = {"train": (0, 1), "dev": (3, 4)}[split]
     assert frames[swap[0]] != frames[swap[1]]
-    if fault == "dev count":
-        ys = ys[:4]  # one dev reference for two dev inputs
-    else:
-        # Each reference is swapped with its neighbour's: the split's frame
-        # totals still match, but no utterance aligns with its reference.
-        ys[swap[0]], ys[swap[1]] = ys[swap[1]], ys[swap[0]]
+    # Each reference is swapped with its neighbour's: the split's frame
+    # totals still match, but no utterance aligns with its reference.
+    ys[swap[0]], ys[swap[1]] = ys[swap[1]], ys[swap[0]]
     monkeypatch.setattr(estimators, "fit_normalizer", lambda *args: pytest.fail("normalized"))
     est = SpectralFeatureMapper(hidden_units=(8,), context=0, recipe=recipe, max_epochs=2)
-    match = "paired dev utterance lists" if fault == "dev count" else "align frame for frame"
-    with pytest.raises(ShapeError, match=match):
+    with pytest.raises(ShapeError, match="align frame for frame"):
         est.fit(xs[:3], ys[:3], xs[3:], ys[3:], mel_config=TOY_MEL)
+
+
+@pytest.mark.parametrize("recipe", ["original", "enhanced"])
+@pytest.mark.parametrize("dev", ["2 inputs, 1 reference", "no inputs, 1 reference", "2 inputs, no references"])
+def test_fit_refuses_unpaired_dev_lists_before_normalizing(monkeypatch, recipe, dev):
+    xs, ys = _toy_training_data(5)
+    X_dev, y_dev = {
+        "2 inputs, 1 reference": (xs[3:], ys[3:4]),
+        "no inputs, 1 reference": ([], ys[3:4]),
+        "2 inputs, no references": (xs[3:], None),
+    }[dev]
+    monkeypatch.setattr(estimators, "fit_normalizer", lambda *args: pytest.fail("normalized"))
+    est = SpectralFeatureMapper(hidden_units=(8,), context=0, recipe=recipe, max_epochs=2)
+    # the same error class as an unpaired training list
+    with pytest.raises(ConfigError, match="paired X_dev and y_dev utterance lists"):
+        est.fit(xs[:3], ys[:3], X_dev, y_dev, mel_config=TOY_MEL)
 
 
 def test_fit_trains_the_model_init_model_returns_in_place(monkeypatch):

@@ -58,7 +58,7 @@ def _norm_spec():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    model = init_model([6, 4, 4, 2], "sigmoid", seed=3, norm_spec=_norm_spec())
+    model = float64_model(init_model([6, 4, 4, 2], "sigmoid", seed=3, norm_spec=_norm_spec()))
     path = tmp_path / "m.sfmd"
     save_model(path, model, config={"context": 5, "recipe": "original"})
     loaded, config = load_model(path)

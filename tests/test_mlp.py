@@ -126,7 +126,7 @@ def test_adagrad_closed_form_sequence():
 
 
 def test_zero_loss_means_no_update():
-    wide = init_model([3, 4, 2], "linear", seed=5)
+    wide = float64_model(init_model([3, 4, 2], "linear", seed=5))
     x = np.random.default_rng(6).normal(size=(4, 3))
     for model in (wide, wide.as_float32()):  # train_step computes in the weights' dtype
         refs = forward(model, x).output
