@@ -82,9 +82,9 @@ def save_model(path, model: MlpModel, config: dict | None = None) -> None:
 def load_model(path) -> tuple[MlpModel, dict]:
     """The checkpoint's model, with the float32 parameters it stores, and its config.
 
-    A malformed file, or a non-finite weight, bias or normalization
-    statistic (which NormalizationSpec refuses), any of which would fail
-    every utterance, is a FormatError.
+    A malformed file, one of no layers included, or a non-finite weight,
+    bias or normalization statistic (which NormalizationSpec refuses), any
+    of which would fail every utterance, is a FormatError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -105,10 +105,9 @@ def load_model(path) -> tuple[MlpModel, dict]:
         w_bytes, b_bytes = 4 * rows * cols, 4 * cols
         if pos + w_bytes + b_bytes > len(blob):
             raise FormatError(f"{path}: truncated parameter payload")
-        w = np.frombuffer(blob, "<f4", rows * cols, pos)
-        weights.append(w.astype(np.float32).reshape(rows, cols))
+        weights.append(np.frombuffer(blob, "<f4", rows * cols, pos).reshape(rows, cols).copy())
         pos += w_bytes
-        biases.append(np.frombuffer(blob, "<f4", cols, pos).astype(np.float32))
+        biases.append(np.frombuffer(blob, "<f4", cols, pos).copy())
         pos += b_bytes
     if pos + 4 > len(blob):
         raise FormatError(f"{path}: missing metadata block")

@@ -2,11 +2,11 @@
 
 The mapper network takes normalized log-magnitude context windows and
 produces 40 mel features per frame, on the CPU. Every pass, training
-included, computes in the dtype of the model's weights. init_model gives
-float32 parameters, the precision that checkpoints store, and train()
-trains that single copy in place and returns it, so an initialized,
-trained or loaded model is its own mapper; the gradient checks build
-float64 models of their own and step them directly. train() likewise
+included, computes in the dtype of the model's weights. An MlpModel holds
+float32 parameters from construction, the precision that checkpoints
+store, and train() trains them in place and returns the model, so every
+model maps through itself; the float64 reference checks widen a built
+model's arrays by assignment and step them directly. train() likewise
 holds one float32 copy of its training and dev inputs (a float32 matrix
 is used as is) and gathers every batch from it; the references stay
 float64, because the loss is taken in float64. Each computation is
@@ -24,7 +24,7 @@ pass differs by about 3e-16 in float64 and its float32 mapping by about
 2e-7 (2.7e-6 nats on log-mel features).
 """
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -88,6 +88,13 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 @dataclass
 class MlpModel:
+    """A multilayer perceptron with sigmoid hidden units and float32 parameters.
+
+    The constructor keeps a float32 array as is, with no copy, and narrows
+    any other once, rounding as save_model does, so a model built by hand
+    from float64 arrays and its reloaded checkpoint hold the same bits.
+    """
+
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     output_activation: str = "sigmoid"
@@ -95,6 +102,10 @@ class MlpModel:
     seed: int = 0
 
     def __post_init__(self):
+        self.weights = [np.asarray(w, dtype=np.float32) for w in self.weights]
+        self.biases = [np.asarray(b, dtype=np.float32) for b in self.biases]
+        if not self.weights:
+            raise ShapeError("a model needs at least one layer")
         if len(self.weights) != len(self.biases):
             raise ShapeError("weights and biases must pair up layer by layer")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -118,24 +129,6 @@ class MlpModel:
 
     def copy_parameters(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-
-    def set_parameters(self, weights, biases) -> None:
-        self.weights = [w.copy() for w in weights]
-        self.biases = [b.copy() for b in biases]
-
-    def as_float32(self) -> "MlpModel":
-        """This model with float32 parameters, for mapping; itself when already float32.
-
-        The cast rounds as save_model does, so the copy of a trained model
-        and the copy of its reloaded checkpoint hold the same bits.
-        """
-        if all(p.dtype == np.float32 for p in self.weights + self.biases):
-            return self
-        return replace(
-            self,
-            weights=[w.astype(np.float32) for w in self.weights],
-            biases=[b.astype(np.float32) for b in self.biases],
-        )
 
 
 def init_model(
@@ -194,10 +187,10 @@ class ForwardState:
 def forward(model: MlpModel, batch: np.ndarray, dropout_masks=None) -> ForwardState:
     """Activations of every layer for one batch; the batch is not modified.
 
-    Computes in the dtype of the model's weights. With float64 weights every
-    operation runs in float64. With float32 weights (every trained or loaded
-    model, see train and MlpModel.as_float32) the batch is cast to float32
-    once and every layer runs in float32, with float32 dropout masks. Each
+    Computes in the dtype of the model's weights. With float32 weights, as
+    every MlpModel is built with, the batch is cast to float32 once and
+    every layer runs in float32, with float32 dropout masks. With float64
+    weights, assigned to a built model, every operation runs in float64. Each
     layer adds its bias to the fresh product a @ W and applies the sigmoid
     to it in place, so the sum and the activation need no arrays of their
     own. Only the batch's shape is checked: a NaN in it gives NaN out.
@@ -318,6 +311,8 @@ class TrainConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         check_positive(self.learning_rate, "learning_rate")
+        if not np.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
@@ -390,16 +385,14 @@ def _check_widths(model: MlpModel, x: np.ndarray, y: np.ndarray, split: str) -> 
 
 
 def evaluate_cost(model: MlpModel, inputs: np.ndarray, references: np.ndarray) -> float:
-    """Full-set MSE without dropout, at the float32 precision training computes in.
+    """Full-set MSE without dropout, in the dtype of the model's weights.
 
-    The model runs through model.as_float32(), itself for a trained model,
-    so this is the dev cost that train() records. The squared errors are
+    This is the dev cost that train() records. The squared errors are
     summed in float64 in a fixed order of 4096-frame chunks. The inputs and
     references are taken as checked, as forward takes them.
     """
     if len(inputs) != len(references):
         raise ShapeError("inputs and references must have the same frame count")
-    model = model.as_float32()
     total, chunk = 0.0, 4096
     for start in range(0, len(inputs), chunk):
         out = forward(model, inputs[start:start + chunk]).output
@@ -445,21 +438,22 @@ def train(
 ) -> tuple[MlpModel, TrainHistory]:
     """Epoch loop with seeded shuffling, optional dropout and early stopping.
 
-    Trains one float32 copy of the parameters in place and returns its
-    model: a float32 model, as init_model makes, is that copy, so a caller
-    that reuses its initial model copies it first; a float64 model is narrowed
-    once, as MlpModel.as_float32() rounds it, and left as it was. The
-    training and dev inputs are checked once and narrowed to one float32
-    copy each (a float32 matrix is used as is), and every batch is gathered
-    from that copy: the same bits as gathering float64 rows and narrowing
-    each batch, since both are elementwise. An input that is not finite, or
-    a finite float64 input beyond float32's range, is a NumericError raised
-    before the first step, as is a width the model does not map (a
-    ShapeError). The references stay float64. Each batch goes through
-    train_step, and the dev cost is evaluate_cost's. When a stop rule fires
-    after epoch e, the parameters from epoch e-1 are restored and reported
-    as best_epoch. Dedicated child seeds keep the shuffle and dropout
-    streams independent of each other and of init.
+    Trains the model's parameters in place, in their dtype (float32 for
+    every MlpModel as built), and returns the model, so a caller that
+    reuses its initial model copies it first. The training and dev inputs
+    are checked once and narrowed to one float32 copy each (a float32
+    matrix is used as is), and every batch is gathered from that copy: the
+    same bits as gathering float64 rows and narrowing each batch, since
+    both are elementwise. An input that is not finite, or a finite float64
+    input beyond float32's range, is a NumericError raised before the first
+    step, as is a width the model does not map (a ShapeError). The
+    references stay float64. Each batch goes through train_step, and the
+    dev cost is evaluate_cost's. When a stop rule fires after epoch e, the
+    parameters from epoch e-1 are restored and reported as best_epoch. The
+    last step can leave parameters that are not finite with no later batch
+    cost to show it, as a learning rate far too large does; returning them
+    is a NumericError instead. Dedicated child seeds keep the shuffle and
+    dropout streams independent of each other and of init.
     """
     x = _float32_matrix(train_inputs, "train inputs")
     y = as_float_matrix(train_references, "train references")
@@ -480,10 +474,9 @@ def train(
 
     shuffle_rng = np.random.default_rng(derive_seed(config.rng_seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(config.rng_seed, "dropout"))
-    model = model.as_float32()
     hidden_dims = model.layer_dims[1:-1]
     adagrad = AdagradState(model)
-    history = TrainHistory()
+    history = TrainHistory(best_epoch=config.max_epochs)
 
     for epoch in range(1, config.max_epochs + 1):
         if config.early_stop:
@@ -502,13 +495,12 @@ def train(
         if config.early_stop:
             reason = early_stop_decision(history.dev_cost)
             if reason is not None:
-                model.set_parameters(*previous)
+                model.weights, model.biases = previous
                 history.stop_reason = reason
                 history.best_epoch = epoch - 1
-                return model, history
-
-    history.stop_reason = "max_epochs"
-    history.best_epoch = config.max_epochs
+                break
+    if not all(np.isfinite(p).all() for p in model.weights + model.biases):
+        raise NumericError("training diverged: the trained parameters are not finite")
     return model, history
 
 
@@ -537,9 +529,8 @@ def map_features(
 ) -> MappedFeatures:
     """Run one utterance of log-magnitude frames through the mapper.
 
-    The mapping runs in float32 through model.as_float32(), itself for every
-    model that init_model, train and load_model return; a float64 model is
-    cast on each call. Context assembly, normalization and denormalization
+    The mapping runs in the dtype of the model's weights, float32 for every
+    MlpModel as built. Context assembly, normalization and denormalization
     run in float64, and every returned array is float64. The inputs are not
     modified. Utterance-MVN references need the filterbank, floor and mode
     of the references' MelConfig to build the input's stand-in statistics.
@@ -566,7 +557,7 @@ def map_features(
         # No frames: no output to invert, and no utterance statistics to take.
         return MappedFeatures(np.zeros((0, model.output_dim)), np.zeros((0, model.output_dim)))
     normalized_in = normalize(assembled, spec, "input")
-    output = forward(model.as_float32(), normalized_in).output.astype(np.float64)
+    output = forward(model, normalized_in).output.astype(np.float64)
 
     if spec.reference_mode == "global_minmax_01":
         return MappedFeatures(output, denormalize(output, spec))

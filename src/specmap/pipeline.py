@@ -4,6 +4,8 @@ Four modes over one utterance: baseline (plain log-mel), wpe_only
 (dereverberate, resynthesize, re-analyze), dnn_only (map log-magnitude
 context windows to mel features), and wpe_dnn (dereverberate, then map).
 wpe_dnn maps the dereverberated spectrogram, as matched training does.
+Both mapping modes run the config's model as it is, in the float32 that
+every MlpModel holds.
 
 batch_enhance runs a split's utterances on the threads of specmap._pool,
 as training_features does, one utterance per thread at a time. WPE runs on
@@ -62,52 +64,42 @@ class PipelineConfig:
                     f"model output dim {self.model.output_dim} != n_mels {self.mel.n_mels}"
                 )
         self._filterbank = mel_matrix(self.mel)
-        self._mapper = self._model_id = None
+        self._model_id = None
 
     @property
     def filterbank(self) -> np.ndarray:
         return self._filterbank
 
-    @property
-    def mapper(self) -> Optional[MlpModel]:
-        """The float32 model that every mapping runs through.
-
-        A model that init_model, train or load_model returns is float32
-        already and is its own mapper. A float64 model, which a caller
-        builds by hand, is cast once per config, not per utterance. The
-        mapper is cast (if need be) and hashed on first use rather than at
-        construction: hashing the paper-size model takes about 30 ms, and
-        a caller which builds a new config from a float64 model while an
-        old one is alive then does not hold two casts at once.
-        """
-        if self._mapper is None and self.model is not None:
-            self._mapper = self.model.as_float32()
-            self._model_id = _identify_model(self._mapper)
-        return self._mapper
-
     def describe(self) -> dict:
-        """Every field, the nested configs as dicts and the model as its cached identity."""
+        """Every field, the nested configs as dicts and the model as its identity.
+
+        The model is hashed on the first call and the identity cached, not
+        at construction: hashing the paper-size model takes about 30 ms,
+        which a config that is never described does not spend.
+        """
+        if self._model_id is None and self.model is not None:
+            self._model_id = _identify_model(self.model)
         described = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.name == "model":
-                value = None if self.mapper is None else self._model_id
+                value = self._model_id
             elif dataclasses.is_dataclass(value):
                 value = dataclasses.asdict(value)
             described[f.name] = value
         return described
 
 
-def _identify_model(mapper: MlpModel) -> dict:
+def _identify_model(model: MlpModel) -> dict:
     """Dims, output activation and a sha256 of the float32 parameters and normalization."""
     digest = hashlib.sha256()
-    for param in mapper.weights + mapper.biases:
+    for param in model.weights + model.biases:
         digest.update(memoryview(np.ascontiguousarray(param, dtype="<f4")))
-    norm = None if mapper.norm_spec is None else mapper.norm_spec.to_dict()
+    norm = None if model.norm_spec is None else model.norm_spec.to_dict()
     digest.update(json.dumps(norm, sort_keys=True).encode("utf-8"))
     return {
-        "dims": mapper.layer_dims,
-        "output_activation": mapper.output_activation,
+        "dims": model.layer_dims,
+        "output_activation": model.output_activation,
         "sha256": digest.hexdigest(),
     }
 
@@ -121,7 +113,7 @@ class EnhancedUtterance:
 def _mapped_mel(config: PipelineConfig, spectrogram) -> np.ndarray:
     floor, mode = config.mel.magnitude_floor, config.mel.mode
     logmag = log_magnitude(spectrogram, floor)
-    mapped = map_features(config.mapper, logmag, config.context, config.filterbank, floor, mode)
+    mapped = map_features(config.model, logmag, config.context, config.filterbank, floor, mode)
     return mapped.denormalized
 
 
@@ -178,7 +170,6 @@ def batch_enhance(
     if save_waveforms:
         (out_root / "waveforms").mkdir(parents=True, exist_ok=True)
     entries = manifest.split_entries(split)
-    # describe() builds config.mapper, before the threads that share it start.
     digest = config_hash(config.describe())
 
     def enhance_entry(index: int) -> dict:

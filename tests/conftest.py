@@ -47,14 +47,14 @@ def relative_error(a, b, floor=1e-8):
 def float64_model(model):
     """A copy of model with its parameters widened to float64, for the float64 reference paths.
 
-    init_model gives float32 parameters; the widened copy holds the same
-    values, and every pass through it computes in float64.
+    An MlpModel is built with float32 parameters, so the copy is built from
+    them and its arrays are widened by assignment afterwards; it holds the
+    same values, and every pass through it computes in float64.
     """
-    return dataclasses.replace(
-        model,
-        weights=[w.astype(np.float64) for w in model.weights],
-        biases=[b.astype(np.float64) for b in model.biases],
-    )
+    wide = dataclasses.replace(model)
+    wide.weights = [w.astype(np.float64) for w in model.weights]
+    wide.biases = [b.astype(np.float64) for b in model.biases]
+    return wide
 
 
 def gathered_context(feats, context):

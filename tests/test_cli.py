@@ -328,6 +328,25 @@ def test_wpe_delta_override_reaches_wpe_config(cli_corpus, tmp_path, monkeypatch
     assert "wpe_delta=0.001" in (out / "config.resolved").read_text()
 
 
+@pytest.mark.parametrize("learning_rate, code, message", [
+    ("inf", 1, "configuration error: learning_rate must be finite"),
+    ("1e300", 2, "error: training diverged"),
+], ids=["inf", "1e300"])
+def test_train_writes_no_model_with_non_finite_parameters(cli_corpus, tmp_path, capsys, learning_rate, code, message):
+    # One epoch of one batch: the only step is the last, so no later batch
+    # cost is left to show that it diverged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = main([
+            "train", "--manifest", str(cli_corpus / "manifest.json"), "--out", str(tmp_path / "m"),
+            *TRAIN_OVERRIDES, "--set", f"learning_rate={learning_rate}",
+            "--set", "batch_size=100000", "--set", "max_epochs=1",
+        ])
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.startswith(message) and "Traceback" not in err
+    assert not (tmp_path / "m" / "model.sfmd").exists()
+
+
 @pytest.mark.parametrize("value, named", [("-1", "delta"), ("abc", "wpe_delta")])
 def test_bad_wpe_delta_is_a_config_error(cli_corpus, tmp_path, capsys, value, named):
     code = main([

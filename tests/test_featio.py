@@ -7,7 +7,14 @@ import pytest
 from conftest import float64_model
 from specmap.cli import main
 from specmap.errors import FormatError
-from specmap.featio import load_model, read_features, save_model, write_features
+from specmap.featio import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    load_model,
+    read_features,
+    save_model,
+    write_features,
+)
 from specmap.features import NormalizationSpec
 from specmap.mlp import TrainConfig, init_model, train
 from specmap.pipeline import PipelineConfig
@@ -96,6 +103,20 @@ def test_checkpoint_format_errors(tmp_path):
         load_model(truncated)
 
 
+def test_checkpoint_of_no_layers_is_a_format_error(tiny_corpus, tmp_path, capsys):
+    meta = json.dumps({"hidden_activation": "sigmoid", "output_activation": "sigmoid", "seed": 3,
+                       "norm_spec": _norm_spec().to_dict(), "config": {"context": 5}}).encode("utf-8")
+    path = tmp_path / "m.sfmd"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<III", CHECKPOINT_VERSION, 0, len(meta)) + meta)
+    with pytest.raises(FormatError, match="at least one layer"):
+        load_model(path)
+    capsys.readouterr()
+    assert _enhance_dnn(tiny_corpus, path, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _with_metadata(path, edit) -> None:
     """Rewrite the JSON block of the checkpoint at path with edit(metadata)."""
     blob = path.read_bytes()
@@ -175,10 +196,10 @@ def test_enhance_takes_the_context_from_the_model_dims(tiny_corpus, tmp_path, ca
 def test_trained_model_is_float32_and_survives_a_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     x, y = rng.normal(size=(40, 6)), rng.uniform(0.2, 0.8, size=(40, 2))
-    initial = float64_model(init_model([6, 4, 2], "sigmoid", seed=3, norm_spec=_norm_spec()))
+    initial = init_model([6, 4, 2], "sigmoid", seed=3, norm_spec=_norm_spec())
     model, _ = train(initial, x, y, TrainConfig(batch_size=8, max_epochs=2, rng_seed=1))
+    assert model is initial  # trained in place
     assert all(p.dtype == np.float32 for p in model.weights + model.biases)
-    assert all(p.dtype == np.float64 for p in initial.weights + initial.biases)  # left as it was
     path = tmp_path / "m.sfmd"
     save_model(path, model)
     loaded, _ = load_model(path)
@@ -186,7 +207,6 @@ def test_trained_model_is_float32_and_survives_a_checkpoint_round_trip(tmp_path)
         assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
     # wpe_only checks no model dims against the front end, so a toy model hashes
     configs = [PipelineConfig(mode="wpe_only", model=m) for m in (model, loaded)]
-    assert configs[0].mapper is model  # a trained model maps through itself, uncast
     assert config_hash(configs[0].describe()) == config_hash(configs[1].describe())
 
 

@@ -98,15 +98,18 @@ def test_single_unit_chain_hand_computed():
     def sigma(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    model = MlpModel(
+    model = float64_model(MlpModel(
         [np.array([[0.7]]), np.array([[-1.3]]), np.array([[2.1]])],
         [np.array([0.1]), np.array([0.2]), np.array([-0.3])],
         output_activation="sigmoid",
-    )
+    ))
+    # The float32 values nearest the ones given, which the model holds.
+    w1, w2, w3 = (float(w[0, 0]) for w in model.weights)
+    b1, b2, b3 = (float(b[0]) for b in model.biases)
     x = 0.4
-    h1 = sigma(0.7 * x + 0.1)
-    h2 = sigma(-1.3 * h1 + 0.2)
-    expected = sigma(2.1 * h2 - 0.3)
+    h1 = sigma(w1 * x + b1)
+    h2 = sigma(w2 * h1 + b2)
+    expected = sigma(w3 * h2 + b3)
     out = forward(model, np.array([[x]])).output[0, 0]
     assert abs(out - expected) < 1e-12
 
@@ -126,9 +129,9 @@ def test_adagrad_closed_form_sequence():
 
 
 def test_zero_loss_means_no_update():
-    wide = float64_model(init_model([3, 4, 2], "linear", seed=5))
+    narrow = init_model([3, 4, 2], "linear", seed=5)
     x = np.random.default_rng(6).normal(size=(4, 3))
-    for model in (wide, wide.as_float32()):  # train_step computes in the weights' dtype
+    for model in (float64_model(narrow), narrow):  # train_step computes in the weights' dtype
         refs = forward(model, x).output
         before = [w.copy() for w in model.weights]
         loss = train_step(model, x, refs, TrainConfig(), AdagradState(model))
@@ -501,9 +504,9 @@ def _steps(step, model, state, dropout_rate):
 def _trained_pair(reference_step, dropout_rate, reference_dtype):
     """A float32 model stepped by train_step, and one of reference_dtype by reference_step."""
     fast = init_model([12, 9, 9, 4], "sigmoid", seed=34)
-    slow = float64_model(init_model([12, 9, 9, 4], "sigmoid", seed=34))
-    if reference_dtype == np.float32:
-        slow = slow.as_float32()
+    slow = init_model([12, 9, 9, 4], "sigmoid", seed=34)
+    if reference_dtype == np.float64:
+        slow = float64_model(slow)
     fast_state, slow_state = AdagradState(fast), AdagradState(slow)
     fast_losses = _steps(train_step, fast, fast_state, dropout_rate)
     slow_losses = _steps(reference_step, slow, slow_state, dropout_rate)
@@ -559,7 +562,7 @@ def test_loss_and_gradients_of_a_float64_model_stay_float64(with_dropout):
     assert loss == float(np.mean((output - y) ** 2))
 
 
-# Float32 mapping: the float32 sigmoid, forward pass and model copy. The
+# Float32 mapping: the float32 sigmoid, forward pass and model parameters. The
 # float64 paths above stay bit-identical; map_features is checked against
 # the float64 forward in tests/test_pipeline.py.
 
@@ -589,23 +592,31 @@ def test_sigmoid_without_out_computes_in_float64():
     assert_same_bits(sigmoid(x), reference_sigmoid(x.astype(np.float64)))
 
 
-def test_as_float32_copy_keeps_metadata_and_leaves_the_model_alone():
-    model = float64_model(init_model([9, 5, 2], "linear", seed=2, norm_spec=_minmax_spec(9)))
-    copy = model.as_float32()
-    assert all(p.dtype == np.float32 for p in copy.weights + copy.biases)
-    assert all(p.dtype == np.float64 for p in model.weights + model.biases)
-    assert copy.norm_spec is model.norm_spec
-    assert (copy.output_activation, copy.seed) == ("linear", 2)
-    assert copy.as_float32() is copy
-    for wide, narrow in zip(model.weights, copy.weights):
-        assert np.array_equal(narrow, wide.astype(np.float32))
+def test_model_built_from_float64_arrays_holds_them_narrowed_to_float32():
+    rng = np.random.default_rng(2)
+    weights = [rng.normal(size=(9, 5)), rng.normal(size=(5, 2))]
+    biases = [rng.normal(size=5), rng.normal(size=2)]
+    untouched = [p.copy() for p in weights + biases]
+    model = MlpModel(weights, biases, "linear", _minmax_spec(9), seed=2)
+    for held, given in zip(model.weights + model.biases, weights + biases, strict=True):
+        assert_same_bits(held, given.astype(np.float32))
+    for before, after in zip(untouched, weights + biases):
+        assert_same_bits(before, after)  # the caller's arrays are left alone
+    assert (model.output_activation, model.seed) == ("linear", 2)
+
+
+def test_model_built_from_float32_arrays_shares_them():
+    source = init_model([9, 5, 2], "sigmoid", seed=3)
+    model = MlpModel(source.weights, source.biases)
+    for held, given in zip(model.weights + model.biases, source.weights + source.biases, strict=True):
+        assert held.dtype == np.float32 and np.shares_memory(held, given)
 
 
 def test_float32_forward_runs_in_float32_with_and_without_dropout():
     rng = np.random.default_rng(37)
-    model = float64_model(init_model([30, 24, 24, 5], "sigmoid", seed=32))
+    narrow = init_model([30, 24, 24, 5], "sigmoid", seed=32)
+    model = float64_model(narrow)
     x = rng.normal(scale=3.0, size=(17, 30))
-    narrow = model.as_float32()
     masks = make_dropout_masks(rng, [24, 24], 17, 0.25)
     assert all(m.dtype == np.float32 for m in masks)
     for state, wide in ((forward(narrow, x), forward(model, x)),
@@ -640,7 +651,6 @@ def test_train_step_rejects_nan_batch():
 def reference_train(model, x, y, config, dev_x=None, dev_y=None):
     shuffle_rng = np.random.default_rng(derive_seed(config.rng_seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(config.rng_seed, "dropout"))
-    model = model.as_float32()
     state = AdagradState(model)
     history = TrainHistory()
     for epoch in range(1, config.max_epochs + 1):
@@ -660,7 +670,7 @@ def reference_train(model, x, y, config, dev_x=None, dev_y=None):
             history.dev_cost.append(evaluate_cost(model, dev_x, dev_y))
         reason = early_stop_decision(history.dev_cost) if config.early_stop else None
         if reason is not None:
-            model.set_parameters(*previous)
+            model.weights, model.biases = previous
             history.stop_reason, history.best_epoch = reason, epoch - 1
             return model, history
     history.best_epoch = config.max_epochs
@@ -761,6 +771,25 @@ def test_train_config_takes_only_positive_integer_counts(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1"):
         TrainConfig(**{field: value})
     assert getattr(TrainConfig(**{field: np.int64(3)}), field) == 3
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_train_config_refuses_a_learning_rate_that_is_not_finite(value):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        TrainConfig(learning_rate=value)
+
+
+@pytest.mark.parametrize("with_dev", [False, True])
+def test_train_refuses_to_return_parameters_its_last_step_made_non_finite(with_dev):
+    # One epoch of one batch: the only step is the last, so no later batch
+    # cost is left to show that it diverged.
+    rng = np.random.default_rng(70)
+    x, y = rng.normal(size=(8, 3)), rng.uniform(0.2, 0.8, size=(8, 2))
+    dev = (rng.normal(size=(4, 3)), rng.uniform(0.2, 0.8, size=(4, 2))) if with_dev else ()
+    model = init_model([3, 4, 2], "sigmoid", seed=71)
+    config = TrainConfig(batch_size=8, learning_rate=1e300, max_epochs=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="training diverged"):
+        train(model, x, y, config, *dev)
 
 
 @pytest.mark.parametrize("split", ["train", "dev"])

@@ -26,7 +26,7 @@ from specmap.features import (
     utterance_stats,
 )
 from specmap.mel import log_mel, mel_matrix
-from specmap.mlp import forward, init_model, map_features
+from specmap.mlp import MlpModel, forward, init_model, map_features
 from specmap.pipeline import PipelineConfig, batch_enhance, enhance_utterance
 from specmap.runconfig import config_hash
 from specmap.stft import log_magnitude, stft
@@ -344,25 +344,13 @@ def test_batch_enhance_workers_run_wpe_on_one_thread(tiny_corpus, tmp_path, monk
 
 
 def test_batch_enhance_parallel_mapper_matches_serial(tiny_corpus, toy_mapper, tmp_path, monkeypatch):
-    # A trained model maps through itself. A float64 model (built by
-    # hand) is cast once per config, before the threads start, and every
-    # utterance maps as enhance_utterance does on its own.
+    # The threads share one model, and every utterance maps as
+    # enhance_utterance does on its own.
     manifest = tiny_corpus
-    assert _pipeline_config(manifest, "wpe_dnn", model=toy_mapper.model_).mapper is toy_mapper.model_
-    wide = float64_model(toy_mapper.model_)
-    casts = []
-    as_float32 = type(wide).as_float32
-
-    def counting(model):
-        if model is wide:  # a cast, not the float32 copy returning itself
-            casts.append(threading.get_ident())
-        return as_float32(model)
-
-    monkeypatch.setattr(type(wide), "as_float32", counting)
-    config = _pipeline_config(manifest, "wpe_dnn", model=wide)
+    config = _pipeline_config(manifest, "wpe_dnn", model=toy_mapper.model_)
     monkeypatch.setattr(_pool, "_thread_limit", 2)
     result = batch_enhance(manifest, config, tmp_path, split="dev")
-    assert casts == [threading.get_ident()] and not result.failures
+    assert not result.failures
     for entry in manifest.split_entries("dev"):
         expected = enhance_utterance(load_wav(manifest.resolve(entry.noisy_wav)), config).features
         written = read_features(tmp_path / result.features[entry.id])
@@ -451,11 +439,49 @@ def test_config_hash_names_the_mapper_weights(tiny_corpus, toy_mapper, tmp_path)
     assert config_hash(_pipeline_config(tiny_corpus, "dnn_only", model=reloaded).describe()) == digest
 
 
+def test_describe_hashes_the_model_once_per_config_on_first_use(tiny_corpus, toy_mapper, tmp_path, monkeypatch):
+    hashed = []
+    identify = pipeline._identify_model
+    monkeypatch.setattr(pipeline, "_identify_model", lambda model: hashed.append(model) or identify(model))
+    config = _pipeline_config(tiny_corpus, "dnn_only", model=toy_mapper.model_)
+    assert hashed == []  # not at construction
+    described = config.describe()
+    assert config.describe() == described
+    result = batch_enhance(tiny_corpus, config, tmp_path, split="dev", save_waveforms=False)
+    assert not result.failures
+    assert len(hashed) == 1 and hashed[0] is toy_mapper.model_
+
+
+def test_hand_built_float64_model_hashes_and_maps_as_its_checkpoint(tiny_corpus, toy_mapper, tmp_path):
+    # A model built from float64 arrays holds them rounded as save_model
+    # rounds them, so it and its reloaded checkpoint are one mapper.
+    trained = toy_mapper.model_
+    rng = np.random.default_rng(80)
+    weights = [w + rng.normal(scale=1e-3, size=w.shape) for w in trained.weights]
+    biases = [b + rng.normal(scale=1e-3, size=b.shape) for b in trained.biases]
+    assert all(p.dtype == np.float64 for p in weights + biases)
+    hand = MlpModel(weights, biases, trained.output_activation, trained.norm_spec, trained.seed)
+    save_model(tmp_path / "hand.sfmd", hand)
+    reloaded, _ = load_model(tmp_path / "hand.sfmd")
+    configs = {name: _pipeline_config(tiny_corpus, "dnn_only", model=m)
+               for name, m in (("hand", hand), ("reloaded", reloaded))}
+    assert config_hash(configs["hand"].describe()) == config_hash(configs["reloaded"].describe())
+    assert config_hash(configs["hand"].describe()) != config_hash(
+        _pipeline_config(tiny_corpus, "dnn_only", model=trained).describe()
+    )
+    for name, config in configs.items():
+        result = batch_enhance(tiny_corpus, config, tmp_path / name, split="test", save_waveforms=False)
+        assert not result.failures
+    for entry in tiny_corpus.split_entries("test"):
+        written = [(tmp_path / name / "features" / f"{entry.id}.sfmf").read_bytes() for name in configs]
+        assert written[0] == written[1]
+
+
 def reference_map(model, log_spec, context, filterbank, floor, mel_mode="power"):
     """The mapping unfused: the old context gather, normalize, forward in the
     model's dtype, then the float64 inversion. With a float64 model it is the
     mapping map_features ran before it mapped in float32; with the float32
-    copy it is the mapping map_features runs now."""
+    model itself it is the mapping map_features runs now."""
     spec = model.norm_spec
     output = forward(model, normalize(gathered_context(log_spec, context), spec, "input")).output
     if spec.reference_mode == "global_minmax_01":
@@ -468,8 +494,8 @@ def reference_map(model, log_spec, context, filterbank, floor, mel_mode="power")
 
 @pytest.fixture(scope="module")
 def mappers(tiny_corpus, toy_mapper):
-    """(model, context) for the toy mapper, [2827,128,128,40] in both recipes, and a
-    float64 paper-size mapper."""
+    """(model, context) for the toy mapper, [2827,128,128,40] in both recipes, and
+    init_model's paper-size mapper."""
     train_x, train_y = training_features(tiny_corpus, "train")
     dev_x, dev_y = training_features(tiny_corpus, "dev")
     found = {"toy": (toy_mapper.model_, toy_mapper.context)}
@@ -482,7 +508,7 @@ def mappers(tiny_corpus, toy_mapper):
         found[recipe] = (mapper.model_, 5)
     norm = fit_normalizer([assemble_context(x, 5) for x in train_x], train_y)
     paper = init_model([2827, 2048, 2048, 40], "sigmoid", seed=0, norm_spec=norm)
-    found["paper"] = (float64_model(paper), 5)  # map_features casts it on each call
+    found["paper"] = (paper, 5)
     return found
 
 
@@ -497,15 +523,14 @@ def test_float32_mapping_matches_float64_forward(tiny_corpus, mappers, name):
     filterbank = mel_matrix(tiny_corpus.mel_config())
     floor = tiny_corpus.feature_config["magnitude_floor"]
     params = [p.copy() for p in model.weights + model.biases]
+    assert all(p.dtype == np.float32 for p in params)
     spec = model.norm_spec
     spec_arrays = {k: v.copy() for k, v in vars(spec).items() if isinstance(v, np.ndarray)}
     for log_spec in training_features(tiny_corpus, "test")[0]:
         untouched = log_spec.copy()
         mapped = map_features(model, log_spec, context, filterbank, floor)
-        narrow = map_features(model.as_float32(), log_spec, context, filterbank, floor)
-        assert np.array_equal(mapped.denormalized, narrow.denormalized)  # always float32
-        # bit for bit against the unfused chain through the float32 copy
-        output, features = reference_map(model.as_float32(), log_spec, context, filterbank, floor)
+        # bit for bit against the unfused chain through the float32 model
+        output, features = reference_map(model, log_spec, context, filterbank, floor)
         assert mapped.normalized.tobytes() == output.astype(np.float64).tobytes()
         assert mapped.denormalized.tobytes() == features.tobytes()
         output, features = reference_map(wide, log_spec, context, filterbank, floor)
@@ -536,9 +561,7 @@ def test_pipeline_and_estimator_map_the_same_bits(tiny_corpus, toy_mapper):
     # the trained float32 model itself.
     manifest = tiny_corpus
     config = _pipeline_config(manifest, "dnn_only", model=toy_mapper.model_)
-    assert config.mapper is toy_mapper.model_
-    assert config.mapper.weights[0].dtype == np.float32
-    assert config.mapper.as_float32() is config.mapper
+    assert config.model.weights[0].dtype == np.float32
     for entry in manifest.split_entries("test"):
         wave = load_wav(manifest.resolve(entry.noisy_wav))
         logmag = log_magnitude(stft(wave, config.stft), config.mel.magnitude_floor)
