@@ -1,11 +1,12 @@
 """The threads that share a split's utterances.
 
-batch_enhance and training_features run a split's utterances here, and
-nothing else in specmap starts a thread: each utterance's WPE runs on its
-utterance's thread. run_items shares the items between the calling thread
-and up to one helper thread per further CPU the process may run on
-(os.sched_getaffinity): each thread claims the next unclaimed item until
-none is left or one has raised. An item that reaches run_items again runs
+batch_enhance, training_features and evaluate_system run a split's
+utterances here (evaluate_system one clean utterance and its mixtures at a
+time), and nothing else in specmap starts a thread: each utterance's WPE
+runs on its utterance's thread. run_items shares the items between the
+calling thread and up to one helper thread per further CPU the process may
+run on (os.sched_getaffinity): each thread claims the next unclaimed item
+until none is left or one has raised. An item that reaches run_items again runs
 those items inline, on its own thread: a helper that handed them out would
 wait on its own busy executor. The helper threads start on the first call
 that needs them and live as long as the process; a forked child starts its

@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NumericError
 from .features import NormalizationSpec
 from .mlp import MlpModel
 from .validation import as_float_matrix
@@ -134,11 +134,8 @@ def load_model(path) -> tuple[MlpModel, dict]:
         config = meta.get("config", {})
         if not isinstance(config, dict):
             raise TypeError(f"config is a {type(config).__name__}, not an object")
+    except NumericError as exc:  # a weight or bias that is not finite
+        raise FormatError(f"{path}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed metadata ({exc!r})") from exc
-    arrays = {f"layer {i} weights": w for i, w in enumerate(weights)}
-    arrays.update({f"layer {i} biases": b for i, b in enumerate(biases)})
-    for name, values in arrays.items():
-        if not np.all(np.isfinite(values)):
-            raise FormatError(f"{path}: non-finite values in {name}")
     return model, config

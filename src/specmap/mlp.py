@@ -13,7 +13,7 @@ float64, because the loss is taken in float64. Each computation is
 one function: train() calls train_step and evaluate_cost, train_step calls
 loss_and_gradients, and that calls forward. The four check only shapes;
 data is checked where it enters, in train() and (through assemble_context
-and normalize) in map_features, so a NaN passed to forward gives NaN out,
+and normalize_input) in map_features, so a NaN passed to forward gives NaN out,
 and train_step refuses a non-finite batch loss before any update. A trained
 model, the same model reloaded from its checkpoint and the estimator that
 holds it therefore map every utterance to the same bits. Training and
@@ -35,7 +35,7 @@ from .features import (
     assemble_context,
     denormalize,
     invert_mvn,
-    normalize,
+    normalize_input,
     utterance_stats,
 )
 from .mel import MEL_MODES
@@ -66,8 +66,10 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     so no exp ever overflows. The numerator is max(t, x >= 0), a select
     without a branch: t <= 1 where x >= 0 and t >= 0 elsewhere, and max
     propagates NaN. (A masked copy mispredicts a branch per element on
-    mixed signs and ran over ten times slower.) Without `out` the result is
-    a new float64 array and the argument is left unchanged. `out=x`
+    mixed signs and ran over ten times slower.) It is the one temporary:
+    x >= 0 is written into it as 0 or 1, then max(t, .) over it, and 1 + t
+    is formed in out. Without `out` the result is a new
+    float64 array and the argument is left unchanged. `out=x`
     (float64 or float32, same shape) overwrites x with the result, computed
     in x's dtype, which saves an allocation on a temporary the caller owns.
     The float32 clamp is [float32 tiny, largest float32 below 1]. NaN
@@ -76,13 +78,13 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     if out is None:
         x = np.asarray(x, dtype=np.float64)
         out = np.empty_like(x)
-    pos = x >= 0  # taken before out, which may be x, is written
+    numerator = np.greater_equal(x, 0, out=np.empty_like(out))  # before out, which may be x
     np.abs(x, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
-    denom = out + 1.0
-    np.maximum(out, pos, out=out)
-    np.divide(out, denom, out=out)
+    np.maximum(out, numerator, out=numerator)
+    out += 1.0
+    np.divide(numerator, out, out=out)
     return np.clip(out, *_SIGMOID_CLAMPS[out.dtype], out=out)
 
 
@@ -92,7 +94,10 @@ class MlpModel:
 
     The constructor keeps a float32 array as is, with no copy, and narrows
     any other once, rounding as save_model does, so a model built by hand
-    from float64 arrays and its reloaded checkpoint hold the same bits.
+    from float64 arrays and its reloaded checkpoint hold the same bits. A
+    parameter that is not finite once narrowed, a finite float64 value
+    beyond float32's range included, is a NumericError naming its layer, so
+    every model can be saved and loaded back.
     """
 
     weights: list[np.ndarray]
@@ -102,8 +107,9 @@ class MlpModel:
     seed: int = 0
 
     def __post_init__(self):
-        self.weights = [np.asarray(w, dtype=np.float32) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=np.float32) for b in self.biases]
+        with np.errstate(over="ignore"):  # beyond float32's range is refused below
+            self.weights = [np.asarray(w, dtype=np.float32) for w in self.weights]
+            self.biases = [np.asarray(b, dtype=np.float32) for b in self.biases]
         if not self.weights:
             raise ShapeError("a model needs at least one layer")
         if len(self.weights) != len(self.biases):
@@ -113,6 +119,10 @@ class MlpModel:
                 raise ShapeError(f"layer {i}: weight {w.shape} and bias {b.shape} mismatch")
             if i and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise ShapeError(f"layer {i}: input dim breaks the layer chain")
+            for name, p in (("weights", w), ("biases", b)):
+                # min and max propagate NaN and reach any inf, with no temporary array
+                if p.size and not (np.isfinite(p.min()) and np.isfinite(p.max())):
+                    raise NumericError(f"non-finite values in layer {i} {name}")
         check_choice(self.output_activation, OUTPUT_ACTIVATIONS, "output_activation")
 
     @property
@@ -531,11 +541,13 @@ def map_features(
 
     The mapping runs in the dtype of the model's weights, float32 for every
     MlpModel as built. Context assembly, normalization and denormalization
-    run in float64, and every returned array is float64. The inputs are not
-    modified. Utterance-MVN references need the filterbank, floor and mode
-    of the references' MelConfig to build the input's stand-in statistics.
-    An utterance of no frames maps to (0, outputs) arrays, with no
-    statistics taken.
+    run in float64, and every returned array is float64; the normalized
+    input is narrowed to the weights' dtype one block of rows at a time
+    (normalize_input), with no float64 copy of the whole utterance. The
+    inputs are not modified. Utterance-MVN references need the filterbank,
+    floor and mode of the references' MelConfig to build the input's
+    stand-in statistics. An utterance of no frames maps to (0, outputs)
+    arrays, with no statistics taken.
     """
     spec = model.norm_spec
     if spec is None:
@@ -556,7 +568,7 @@ def map_features(
     if not len(assembled):
         # No frames: no output to invert, and no utterance statistics to take.
         return MappedFeatures(np.zeros((0, model.output_dim)), np.zeros((0, model.output_dim)))
-    normalized_in = normalize(assembled, spec, "input")
+    normalized_in = normalize_input(assembled, spec, model.weights[0].dtype)
     output = forward(model, normalized_in).output.astype(np.float64)
 
     if spec.reference_mode == "global_minmax_01":

@@ -10,11 +10,13 @@ mean of per-condition reductions) are reported.
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import _pool
 from .audio import Waveform, load_wav
 from .errors import ConfigError, ManifestError, ShapeError, SpecmapError
 from .featio import read_features
@@ -132,27 +134,53 @@ def _condition_from_dict(c: dict) -> ConditionMetrics:
     return cond
 
 
-def _waveform_metrics(manifest, entry, wave_path: Path, mode: str, stft_cfg, floor) -> dict:
-    """lsd_db and segsnr_gain_db of one utterance, both None without an output waveform.
+def _score_utterance(manifest, system_dir: Path, mode: str, entries: list, stft_cfg, floor):
+    """metric -> value for each entry of one clean utterance, in the entries' order.
 
-    The wpe modes save an output waveform, and for the baseline the degraded
-    input itself plays that role. LSD is against the clean log spectrum, and
-    the segmental SNR gain is over the degraded input.
+    The entries share one clean utterance. Its reference features are read
+    once; its WAV is loaded once, and only for a waveform metric; its log
+    spectrum is computed once per truncation length. Each entry's system
+    features, system waveform and degraded input are read for that entry.
+
+    lsd_db and segsnr_gain_db are both None without an output waveform. The
+    wpe modes save one, and for the baseline the degraded input itself plays
+    that role. LSD is against the clean log spectrum, and the segmental SNR
+    gain is over the degraded input.
     """
-    if not wave_path.is_file() and mode != "baseline":
-        return dict.fromkeys(WAVEFORM_METRICS)
-    clean = load_wav(manifest.resolve(entry.clean_wav))
-    degraded = load_wav(manifest.resolve(entry.noisy_wav))
-    system_wave = load_wav(wave_path) if wave_path.is_file() else degraded
-    n = min(len(system_wave), len(degraded), len(clean))
-    lsd = log_spectral_distortion(
-        log_magnitude(stft(Waveform(system_wave.samples[:n], clean.sample_rate), stft_cfg), floor),
-        log_magnitude(stft(Waveform(clean.samples[:n], clean.sample_rate), stft_cfg), floor),
-    )
-    gain = segmental_snr_gain(
-        system_wave.samples[:n], degraded.samples[:n], clean.samples[:n], clean.sample_rate
-    )
-    return dict(zip(WAVEFORM_METRICS, (lsd, gain)))
+    reference_feats = read_features(manifest.resolve(entries[0].reference_features))
+    clean = None
+    clean_spectra: dict = {}  # truncation length -> the clean log spectrum
+    scored = []
+    for entry in entries:
+        enhanced_feats = read_features(system_dir / "features" / f"{entry.id}.sfmf")
+        if enhanced_feats.shape != reference_feats.shape:
+            raise ShapeError(
+                f"{entry.id}: system features {enhanced_feats.shape} vs "
+                f"reference {reference_feats.shape}"
+            )
+        values = {m: fn(enhanced_feats, reference_feats) for m, fn in FEATURE_METRICS.items()}
+        scored.append(values)
+        wave_path = system_dir / "waveforms" / f"{entry.id}.wav"
+        if not wave_path.is_file() and mode != "baseline":
+            values.update(dict.fromkeys(WAVEFORM_METRICS))
+            continue
+        if clean is None:
+            clean = load_wav(manifest.resolve(entry.clean_wav))
+        degraded = load_wav(manifest.resolve(entry.noisy_wav))
+        system_wave = load_wav(wave_path) if wave_path.is_file() else degraded
+        n = min(len(system_wave), len(degraded), len(clean))
+        if n not in clean_spectra:
+            clean_wave = Waveform(clean.samples[:n], clean.sample_rate)
+            clean_spectra[n] = log_magnitude(stft(clean_wave, stft_cfg), floor)
+        system_part = Waveform(system_wave.samples[:n], clean.sample_rate)
+        lsd = log_spectral_distortion(
+            log_magnitude(stft(system_part, stft_cfg), floor), clean_spectra[n]
+        )
+        gain = segmental_snr_gain(
+            system_wave.samples[:n], degraded.samples[:n], clean.samples[:n], clean.sample_rate
+        )
+        values.update(zip(WAVEFORM_METRICS, (lsd, gain)))
+    return scored
 
 
 def evaluate_system(
@@ -166,29 +194,41 @@ def evaluate_system(
 
     Each feature metric compares the system's feature files with the clean
     references. The waveform metrics are undefined for dnn_only, which saves
-    no waveform, and are reported as null.
+    no waveform, and are reported as null. Every feature file is checked for
+    first, in manifest order, so a missing one is a ManifestError naming the
+    first entry without one. The entries are then grouped by clean utterance
+    (its WAV and reference features), in manifest order, and the groups run
+    on the threads of specmap._pool, as batch_enhance's utterances do; each
+    group reads its clean side once (see _score_utterance). The values come
+    back in manifest order, so the evaluation does not depend on the number
+    of threads. When several utterances fail, the error's class is that of
+    a one-thread run, but which utterance its message names may vary.
     """
     check_choice(mode, MODES, "mode")
     system_dir = Path(system_dir)
     stft_cfg = manifest.stft_config()
     floor = manifest.mel_config().magnitude_floor
-
-    by_snr: dict = {}  # snr -> [(utterance id, metric -> value)]
-    for entry in manifest.split_entries(split):
+    entries = manifest.split_entries(split)
+    for entry in entries:
         feature_path = system_dir / "features" / f"{entry.id}.sfmf"
         if not feature_path.is_file():
             raise ManifestError(f"system output missing for utterance {entry.id}: {feature_path}")
-        enhanced_feats = read_features(feature_path)
-        reference_feats = read_features(manifest.resolve(entry.reference_features))
-        if enhanced_feats.shape != reference_feats.shape:
-            raise ShapeError(
-                f"{entry.id}: system features {enhanced_feats.shape} vs "
-                f"reference {reference_feats.shape}"
-            )
-        values = {m: fn(enhanced_feats, reference_feats) for m, fn in FEATURE_METRICS.items()}
-        wave_path = system_dir / "waveforms" / f"{entry.id}.wav"
-        values.update(_waveform_metrics(manifest, entry, wave_path, mode, stft_cfg, floor))
-        by_snr.setdefault(entry.snr_db, []).append((entry.id, values))
+    by_clean: dict = {}  # (clean WAV, reference features) -> indices of the entries sharing them
+    for index, entry in enumerate(entries):
+        by_clean.setdefault((entry.clean_wav, entry.reference_features), []).append(index)
+    groups = list(by_clean.values())
+
+    def score_group(g: int) -> list[dict]:
+        return _score_utterance(
+            manifest, system_dir, mode, [entries[i] for i in groups[g]], stft_cfg, floor
+        )
+
+    scored = _pool.run_items(score_group, len(groups))
+    values = dict(zip(chain(*groups), chain(*scored)))  # entry index -> metric -> value
+
+    by_snr: dict = {}  # snr -> [(utterance id, metric -> value)]
+    for index, entry in enumerate(entries):
+        by_snr.setdefault(entry.snr_db, []).append((entry.id, values[index]))
 
     conditions = [
         ConditionMetrics(

@@ -1,11 +1,19 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import float64_model, relative_error
 from specmap.errors import ConfigError, NumericError, ShapeError
-from specmap.features import NormalizationSpec, invert_mvn, utterance_stats
+from specmap.features import (
+    NormalizationSpec,
+    assemble_context,
+    denormalize,
+    invert_mvn,
+    normalize,
+    utterance_stats,
+)
 from specmap import mlp
 from specmap.mlp import (
     ADAGRAD_EPSILON,
@@ -369,6 +377,30 @@ def test_map_features_utterance_reference_needs_filterbank():
             map_features(model, log_spec, context=0, mel_filterbank=wrong)
 
 
+@pytest.mark.parametrize("recipe", [("global_mvn", "global_minmax_01"),
+                                    ("utterance_mvn", "utterance_mvn")],
+                         ids=["original", "enhanced"])
+def test_map_features_matches_the_whole_utterance_normalization_bitwise(recipe):
+    # 2827 inputs, the paper's, so the normalized input is narrowed in several blocks of rows.
+    rng = np.random.default_rng(28)
+    log_spec = rng.normal(size=(41, 257))
+    filterbank = np.abs(rng.normal(size=(40, 257)))
+    assembled = assemble_context(log_spec, 5)
+    spec = NormalizationSpec(
+        *recipe,
+        input_mean=rng.normal(size=2827) if recipe[0] == "global_mvn" else None,
+        input_var=rng.uniform(0.5, 2.0, size=2827) if recipe[0] == "global_mvn" else None,
+        ref_min=np.zeros(40) if recipe[1] == "global_minmax_01" else None,
+        ref_max=np.ones(40) if recipe[1] == "global_minmax_01" else None,
+    )
+    model = init_model([2827, 16, 40], "sigmoid", seed=5, norm_spec=spec)
+    mapped = map_features(model, log_spec, 5, filterbank)
+    expected = forward(model, normalize(assembled, spec, "input").astype(np.float32)).output
+    assert_same_bits(mapped.normalized, expected.astype(np.float64))
+    if recipe[1] == "global_minmax_01":
+        assert_same_bits(mapped.denormalized, denormalize(mapped.normalized, spec))
+
+
 # Slow references for the in-place hot path: the two-branch logistic, the
 # float64 out-of-place adagrad step that train_step() replaced, and the
 # out-of-place float32 update in the fast path's operation order. The fast
@@ -460,6 +492,32 @@ def test_float32_sigmoid_matches_two_branch_float32_reference_bitwise():
         in_place = x.copy()
         assert sigmoid(in_place, out=in_place) is in_place
         assert_same_bits(in_place, expected)
+
+
+def two_temporary_sigmoid(x, out=None):
+    """sigmoid() with a boolean mask and a separate denominator, as it was first written."""
+    if out is None:
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(x)
+    pos = x >= 0
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    denom = out + 1.0
+    np.maximum(out, pos, out=out)
+    np.divide(out, denom, out=out)
+    return np.clip(out, *mlp._SIGMOID_CLAMPS[out.dtype], out=out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_the_two_temporary_formula_bitwise(dtype):
+    edges = np.array([np.nan, -np.nan, 200.0, -200.0, 0.0, -0.0], dtype=dtype)
+    batch = np.random.default_rng(39).normal(scale=8.0, size=(37, 53)).astype(dtype)
+    for x in (edges, batch):
+        assert_same_bits(sigmoid(x), two_temporary_sigmoid(x))
+        expected = two_temporary_sigmoid(x.copy(), out=x.copy())
+        in_place = x.copy()
+        assert_same_bits(sigmoid(in_place, out=in_place), expected)
 
 
 def test_sigmoid_propagates_nan():
@@ -610,6 +668,24 @@ def test_model_built_from_float32_arrays_shares_them():
     model = MlpModel(source.weights, source.biases)
     for held, given in zip(model.weights + model.biases, source.weights + source.biases, strict=True):
         assert held.dtype == np.float32 and np.shares_memory(held, given)
+
+
+def test_model_refuses_a_parameter_beyond_float32_range_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the narrowing's overflow warning included
+        with pytest.raises(NumericError, match="non-finite values in layer 0 weights"):
+            MlpModel([np.array([[1e39, 1.0]])], [np.zeros(2)], "linear")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("layer, name", [(0, "weights"), (1, "biases")])
+def test_model_refuses_a_parameter_that_is_not_finite(value, layer, name):
+    source = init_model([3, 4, 2], "sigmoid", seed=4)
+    params = {"weights": [w.copy() for w in source.weights],
+              "biases": [b.copy() for b in source.biases]}
+    params[name][layer].flat[1] = value
+    with pytest.raises(NumericError, match=f"non-finite values in layer {layer} {name}"):
+        MlpModel(params["weights"], params["biases"])
 
 
 def test_float32_forward_runs_in_float32_with_and_without_dropout():

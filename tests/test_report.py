@@ -1,14 +1,16 @@
 import csv
 import json
+import shutil
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from specmap.cli import main
-from specmap.errors import ConfigError, ManifestError, SpecmapError
+from specmap.errors import ConfigError, ManifestError, ShapeError, SpecmapError
 from specmap.featio import read_features, write_features
-from specmap import report
+from specmap import _pool, report
 from specmap.pipeline import PipelineConfig, batch_enhance
 from specmap.report import (
     ConditionMetrics,
@@ -245,3 +247,82 @@ def test_a_missing_waveform_leaves_its_condition_without_a_mean(tiny_corpus, tmp
     averages = build_report(evaluations).averages["wpe_only"]
     assert [averages[m] for m in waveform_metrics] == [None, None]
     assert averages["mel_mse"] is not None
+
+
+@pytest.fixture(scope="module")
+def enhanced_systems(tiny_corpus, tmp_path_factory):
+    """mode -> the test split of tiny_corpus enhanced by that system, for baseline and wpe_only."""
+    root = tmp_path_factory.mktemp("systems")
+    systems = {}
+    for mode in ("baseline", "wpe_only"):
+        config = PipelineConfig(
+            mode=mode, stft=tiny_corpus.stft_config(), mel=tiny_corpus.mel_config()
+        )
+        batch_enhance(tiny_corpus, config, root / mode, split="test")
+        systems[mode] = root / mode
+    return systems
+
+
+@pytest.mark.parametrize("mode", ["baseline", "wpe_only"])
+def test_evaluation_does_not_depend_on_the_thread_count(tiny_corpus, enhanced_systems, mode,
+                                                        monkeypatch):
+    serialized = set()
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(_pool, "_thread_limit", threads)
+        evaluation = evaluate_system(tiny_corpus, enhanced_systems[mode], mode=mode)
+        serialized.add(json.dumps(evaluation.to_dict(), sort_keys=True))
+    assert len(serialized) == 1
+
+
+def _counted(calls: Counter, fn):
+    def counted(path):
+        calls[path] += 1
+        return fn(path)
+    return counted
+
+
+@pytest.mark.parametrize("mode", ["baseline", "wpe_only"])
+def test_each_clean_utterance_is_read_once(tiny_corpus, enhanced_systems, mode, monkeypatch):
+    monkeypatch.setattr(_pool, "_thread_limit", 2)
+    loads, reads = Counter(), Counter()
+    monkeypatch.setattr(report, "load_wav", _counted(loads, report.load_wav))
+    monkeypatch.setattr(report, "read_features", _counted(reads, report.read_features))
+    evaluate_system(tiny_corpus, enhanced_systems[mode], mode=mode)
+    entries = tiny_corpus.split_entries("test")
+    clean = {tiny_corpus.resolve(e.clean_wav) for e in entries}
+    references = {tiny_corpus.resolve(e.reference_features) for e in entries}
+    assert len(clean) < len(entries)  # each clean utterance is mixed at several SNRs
+    assert all(loads[path] == 1 for path in clean)
+    assert all(reads[path] == 1 for path in references)
+    # every entry's own system features and degraded input are still read
+    assert sum(reads.values()) == len(references) + len(entries)
+    assert all(loads[tiny_corpus.resolve(e.noisy_wav)] >= 1 for e in entries)
+
+
+def test_missing_features_name_the_first_entry_in_manifest_order(
+    tiny_corpus, enhanced_systems, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(_pool, "_thread_limit", 2)
+    system = tmp_path / "baseline"
+    shutil.copytree(enhanced_systems["baseline"], system)
+    entries = tiny_corpus.split_entries("test")
+    first, later = entries[3], entries[-1]  # two different clean utterances
+    assert first.clean_wav != later.clean_wav
+    for entry in (later, first):
+        (system / "features" / f"{entry.id}.sfmf").unlink()
+    reads = []
+    monkeypatch.setattr(report, "read_features", reads.append)
+    with pytest.raises(ManifestError, match=f"utterance {first.id}:"):
+        evaluate_system(tiny_corpus, system, mode="baseline")
+    assert reads == []  # checked before any utterance is scored
+
+
+def test_a_shape_mismatch_is_a_shape_error(tiny_corpus, enhanced_systems, tmp_path, monkeypatch):
+    monkeypatch.setattr(_pool, "_thread_limit", 2)
+    system = tmp_path / "baseline"
+    shutil.copytree(enhanced_systems["baseline"], system)
+    entry = tiny_corpus.split_entries("test")[-1]
+    path = system / "features" / f"{entry.id}.sfmf"
+    write_features(path, read_features(path)[:-1])
+    with pytest.raises(ShapeError, match=entry.id):
+        evaluate_system(tiny_corpus, system, mode="baseline")
