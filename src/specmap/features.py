@@ -200,21 +200,17 @@ def fit_normalizer(
     return NormalizationSpec(input_mode=input_mode, reference_mode=reference_mode, **stats)
 
 
-def _input_stats(feats: np.ndarray, spec: NormalizationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, var) that normalize() scales one utterance's inputs with."""
-    if spec.input_mode == "global_mvn":
-        if spec.input_mean is None or spec.input_var is None:
-            raise ConfigError("global_mvn input stats missing; run fit_normalizer first")
-        return spec.input_mean, spec.input_var
-    return utterance_stats(feats, spec.epsilon)
-
-
 def normalize(x: np.ndarray, spec: NormalizationSpec, role: str) -> np.ndarray:
     """Scale one utterance per the fitted spec; role is 'input' or 'reference'."""
     check_choice(role, ("input", "reference"), "role")
     feats = as_float_matrix(x, "features")
     if role == "input":
-        return apply_mvn(feats, *_input_stats(feats, spec))
+        if spec.input_mode == "global_mvn":
+            if spec.input_mean is None or spec.input_var is None:
+                raise ConfigError("global_mvn input stats missing; run fit_normalizer first")
+            return apply_mvn(feats, spec.input_mean, spec.input_var)
+        mean, var = utterance_stats(feats, spec.epsilon)
+        return apply_mvn(feats, mean, var)
     if spec.reference_mode == "global_minmax_01":
         if spec.ref_min is None or spec.ref_max is None:
             raise ConfigError("global_minmax_01 reference stats missing; run fit_normalizer first")
@@ -222,34 +218,6 @@ def normalize(x: np.ndarray, spec: NormalizationSpec, role: str) -> np.ndarray:
         return (feats - spec.ref_min) / span
     mean, var = utterance_stats(feats, spec.epsilon)
     return apply_mvn(feats, mean, var)
-
-
-# Elements of normalize_input's float64 scratch block: 120 KiB, which stays
-# in a core's L2 cache and under glibc's default 128 KiB mmap threshold.
-_NORMALIZE_BLOCK = 15360
-
-
-def normalize_input(x: np.ndarray, spec: NormalizationSpec, dtype=np.float32) -> np.ndarray:
-    """normalize(x, spec, "input") narrowed to dtype, with no float64 copy of x.
-
-    The statistics are taken as normalize takes them, once over the whole
-    utterance. Each block of rows is scaled in one float64 scratch block
-    and narrowed into the result, so the result equals
-    normalize(x, spec, "input").astype(dtype) bit for bit.
-    """
-    feats = as_float_matrix(x, "features")
-    mean, var = _input_stats(feats, spec)
-    scale = np.sqrt(var)
-    out = np.empty(feats.shape, dtype)
-    rows = max(1, _NORMALIZE_BLOCK // max(1, feats.shape[1]))
-    scratch = np.empty((min(rows, len(feats)), feats.shape[1]))
-    for start in range(0, len(feats), rows):
-        block = feats[start:start + rows]
-        scaled = scratch[:len(block)]
-        np.subtract(block, mean, out=scaled)
-        scaled /= scale
-        out[start:start + rows] = scaled
-    return out
 
 
 def denormalize(x: np.ndarray, spec: NormalizationSpec) -> np.ndarray:

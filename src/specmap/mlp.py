@@ -13,7 +13,7 @@ float64, because the loss is taken in float64. Each computation is
 one function: train() calls train_step and evaluate_cost, train_step calls
 loss_and_gradients, and that calls forward. The four check only shapes;
 data is checked where it enters, in train() and (through assemble_context
-and normalize_input) in map_features, so a NaN passed to forward gives NaN out,
+and normalize) in map_features, so a NaN passed to forward gives NaN out,
 and train_step refuses a non-finite batch loss before any update. A trained
 model, the same model reloaded from its checkpoint and the estimator that
 holds it therefore map every utterance to the same bits. Training and
@@ -35,7 +35,7 @@ from .features import (
     assemble_context,
     denormalize,
     invert_mvn,
-    normalize_input,
+    normalize,
     utterance_stats,
 )
 from .mel import MEL_MODES
@@ -68,8 +68,8 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     propagates NaN. (A masked copy mispredicts a branch per element on
     mixed signs and ran over ten times slower.) It is the one temporary:
     x >= 0 is written into it as 0 or 1, then max(t, .) over it, and 1 + t
-    is formed in out. Without `out` the result is a new
-    float64 array and the argument is left unchanged. `out=x`
+    is formed in out. Without `out` the result is a new float64 array and
+    the argument is left unchanged. `out=x`
     (float64 or float32, same shape) overwrites x with the result, computed
     in x's dtype, which saves an allocation on a temporary the caller owns.
     The float32 clamp is [float32 tiny, largest float32 below 1]. NaN
@@ -541,13 +541,11 @@ def map_features(
 
     The mapping runs in the dtype of the model's weights, float32 for every
     MlpModel as built. Context assembly, normalization and denormalization
-    run in float64, and every returned array is float64; the normalized
-    input is narrowed to the weights' dtype one block of rows at a time
-    (normalize_input), with no float64 copy of the whole utterance. The
-    inputs are not modified. Utterance-MVN references need the filterbank,
-    floor and mode of the references' MelConfig to build the input's
-    stand-in statistics. An utterance of no frames maps to (0, outputs)
-    arrays, with no statistics taken.
+    run in float64, and every returned array is float64. The inputs are not
+    modified. Utterance-MVN references need the filterbank, floor and mode
+    of the references' MelConfig to build the input's stand-in statistics.
+    An utterance of no frames maps to (0, outputs) arrays, with no
+    statistics taken.
     """
     spec = model.norm_spec
     if spec is None:
@@ -568,7 +566,7 @@ def map_features(
     if not len(assembled):
         # No frames: no output to invert, and no utterance statistics to take.
         return MappedFeatures(np.zeros((0, model.output_dim)), np.zeros((0, model.output_dim)))
-    normalized_in = normalize_input(assembled, spec, model.weights[0].dtype)
+    normalized_in = normalize(assembled, spec, "input")
     output = forward(model, normalized_in).output.astype(np.float64)
 
     if spec.reference_mode == "global_minmax_01":

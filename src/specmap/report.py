@@ -26,7 +26,7 @@ from .stft import log_magnitude, stft
 from .validation import check_choice
 
 # The metric table: each feature metric is a function of (system features,
-# reference features). The waveform metrics need an output waveform; see _waveform_metrics.
+# reference features). The waveform metrics need an output waveform; see _score_utterance.
 FEATURE_METRICS = {"mel_mse": mel_mse}
 WAVEFORM_METRICS = ("lsd_db", "segsnr_gain_db")
 METRIC_NAMES = (*FEATURE_METRICS, *WAVEFORM_METRICS)

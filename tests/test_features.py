@@ -12,7 +12,6 @@ from specmap.features import (
     fit_normalizer,
     invert_mvn,
     normalize,
-    normalize_input,
     utterance_stats,
 )
 
@@ -228,23 +227,3 @@ def test_spec_refuses_non_finite_statistics(name, bad):
     stats[name][1] = bad
     with pytest.raises(ConfigError, match=f"non-finite values in {name}"):
         NormalizationSpec(**stats)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("input_mode", ["global_mvn", "utterance_mvn"])
-def test_normalize_input_equals_normalize_narrowed_bitwise(input_mode, dtype):
-    rng = np.random.default_rng(17)
-    # 1001 columns and 47 rows: blocks of 15 rows, the last one short.
-    x = rng.normal(loc=3.0, scale=2.0, size=(47, 1001))
-    spec = NormalizationSpec(
-        input_mode=input_mode,
-        input_mean=rng.normal(size=1001) if input_mode == "global_mvn" else None,
-        input_var=rng.uniform(0.5, 2.0, size=1001) if input_mode == "global_mvn" else None,
-    )
-    untouched = x.copy()
-    out = normalize_input(x, spec, dtype)
-    expected = normalize(x, spec, "input").astype(dtype)
-    assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
-    assert np.array_equal(x, untouched)
-    if input_mode == "global_mvn":  # utterance statistics of no frames are undefined
-        assert normalize_input(x[:0], spec, dtype).shape == (0, 1001)

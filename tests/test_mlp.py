@@ -6,14 +6,7 @@ import pytest
 
 from conftest import float64_model, relative_error
 from specmap.errors import ConfigError, NumericError, ShapeError
-from specmap.features import (
-    NormalizationSpec,
-    assemble_context,
-    denormalize,
-    invert_mvn,
-    normalize,
-    utterance_stats,
-)
+from specmap.features import NormalizationSpec, invert_mvn, utterance_stats
 from specmap import mlp
 from specmap.mlp import (
     ADAGRAD_EPSILON,
@@ -375,30 +368,6 @@ def test_map_features_utterance_reference_needs_filterbank():
     for wrong in (filterbank[:1], filterbank[:, :2]):  # mels != outputs, bins != input bins
         with pytest.raises(ShapeError, match="filterbank"):
             map_features(model, log_spec, context=0, mel_filterbank=wrong)
-
-
-@pytest.mark.parametrize("recipe", [("global_mvn", "global_minmax_01"),
-                                    ("utterance_mvn", "utterance_mvn")],
-                         ids=["original", "enhanced"])
-def test_map_features_matches_the_whole_utterance_normalization_bitwise(recipe):
-    # 2827 inputs, the paper's, so the normalized input is narrowed in several blocks of rows.
-    rng = np.random.default_rng(28)
-    log_spec = rng.normal(size=(41, 257))
-    filterbank = np.abs(rng.normal(size=(40, 257)))
-    assembled = assemble_context(log_spec, 5)
-    spec = NormalizationSpec(
-        *recipe,
-        input_mean=rng.normal(size=2827) if recipe[0] == "global_mvn" else None,
-        input_var=rng.uniform(0.5, 2.0, size=2827) if recipe[0] == "global_mvn" else None,
-        ref_min=np.zeros(40) if recipe[1] == "global_minmax_01" else None,
-        ref_max=np.ones(40) if recipe[1] == "global_minmax_01" else None,
-    )
-    model = init_model([2827, 16, 40], "sigmoid", seed=5, norm_spec=spec)
-    mapped = map_features(model, log_spec, 5, filterbank)
-    expected = forward(model, normalize(assembled, spec, "input").astype(np.float32)).output
-    assert_same_bits(mapped.normalized, expected.astype(np.float64))
-    if recipe[1] == "global_minmax_01":
-        assert_same_bits(mapped.denormalized, denormalize(mapped.normalized, spec))
 
 
 # Slow references for the in-place hot path: the two-branch logistic, the
