@@ -65,6 +65,8 @@ def load_wav(path, channel: int = 0) -> Waveform:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels < 1:
         raise FormatError(f"{path}: invalid channel count {channels}")
+    if sample_rate < 1:
+        raise FormatError(f"{path}: invalid sample rate {sample_rate}")
     if (audio_format, bits) == (1, 16):
         dtype, scale = "<i2", 1.0 / _PCM16_SCALE
     elif (audio_format, bits) == (3, 32):

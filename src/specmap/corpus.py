@@ -232,8 +232,9 @@ class ManifestEntry:
             nullable = f.name in ("noise_id", "rir_id")
             if f.name != "snr_db" and not isinstance(value, str) and not (nullable and value is None):
                 raise ConfigError(f"manifest entry field {f.name} must be a string, got {value!r}")
-        if self.snr_db is not None and not np.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite or None, got {self.snr_db}")
+        number = isinstance(self.snr_db, (int, float)) and not isinstance(self.snr_db, bool)
+        if self.snr_db is not None and not (number and np.isfinite(self.snr_db)):
+            raise ConfigError(f"snr_db must be a finite number or None, got {self.snr_db!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -67,19 +67,16 @@ def training_features(manifest, split: str, wpe: Optional[WpeConfig] = None):
 def _normalized_rows(utterances, norm, role: str) -> np.ndarray:
     """normalize() of each utterance, written into its rows of one stacked matrix.
 
-    Input rows are stored in float32, the precision train() computes in, so
-    train() uses the matrix as is: the same bits as np.vstack of the
-    normalized utterances narrowed with astype(np.float32), with no float64
-    stack and no list of utterances. Reference rows stay float64, because
-    the loss is taken in float64.
+    The matrix takes the dtype normalize returns (float32 inputs, float64
+    references) and equals np.vstack of the normalized utterances, with no
+    list of them held at once.
     """
-    dtype = np.float32 if role == "input" else np.float64
     n_rows = sum(len(m) for m in utterances)
     stacked, start = None, 0
     for m in utterances:
         rows = normalize(m, norm, role)
         if stacked is None:
-            stacked = np.empty((n_rows, rows.shape[1]), dtype=dtype)
+            stacked = np.empty((n_rows, rows.shape[1]), dtype=rows.dtype)
         stacked[start:start + len(rows)] = rows
         start += len(rows)
     return stacked

@@ -31,12 +31,21 @@ CHECKPOINT_VERSION = 1
 
 
 def write_features(path, matrix: np.ndarray) -> None:
+    """Write a finite matrix in float32.
+
+    A value beyond float32's range is a NumericError raised before the
+    file is opened, so nothing is written.
+    """
     mat = as_float_matrix(matrix, "feature matrix")
     rows, cols = mat.shape
+    with np.errstate(over="ignore"):  # beyond float32's range is refused below
+        payload = np.ascontiguousarray(mat, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        raise NumericError(f"{path}: feature matrix holds values beyond float32 range")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", FEATURE_VERSION, rows, cols))
-        fh.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
+        fh.write(payload.tobytes())
 
 
 def read_features(path) -> np.ndarray:

@@ -201,16 +201,23 @@ def fit_normalizer(
 
 
 def normalize(x: np.ndarray, spec: NormalizationSpec, role: str) -> np.ndarray:
-    """Scale one utterance per the fitted spec; role is 'input' or 'reference'."""
+    """Scale one utterance per the fitted spec; role is 'input' or 'reference'.
+
+    Inputs come back in float32, the precision the mapper computes in: the
+    float64 apply_mvn, with the spec's or the utterance's own statistics,
+    rounded once with astype(np.float32). References stay float64, because
+    the loss is taken in float64.
+    """
     check_choice(role, ("input", "reference"), "role")
     feats = as_float_matrix(x, "features")
     if role == "input":
         if spec.input_mode == "global_mvn":
             if spec.input_mean is None or spec.input_var is None:
                 raise ConfigError("global_mvn input stats missing; run fit_normalizer first")
-            return apply_mvn(feats, spec.input_mean, spec.input_var)
-        mean, var = utterance_stats(feats, spec.epsilon)
-        return apply_mvn(feats, mean, var)
+            mean, var = spec.input_mean, spec.input_var
+        else:
+            mean, var = utterance_stats(feats, spec.epsilon)
+        return apply_mvn(feats, mean, var).astype(np.float32)
     if spec.reference_mode == "global_minmax_01":
         if spec.ref_min is None or spec.ref_max is None:
             raise ConfigError("global_minmax_01 reference stats missing; run fit_normalizer first")

@@ -452,9 +452,10 @@ def train(
     every MlpModel as built), and returns the model, so a caller that
     reuses its initial model copies it first. The training and dev inputs
     are checked once and narrowed to one float32 copy each (a float32
-    matrix is used as is), and every batch is gathered from that copy: the
-    same bits as gathering float64 rows and narrowing each batch, since
-    both are elementwise. An input that is not finite, or a finite float64
+    matrix, such as np.vstack of normalize's inputs, is used as is), and
+    every batch is gathered from that copy: the same bits as gathering
+    float64 rows and narrowing each batch, since both are elementwise.
+    An input that is not finite, or a finite float64
     input beyond float32's range, is a NumericError raised before the first
     step, as is a width the model does not map (a ShapeError). The
     references stay float64. Each batch goes through train_step, and the
@@ -540,8 +541,9 @@ def map_features(
     """Run one utterance of log-magnitude frames through the mapper.
 
     The mapping runs in the dtype of the model's weights, float32 for every
-    MlpModel as built. Context assembly, normalization and denormalization
-    run in float64, and every returned array is float64. The inputs are not
+    MlpModel as built. Context assembly and denormalization run in float64;
+    normalize computes the input MVN in float64 and hands the network its
+    float32 rounding. Every returned array is float64. The inputs are not
     modified. Utterance-MVN references need the filterbank, floor and mode
     of the references' MelConfig to build the input's stand-in statistics.
     An utterance of no frames maps to (0, outputs) arrays, with no

@@ -38,6 +38,17 @@ def test_truncated_data_is_format_error(tmp_path):
         load_wav(path)
 
 
+def test_zero_sample_rate_is_format_error(tmp_path):
+    path = tmp_path / "rate0.wav"
+    save_wav(Waveform(np.zeros(8), 16000), path)
+    blob = bytearray(path.read_bytes())
+    assert struct.unpack("<I", blob[24:28]) == (16000,)  # the fmt chunk's sample rate
+    blob[24:28] = bytes(4)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="sample rate 0"):
+        load_wav(path)
+
+
 def test_not_riff(tmp_path):
     path = tmp_path / "nope.wav"
     path.write_bytes(b"OggS" + b"\x00" * 50)

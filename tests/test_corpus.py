@@ -133,6 +133,8 @@ def test_mix_error_cases():
         mix_at_snr(clean, Waveform(np.ones(50), 16000), 0.0, np.random.default_rng(0))
     with pytest.raises(ConfigError):
         ManifestEntry("e", "train", "c", "n", "r", float("inf"), "c.wav", "r.wav", "n.wav", "f.sfmf")
+    for snr in (3, -2.5, np.float64(6.0), None):
+        assert ManifestEntry("e", "test", "c", "n", "r", snr, "c.wav", "r.wav", "n.wav", "f.sfmf").snr_db == snr
 
 
 def test_synth_speech_properties():
@@ -230,9 +232,19 @@ def _front_end(key, value):
     return pytest.param(damage, id=f"{key}={value}")
 
 
+def _test_snr(value):
+    """Damage that gives every test entry an snr_db that is not a finite number."""
+    def damage(payload):
+        for entry in payload["entries"]:
+            if entry["split"] == "test":
+                entry["snr_db"] = value
+    return pytest.param(damage, id=f"snr_db={value!r}")
+
+
 @pytest.mark.parametrize(
     "damage",
     [
+        _test_snr([3.0]), _test_snr(True), _test_snr("3"),
         _drop_hop, _add_feature_key, _drop_noisy_wav, _noisy_wav_as_number, _id_as_number, _as_list,
         _repeat_an_id,
         _front_end("hop", "x"), _front_end("magnitude_floor", -1), _front_end("n_mels", 0),

@@ -12,7 +12,7 @@ from specmap.audio import load_wav
 from specmap.errors import ConfigError, NotFittedError, ShapeError
 from specmap.estimators import SpectralFeatureMapper, input_features, training_features
 from specmap.featio import read_features
-from specmap.features import assemble_context, normalize
+from specmap.features import apply_mvn, assemble_context, normalize, utterance_stats
 from specmap.mel import MelConfig, log_mel, mel_matrix
 from specmap.pipeline import PipelineConfig, enhance_utterance
 from specmap.stft import StftConfig, stft
@@ -243,19 +243,25 @@ def test_fit_stacks_each_training_matrix_once(monkeypatch, recipe):
         tracemalloc.stop()
 
     norm = seen["norm"]
+
+    def float64_input_mvn(x):
+        windows = assemble_context(x, 5)
+        if norm.input_mode == "global_mvn":
+            return apply_mvn(windows, norm.input_mean, norm.input_var)
+        return apply_mvn(windows, *utterance_stats(windows, norm.epsilon))
+
     expected = (
-        np.vstack([normalize(assemble_context(x, 5), norm, "input") for x in xs[:16]]),
+        np.vstack([float64_input_mvn(x) for x in xs[:16]]).astype(np.float32),
         np.vstack([normalize(y, norm, "reference") for y in ys[:16]]),
-        np.vstack([normalize(assemble_context(x, 5), norm, "input") for x in xs[16:]]),
+        np.vstack([float64_input_mvn(x) for x in xs[16:]]).astype(np.float32),
         np.vstack([normalize(y, norm, "reference") for y in ys[16:]]),
     )
     for got, want, dtype in zip(seen["matrices"], expected, [np.float32, np.float64] * 2):
-        want = want.astype(dtype)
-        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
     stacked_bytes = sum(m.nbytes for m in seen["matrices"])
-    # Measured 1.35x, the rest being one utterance's float64 temporaries and
-    # the dev set's context windows; a second copy of the float32 inputs
-    # would add 0.78x.
+    # Measured 1.31x, the rest being one utterance's float64 MVN and its
+    # float32 rounding, and the dev set's context windows; a second copy of
+    # the float32 inputs would add 0.78x.
     assert seen["peak"] - seen["start"] < 1.5 * stacked_bytes
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import float64_model
 from specmap.cli import main
-from specmap.errors import FormatError
+from specmap.errors import FormatError, NumericError
 from specmap.featio import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -39,6 +39,16 @@ def test_feature_rewrite_is_byte_identical(tmp_path):
     write_features(first, matrix)
     write_features(second, read_features(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("value", [1e39, -3.5e38, 1e300])
+def test_feature_beyond_float32_range_is_refused_before_writing(tmp_path, value):
+    matrix = np.zeros((3, 4))
+    matrix[1, 2] = value
+    path = tmp_path / "big.sfmf"
+    with pytest.raises(NumericError, match="beyond float32 range"):
+        write_features(path, matrix)  # warnings are errors: the cast's overflow warning included
+    assert not path.exists()
 
 
 def test_feature_format_errors(tmp_path):

@@ -7,6 +7,7 @@ from conftest import gathered_context
 from specmap.errors import ConfigError, ShapeError
 from specmap.features import (
     NormalizationSpec,
+    apply_mvn,
     assemble_context,
     denormalize,
     fit_normalizer,
@@ -121,9 +122,35 @@ def test_utterance_mvn_properties():
     rng = np.random.default_rng(1)
     x = rng.normal(3.0, 2.5, size=(50, 6))
     spec = NormalizationSpec(input_mode="utterance_mvn", reference_mode="utterance_mvn")
-    normalized = normalize(x, spec, "input")
+    normalized = apply_mvn(x, *utterance_stats(x, spec.epsilon))
     assert np.max(np.abs(normalized.mean(axis=0))) < 1e-9
     assert np.max(np.abs(normalized.var(axis=0) - 1.0)) < 1e-6
+    assert normalize(x, spec, "input").tobytes() == normalized.astype(np.float32).tobytes()
+
+
+def _float64_input_mvn(x, spec):
+    """The input MVN in float64, from numpy's own mean and variance."""
+    if spec.input_mode == "global_mvn":
+        mean, var = spec.input_mean, spec.input_var
+    else:
+        mean, var = x.mean(axis=0), np.maximum(x.var(axis=0), spec.epsilon)
+    return (x - mean) / np.sqrt(var)
+
+
+@pytest.mark.parametrize("input_mode", ["global_mvn", "utterance_mvn"])
+@pytest.mark.parametrize("n_frames", [1, 37])
+def test_input_normalization_is_the_float64_mvn_rounded_once(input_mode, n_frames):
+    # One frame has no spread: utterance_mvn clamps its variance at epsilon.
+    rng = np.random.default_rng(11)
+    train = [rng.normal(2.0, 3.0, size=(40, 7))]
+    spec = fit_normalizer(train, [rng.uniform(size=(40, 2))], input_mode, "global_minmax_01")
+    x = rng.normal(1.0, 2.0, size=(n_frames, 7))
+    untouched = x.copy()
+    normalized = normalize(x, spec, "input")
+    assert normalized.dtype == np.float32
+    assert normalized.tobytes() == _float64_input_mvn(x, spec).astype(np.float32).tobytes()
+    assert np.array_equal(x, untouched)
+    assert normalize(x[:, :2], spec, "reference").dtype == np.float64
 
 
 def test_single_frame_hits_variance_clamp():
@@ -138,8 +165,10 @@ def test_denormalize_inverts():
     refs = [rng.uniform(-3, 5, size=(30, 2))]
     spec = fit_normalizer(inputs, refs)
     x = rng.normal(size=(8, 5))
-    restored = invert_mvn(normalize(x, spec, "input"), spec.input_mean, spec.input_var)
+    normalized = apply_mvn(x, spec.input_mean, spec.input_var)
+    restored = invert_mvn(normalized, spec.input_mean, spec.input_var)
     assert np.max(np.abs(restored - x)) < 1e-9
+    assert normalize(x, spec, "input").tobytes() == normalized.astype(np.float32).tobytes()
     y = rng.uniform(-3, 5, size=(8, 2))
     assert np.max(np.abs(denormalize(normalize(y, spec, "reference"), spec) - y)) < 1e-9
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import float64_model, relative_error
 from specmap.errors import ConfigError, NumericError, ShapeError
-from specmap.features import NormalizationSpec, invert_mvn, utterance_stats
+from specmap.features import NormalizationSpec, fit_normalizer, invert_mvn, normalize, utterance_stats
 from specmap import mlp
 from specmap.mlp import (
     ADAGRAD_EPSILON,
@@ -774,6 +774,18 @@ def test_train_uses_float32_inputs_without_a_copy():
     # inputs, narrowed into new float32 copies, measured 1.12x.
     assert _traced_train_peak(x, dev_x, y, dev_y) < 0.5 * inputs_bytes
     assert _traced_train_peak(x.astype(np.float64), dev_x.astype(np.float64), y, dev_y) > inputs_bytes
+
+
+@pytest.mark.parametrize("input_mode", ["global_mvn", "utterance_mvn"])
+def test_train_takes_stacked_normalized_inputs_without_a_copy(input_mode):
+    # np.vstack of normalize's inputs, as a caller of train() builds it.
+    rng = np.random.default_rng(66)
+    utterances = [rng.normal(size=(n, 6)) for n in (9, 1, 14)]
+    spec = fit_normalizer(utterances, [rng.uniform(size=(n, 2)) for n in (9, 1, 14)],
+                          input_mode, "global_minmax_01")
+    x = np.vstack([normalize(m, spec, "input") for m in utterances])
+    assert x.dtype == np.float32
+    assert np.shares_memory(mlp._float32_matrix(x, "train inputs"), x)
 
 
 @pytest.mark.parametrize("matrix", ["train inputs", "dev inputs"])

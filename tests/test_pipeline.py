@@ -18,11 +18,11 @@ from specmap.estimators import SpectralFeatureMapper, training_features
 from specmap import _pool, pipeline, wpe as wpe_module
 from specmap.featio import load_model, read_features, save_model
 from specmap.features import (
+    apply_mvn,
     assemble_context,
     denormalize,
     fit_normalizer,
     invert_mvn,
-    normalize,
     utterance_stats,
 )
 from specmap.mel import log_mel, mel_matrix
@@ -478,12 +478,17 @@ def test_hand_built_float64_model_hashes_and_maps_as_its_checkpoint(tiny_corpus,
 
 
 def reference_map(model, log_spec, context, filterbank, floor, mel_mode="power"):
-    """The mapping unfused: the old context gather, normalize, forward in the
-    model's dtype, then the float64 inversion. With a float64 model it is the
-    mapping map_features ran before it mapped in float32; with the float32
-    model itself it is the mapping map_features runs now."""
+    """The mapping unfused: the old context gather, the float64 input MVN,
+    forward in the model's dtype, then the float64 inversion. With a float64
+    model it is the mapping map_features ran before it mapped in float32;
+    with the float32 model itself it is the mapping map_features runs now."""
     spec = model.norm_spec
-    output = forward(model, normalize(gathered_context(log_spec, context), spec, "input")).output
+    windows = gathered_context(log_spec, context)
+    if spec.input_mode == "global_mvn":
+        stats = spec.input_mean, spec.input_var
+    else:
+        stats = utterance_stats(windows, spec.epsilon)
+    output = forward(model, apply_mvn(windows, *stats)).output
     if spec.reference_mode == "global_minmax_01":
         return output, denormalize(output, spec)
     energy = np.exp((2.0 if mel_mode == "power" else 1.0) * log_spec)
