@@ -22,7 +22,7 @@ import numpy as np
 from .errors import FormatError, NumericError
 from .features import NormalizationSpec
 from .mlp import MlpModel
-from .validation import as_float_matrix
+from .validation import as_float32
 
 FEATURE_MAGIC = b"SFMF"
 FEATURE_VERSION = 1
@@ -31,21 +31,17 @@ CHECKPOINT_VERSION = 1
 
 
 def write_features(path, matrix: np.ndarray) -> None:
-    """Write a finite matrix in float32.
+    """Write a finite matrix in float32, narrowed by as_float32.
 
-    A value beyond float32's range is a NumericError raised before the
-    file is opened, so nothing is written.
+    A value that is not finite, or beyond float32's range, is a
+    NumericError raised before the file is opened, so nothing is written.
     """
-    mat = as_float_matrix(matrix, "feature matrix")
-    rows, cols = mat.shape
-    with np.errstate(over="ignore"):  # beyond float32's range is refused below
-        payload = np.ascontiguousarray(mat, dtype="<f4")
-    if not np.all(np.isfinite(payload)):
-        raise NumericError(f"{path}: feature matrix holds values beyond float32 range")
+    payload = as_float32(matrix, f"{path}: feature matrix", 2)
+    rows, cols = payload.shape
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", FEATURE_VERSION, rows, cols))
-        fh.write(payload.tobytes())
+        fh.write(payload.astype("<f4", copy=False).tobytes())
 
 
 def read_features(path) -> np.ndarray:

@@ -7,7 +7,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .validation import as_float_matrix, check_choice, check_nonnegative, check_positive
+from .validation import (all_finite, as_float32, as_float_matrix, check_choice,
+                         check_nonnegative, check_positive)
 
 INPUT_MODES = ("global_mvn", "utterance_mvn")
 REFERENCE_MODES = ("global_minmax_01", "utterance_mvn")
@@ -62,7 +63,7 @@ class NormalizationSpec:
         check_positive(self.epsilon, "epsilon")
         for name in ("input_mean", "input_var", "ref_min", "ref_max"):
             value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
+            if value is not None and not all_finite(value):
                 raise ConfigError(f"non-finite values in {name}")
         if self.input_var is not None and np.any(np.asarray(self.input_var) <= 0):
             raise ConfigError("input_var entries must be positive (clamped at fit time)")
@@ -205,26 +206,24 @@ def normalize(x: np.ndarray, spec: NormalizationSpec, role: str) -> np.ndarray:
 
     Inputs come back in float32, the precision the mapper computes in: the
     float64 apply_mvn, with the spec's or the utterance's own statistics,
-    rounded once with astype(np.float32). References stay float64, because
-    the loss is taken in float64.
+    narrowed once by as_float32, which checks the contiguous result rather
+    than the input (often a wide context-window view). A non-finite input
+    is a NumericError, as is a finite one that normalizes beyond float32's
+    range. References stay float64, because the loss is taken in float64.
     """
     check_choice(role, ("input", "reference"), "role")
-    feats = as_float_matrix(x, "features")
-    if role == "input":
-        if spec.input_mode == "global_mvn":
-            if spec.input_mean is None or spec.input_var is None:
-                raise ConfigError("global_mvn input stats missing; run fit_normalizer first")
-            mean, var = spec.input_mean, spec.input_var
-        else:
-            mean, var = utterance_stats(feats, spec.epsilon)
-        return apply_mvn(feats, mean, var).astype(np.float32)
-    if spec.reference_mode == "global_minmax_01":
+    feats = as_float_matrix(x, "features", finite=role == "reference")
+    if role == "input" and spec.input_mode == "global_mvn":
+        if spec.input_mean is None or spec.input_var is None:
+            raise ConfigError("global_mvn input stats missing; run fit_normalizer first")
+        scaled = apply_mvn(feats, spec.input_mean, spec.input_var)
+    elif role == "reference" and spec.reference_mode == "global_minmax_01":
         if spec.ref_min is None or spec.ref_max is None:
             raise ConfigError("global_minmax_01 reference stats missing; run fit_normalizer first")
-        span = np.maximum(spec.ref_max - spec.ref_min, spec.epsilon)
-        return (feats - spec.ref_min) / span
-    mean, var = utterance_stats(feats, spec.epsilon)
-    return apply_mvn(feats, mean, var)
+        return (feats - spec.ref_min) / np.maximum(spec.ref_max - spec.ref_min, spec.epsilon)
+    else:
+        scaled = apply_mvn(feats, *utterance_stats(feats, spec.epsilon))
+    return as_float32(scaled, "features", 2) if role == "input" else scaled
 
 
 def denormalize(x: np.ndarray, spec: NormalizationSpec) -> np.ndarray:

@@ -6,10 +6,7 @@ included, computes in the dtype of the model's weights. An MlpModel holds
 float32 parameters from construction, the precision that checkpoints
 store, and train() trains them in place and returns the model, so every
 model maps through itself; the float64 reference checks widen a built
-model's arrays by assignment and step them directly. train() likewise
-holds one float32 copy of its training and dev inputs (a float32 matrix
-is used as is) and gathers every batch from it; the references stay
-float64, because the loss is taken in float64. Each computation is
+model's arrays by assignment and step them directly. Each computation is
 one function: train() calls train_step and evaluate_cost, train_step calls
 loss_and_gradients, and that calls forward. The four check only shapes;
 data is checked where it enters, in train() and (through assemble_context
@@ -41,7 +38,7 @@ from .features import (
 from .mel import MEL_MODES
 from .seeding import derive_seed
 from .stft import DEFAULT_MAGNITUDE_FLOOR
-from .validation import as_float_matrix, check_choice, check_finite, check_positive
+from .validation import all_finite, as_float32, as_float_matrix, check_choice, check_positive
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
 
@@ -92,12 +89,11 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 class MlpModel:
     """A multilayer perceptron with sigmoid hidden units and float32 parameters.
 
-    The constructor keeps a float32 array as is, with no copy, and narrows
-    any other once, rounding as save_model does, so a model built by hand
+    Each parameter passes through as_float32, which keeps a float32 array
+    as is and rounds any other as save_model does, so a model built by hand
     from float64 arrays and its reloaded checkpoint hold the same bits. A
-    parameter that is not finite once narrowed, a finite float64 value
-    beyond float32's range included, is a NumericError naming its layer, so
-    every model can be saved and loaded back.
+    parameter it refuses is a NumericError naming its layer, so every model
+    can be saved and loaded back.
     """
 
     weights: list[np.ndarray]
@@ -107,22 +103,17 @@ class MlpModel:
     seed: int = 0
 
     def __post_init__(self):
-        with np.errstate(over="ignore"):  # beyond float32's range is refused below
-            self.weights = [np.asarray(w, dtype=np.float32) for w in self.weights]
-            self.biases = [np.asarray(b, dtype=np.float32) for b in self.biases]
         if not self.weights:
             raise ShapeError("a model needs at least one layer")
         if len(self.weights) != len(self.biases):
             raise ShapeError("weights and biases must pair up layer by layer")
+        self.weights = [_float32_parameter(w, i, "weights", 2) for i, w in enumerate(self.weights)]
+        self.biases = [_float32_parameter(b, i, "biases", 1) for i, b in enumerate(self.biases)]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
+            if w.shape[1] != b.shape[0]:
                 raise ShapeError(f"layer {i}: weight {w.shape} and bias {b.shape} mismatch")
             if i and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise ShapeError(f"layer {i}: input dim breaks the layer chain")
-            for name, p in (("weights", w), ("biases", b)):
-                # min and max propagate NaN and reach any inf, with no temporary array
-                if p.size and not (np.isfinite(p.min()) and np.isfinite(p.max())):
-                    raise NumericError(f"non-finite values in layer {i} {name}")
         check_choice(self.output_activation, OUTPUT_ACTIVATIONS, "output_activation")
 
     @property
@@ -139,6 +130,13 @@ class MlpModel:
 
     def copy_parameters(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
+
+
+def _float32_parameter(param, layer: int, name: str, ndim: int) -> np.ndarray:
+    try:
+        return as_float32(param, f"layer {layer} {name}", ndim)
+    except NumericError as exc:
+        raise NumericError(f"non-finite values in layer {layer} {name}") from exc
 
 
 def init_model(
@@ -367,27 +365,6 @@ def train_step(
     return loss
 
 
-def _float32_matrix(x, name: str) -> np.ndarray:
-    """x as one finite float32 matrix: a float32 array as is, anything else narrowed once.
-
-    The narrowing rounds as astype(np.float32) does, so rows gathered from
-    the copy equal the same rows gathered in float64 and then narrowed. A
-    finite float64 value beyond float32's range, which narrows to inf, is
-    a NumericError naming the matrix, as a non-finite value is.
-    """
-    arr = np.asarray(x)
-    if arr.dtype != np.float32:
-        arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
-    with np.errstate(over="ignore"):
-        narrow = arr.astype(np.float32, copy=False)
-    if not np.all(np.isfinite(narrow)):
-        check_finite(arr, name)
-        raise NumericError(f"{name} hold values beyond float32 range")
-    return narrow
-
-
 def _check_widths(model: MlpModel, x: np.ndarray, y: np.ndarray, split: str) -> None:
     if x.shape[1] != model.input_dim or y.shape[1] != model.output_dim:
         raise ShapeError(f"{split} inputs and references have widths {x.shape[1]} and {y.shape[1]}, "
@@ -451,22 +428,19 @@ def train(
     Trains the model's parameters in place, in their dtype (float32 for
     every MlpModel as built), and returns the model, so a caller that
     reuses its initial model copies it first. The training and dev inputs
-    are checked once and narrowed to one float32 copy each (a float32
-    matrix, such as np.vstack of normalize's inputs, is used as is), and
-    every batch is gathered from that copy: the same bits as gathering
-    float64 rows and narrowing each batch, since both are elementwise.
-    An input that is not finite, or a finite float64
-    input beyond float32's range, is a NumericError raised before the first
-    step, as is a width the model does not map (a ShapeError). The
-    references stay float64. Each batch goes through train_step, and the
-    dev cost is evaluate_cost's. When a stop rule fires after epoch e, the
+    pass through as_float32 once, which uses a float32 matrix (np.vstack
+    of normalize's inputs, say) as is; what it refuses is refused before
+    the first step, as is a width the model does not map (a ShapeError).
+    Every batch is gathered from that one copy. The references stay
+    float64. Each batch goes through train_step, and the dev cost is
+    evaluate_cost's. When a stop rule fires after epoch e, the
     parameters from epoch e-1 are restored and reported as best_epoch. The
     last step can leave parameters that are not finite with no later batch
     cost to show it, as a learning rate far too large does; returning them
     is a NumericError instead. Dedicated child seeds keep the shuffle and
     dropout streams independent of each other and of init.
     """
-    x = _float32_matrix(train_inputs, "train inputs")
+    x = as_float32(train_inputs, "train inputs", 2)
     y = as_float_matrix(train_references, "train references")
     if x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ConfigError("training set must be nonempty with paired inputs/references")
@@ -477,7 +451,7 @@ def train(
             "early stopping cross-validates against a development set; none was provided"
         )
     if has_dev:
-        dev_x = _float32_matrix(dev_inputs, "dev inputs")
+        dev_x = as_float32(dev_inputs, "dev inputs", 2)
         dev_y = as_float_matrix(dev_references, "dev references")
         if dev_x.shape[0] != dev_y.shape[0]:
             raise ShapeError("dev inputs and dev references must have the same frame count")
@@ -510,7 +484,7 @@ def train(
                 history.stop_reason = reason
                 history.best_epoch = epoch - 1
                 break
-    if not all(np.isfinite(p).all() for p in model.weights + model.biases):
+    if not all(all_finite(p) for p in model.weights + model.biases):
         raise NumericError("training diverged: the trained parameters are not finite")
     return model, history
 

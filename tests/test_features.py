@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gathered_context
-from specmap.errors import ConfigError, ShapeError
+from specmap.errors import ConfigError, NumericError, ShapeError
 from specmap.features import (
     NormalizationSpec,
     apply_mvn,
@@ -151,6 +151,26 @@ def test_input_normalization_is_the_float64_mvn_rounded_once(input_mode, n_frame
     assert normalized.tobytes() == _float64_input_mvn(x, spec).astype(np.float32).tobytes()
     assert np.array_equal(x, untouched)
     assert normalize(x[:, :2], spec, "reference").dtype == np.float64
+
+
+def test_input_normalization_refuses_a_value_beyond_float32_range():
+    spec = NormalizationSpec(input_mean=np.zeros(3), input_var=np.ones(3),
+                             ref_min=np.zeros(2), ref_max=np.ones(2))
+    x = np.zeros((4, 3))
+    x[2, 1] = 1e39
+    with pytest.raises(NumericError, match="features contains values beyond float32 range"):
+        normalize(x, spec, "input")  # warnings are errors: the cast's overflow warning included
+
+
+@pytest.mark.parametrize("input_mode", ["global_mvn", "utterance_mvn"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_input_normalization_refuses_non_finite_values(input_mode, bad):
+    spec = NormalizationSpec(input_mode, "global_minmax_01", input_mean=np.zeros(3),
+                             input_var=np.ones(3), ref_min=np.zeros(2), ref_max=np.ones(2))
+    x = np.zeros((4, 3))
+    x[2, 1] = bad
+    with pytest.raises(NumericError, match="features contains non-finite values"):
+        normalize(assemble_context(x, 0), spec, "input")
 
 
 def test_single_frame_hits_variance_clamp():

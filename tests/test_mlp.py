@@ -26,6 +26,7 @@ from specmap.mlp import (
     train_step,
 )
 from specmap.seeding import derive_seed
+from specmap.validation import as_float32
 
 
 def test_init_deterministic_and_zero_biases():
@@ -770,10 +771,36 @@ def test_train_uses_float32_inputs_without_a_copy():
     dev_x = rng.normal(size=(5000, 64)).astype(np.float32)
     y, dev_y = rng.uniform(0.1, 0.9, size=(20000, 4)), rng.uniform(0.1, 0.9, size=(5000, 4))
     inputs_bytes = x.nbytes + dev_x.nbytes
-    # Measured 0.20x, the finiteness mask of the larger matrix; float64
-    # inputs, narrowed into new float32 copies, measured 1.12x.
+    # Measured 0.11x, with no finiteness mask of either matrix; float64
+    # inputs, narrowed into new float32 copies, measured 1.11x.
     assert _traced_train_peak(x, dev_x, y, dev_y) < 0.5 * inputs_bytes
     assert _traced_train_peak(x.astype(np.float64), dev_x.astype(np.float64), y, dev_y) > inputs_bytes
+
+
+class _FirstStep(Exception):
+    pass
+
+
+def test_train_allocates_no_large_array_before_its_first_step(monkeypatch):
+    # A quarter of the matrix's bytes is the size of a finiteness mask of it.
+    rng = np.random.default_rng(68)
+    x = rng.standard_normal(size=(2000, 2827), dtype=np.float32)
+    y = rng.uniform(0.1, 0.9, size=(2000, 4))
+    model = init_model([2827, 8, 4], "sigmoid", seed=69)
+    peaks = []
+
+    def first_step(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise _FirstStep
+
+    monkeypatch.setattr(mlp, "train_step", first_step)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstStep):
+            train(model, x, y, TrainConfig(batch_size=64, max_epochs=1))
+    finally:
+        tracemalloc.stop()
+    assert peaks and peaks[0] < x.nbytes // 4
 
 
 @pytest.mark.parametrize("input_mode", ["global_mvn", "utterance_mvn"])
@@ -785,7 +812,7 @@ def test_train_takes_stacked_normalized_inputs_without_a_copy(input_mode):
                           input_mode, "global_minmax_01")
     x = np.vstack([normalize(m, spec, "input") for m in utterances])
     assert x.dtype == np.float32
-    assert np.shares_memory(mlp._float32_matrix(x, "train inputs"), x)
+    assert np.shares_memory(as_float32(x, "train inputs", 2), x)
 
 
 @pytest.mark.parametrize("matrix", ["train inputs", "dev inputs"])
