@@ -17,7 +17,7 @@ from . import corpus as corpus_mod
 from .errors import ConfigError, SpecmapError, UsageError
 from .estimators import RECIPES, SpectralFeatureMapper, training_features
 from .featio import load_model, save_model
-from .pipeline import MODES, PipelineConfig, batch_enhance
+from .pipeline import MAPPING_MODES, MODES, PipelineConfig, batch_enhance
 from .report import SystemEvaluation, build_report, evaluate_system, write_plot_data, write_report_csv, write_report_json
 from .runconfig import parse_kv_file, resolve_config, write_resolved
 from .validation import check_choice
@@ -134,7 +134,7 @@ def cmd_enhance(args) -> int:
     manifest = corpus_mod.CorpusManifest.load(args.manifest)
     stft_config = manifest.stft_config()
     mapping = {}
-    if mode in ("dnn_only", "wpe_dnn"):
+    if mode in MAPPING_MODES:
         if not args.checkpoint:
             raise ConfigError(f"mode {mode!r} needs --checkpoint")
         model, model_config = load_model(args.checkpoint)
@@ -214,7 +214,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the feature mapper")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint output directory")
-    p.add_argument("--recipe", choices=RECIPES)
+    p.add_argument("--recipe", choices=list(RECIPES))
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_train)
 

@@ -258,6 +258,19 @@ class CorpusManifest:
     def resolve(self, relative: str) -> Path:
         return self.root / relative
 
+    def load_waveform(self, relative: str, root=None) -> Waveform:
+        """The WAV at relative under root (the manifest's directory by default).
+
+        A rate other than the manifest's is a ManifestError: its front end would misread the WAV.
+        """
+        path = (self.root if root is None else Path(root)) / relative
+        waveform = load_wav(path)
+        if waveform.sample_rate != self.sample_rate:
+            raise ManifestError(
+                f"{path}: sample rate {waveform.sample_rate} != manifest rate {self.sample_rate}"
+            )
+        return waveform
+
     def _corpus_config(self) -> "CorpusConfig":
         return CorpusConfig(sample_rate=self.sample_rate, **self.feature_config)
 

@@ -12,12 +12,11 @@ boundaries that utterance-level normalization needs.
 """
 
 import inspect
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _pool
-from .audio import load_wav
 from .errors import ConfigError, ShapeError
 from .featio import read_features
 from .features import assemble_context, fit_normalizer, normalize
@@ -28,11 +27,23 @@ from .stft import StftConfig, log_magnitude, stft
 from .validation import check_choice, check_fitted
 from .wpe import WpeConfig, wpe_dereverberate
 
-RECIPES = ("original", "enhanced")
+
+class Recipe(NamedTuple):
+    input_mode: str
+    reference_mode: str
+    output_activation: str
+    dropout: bool     # whether dropout_rate applies; without it, no dropout at all
+    early_stop: bool  # cross-validates each epoch, so fit needs a dev set
+
+
+RECIPES = {
+    "original": Recipe("global_mvn", "global_minmax_01", "sigmoid", dropout=False, early_stop=False),
+    "enhanced": Recipe("utterance_mvn", "utterance_mvn", "linear", dropout=True, early_stop=True),
+}
 
 
 def input_features(waveform, stft_config: StftConfig, wpe: Optional[WpeConfig], floor: float):
-    """Mapper input of one utterance: STFT, WPE when a config is given, log-magnitude."""
+    """The mapper's input in training and enhancement: STFT, WPE when given, log-magnitude."""
     spectrogram = stft(waveform, stft_config)
     if wpe is not None:
         spectrogram = wpe_dereverberate(spectrogram, wpe).enhanced
@@ -54,9 +65,8 @@ def training_features(manifest, split: str, wpe: Optional[WpeConfig] = None):
 
     def features(index: int):
         entry = entries[index]
-        waveform = load_wav(manifest.resolve(entry.noisy_wav))
         return (
-            input_features(waveform, stft_config, wpe, floor),
+            input_features(manifest.load_waveform(entry.noisy_wav), stft_config, wpe, floor),
             read_features(manifest.resolve(entry.reference_features)),
         )
 
@@ -92,10 +102,11 @@ def _check_one_width(utterances, role: str) -> None:
 class SpectralFeatureMapper:
     """Trainable mapper from noisy log-magnitude spectra to clean mel features.
 
-    The "original" recipe uses globally MVN-normalized inputs, [0,1] min-max
-    references, a sigmoid output layer, no dropout, and a fixed epoch count.
-    The "enhanced" recipe switches both normalizations to utterance-level
-    MVN, uses a linear output (MVN targets leave (0,1)), enables dropout and
+    recipe names a row of RECIPES. The "original" recipe uses globally
+    MVN-normalized inputs, [0,1] min-max references, a sigmoid output layer,
+    no dropout (dropout_rate is ignored), and a fixed epoch count. The
+    "enhanced" recipe switches both normalizations to utterance-level MVN,
+    uses a linear output (MVN targets leave (0,1)), enables dropout and
     stops early on the dev set.
     """
 
@@ -178,29 +189,22 @@ class SpectralFeatureMapper:
         _check_one_width([*X, *(X_dev if has_dev else ())], "input")
         _check_one_width([*y, *(y_dev if has_dev else ())], "reference")
 
-        if self.recipe == "original":
-            input_mode, reference_mode = "global_mvn", "global_minmax_01"
-            output_activation = "sigmoid"
-            dropout, early_stop = 0.0, False
-        else:
-            input_mode, reference_mode = "utterance_mvn", "utterance_mvn"
-            output_activation = "linear"
-            dropout, early_stop = self.dropout_rate, True
-            if not has_dev:
-                raise ConfigError(
-                    "the enhanced recipe cross-validates each epoch and needs a dev set"
-                )
+        recipe = RECIPES[self.recipe]
+        if recipe.early_stop and not has_dev:
+            raise ConfigError(
+                f"the {self.recipe} recipe cross-validates each epoch and needs a dev set"
+            )
         config = TrainConfig(
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,
             max_epochs=self.max_epochs,
-            dropout_rate=dropout,
-            early_stop=early_stop,
+            dropout_rate=self.dropout_rate if recipe.dropout else 0.0,
+            early_stop=recipe.early_stop,
             rng_seed=derive_seed(self.seed, "train"),
         )
 
         assembled = self._assemble(X)
-        norm = fit_normalizer(assembled, list(y), input_mode, reference_mode)
+        norm = fit_normalizer(assembled, list(y), recipe.input_mode, recipe.reference_mode)
         train_x = _normalized_rows(assembled, norm, "input")
         train_y = _normalized_rows(y, norm, "reference")
         dev_x = dev_y = None
@@ -209,7 +213,7 @@ class SpectralFeatureMapper:
             dev_y = _normalized_rows(y_dev, norm, "reference")
 
         dims = [train_x.shape[1], *self.hidden_units, train_y.shape[1]]
-        model = init_model(dims, output_activation, derive_seed(self.seed, "init"), norm)
+        model = init_model(dims, recipe.output_activation, derive_seed(self.seed, "init"), norm)
         self.model_, self.history_ = train(model, train_x, train_y, config, dev_x, dev_y)
         self.mel_config_ = mel_config
         return self

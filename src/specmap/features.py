@@ -101,9 +101,9 @@ class NormalizationSpec:
         )
 
 
-def utterance_stats(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension mean and epsilon-clamped variance over one utterance."""
-    feats = as_float_matrix(x, "features")
+def utterance_stats(x: np.ndarray, epsilon: float, finite: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension mean and epsilon-clamped variance; finite=False leaves x unscanned."""
+    feats = as_float_matrix(x, "features", finite)
     mean = feats.mean(axis=0)
     var = np.maximum(feats.var(axis=0), epsilon)
     return mean, var
@@ -222,7 +222,8 @@ def normalize(x: np.ndarray, spec: NormalizationSpec, role: str) -> np.ndarray:
             raise ConfigError("global_minmax_01 reference stats missing; run fit_normalizer first")
         return (feats - spec.ref_min) / np.maximum(spec.ref_max - spec.ref_min, spec.epsilon)
     else:
-        scaled = apply_mvn(feats, *utterance_stats(feats, spec.epsilon))
+        with np.errstate(invalid="ignore"):  # an input's NaN or inf is refused by as_float32
+            scaled = apply_mvn(feats, *utterance_stats(feats, spec.epsilon, role == "reference"))
     return as_float32(scaled, "features", 2) if role == "input" else scaled
 
 

@@ -430,7 +430,8 @@ def train(
     reuses its initial model copies it first. The training and dev inputs
     pass through as_float32 once, which uses a float32 matrix (np.vstack
     of normalize's inputs, say) as is; what it refuses is refused before
-    the first step, as is a width the model does not map (a ShapeError).
+    the first step, as is a width the model does not map (a ShapeError)
+    and dev inputs without dev references, or the reverse (a ConfigError).
     Every batch is gathered from that one copy. The references stay
     float64. Each batch goes through train_step, and the dev cost is
     evaluate_cost's. When a stop rule fires after epoch e, the
@@ -445,7 +446,9 @@ def train(
     if x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ConfigError("training set must be nonempty with paired inputs/references")
     _check_widths(model, x, y, "train")
-    has_dev = dev_inputs is not None and dev_references is not None and len(dev_inputs) > 0
+    if (dev_inputs is None) != (dev_references is None):
+        raise ConfigError("train needs dev_inputs and dev_references together, or neither")
+    has_dev = dev_inputs is not None and len(dev_inputs) > 0
     if config.early_stop and not has_dev:
         raise ConfigError(
             "early stopping cross-validates against a development set; none was provided"

@@ -3,9 +3,9 @@
 Four modes over one utterance: baseline (plain log-mel), wpe_only
 (dereverberate, resynthesize, re-analyze), dnn_only (map log-magnitude
 context windows to mel features), and wpe_dnn (dereverberate, then map).
-wpe_dnn maps the dereverberated spectrogram, as matched training does.
-Both mapping modes run the config's model as it is, in the float32 that
-every MlpModel holds.
+Both mapping modes build the mapper's input with input_features, as
+training does, and run the config's model as it is, in float32. Only
+wpe_only returns a waveform; wpe_dnn's dereverberated one is wpe_only's.
 
 batch_enhance runs a split's utterances on the threads of specmap._pool,
 as training_features does, one utterance per thread at a time. WPE runs on
@@ -24,17 +24,19 @@ from typing import Optional
 import numpy as np
 
 from . import _pool
-from .audio import Waveform, load_wav, save_wav
+from .audio import Waveform, save_wav
 from .errors import ConfigError, ShapeError, SpecmapError
+from .estimators import input_features
 from .featio import write_features
 from .mel import MelConfig, log_mel, mel_matrix
 from .mlp import MlpModel, map_features
 from .runconfig import config_hash
-from .stft import StftConfig, istft, log_magnitude, stft
+from .stft import StftConfig, istft, stft
 from .validation import check_choice
 from .wpe import WpeConfig, wpe_dereverberate
 
 MODES = ("baseline", "wpe_only", "dnn_only", "wpe_dnn")
+MAPPING_MODES = ("dnn_only", "wpe_dnn")  # the modes that run the config's model
 
 
 @dataclass
@@ -50,7 +52,7 @@ class PipelineConfig:
         check_choice(self.mode, MODES, "mode")
         if self.mel.fft_size != self.stft.fft_size:
             raise ConfigError("mel and stft configs disagree on fft_size")
-        if self.mode in ("dnn_only", "wpe_dnn"):
+        if self.mode in MAPPING_MODES:
             if self.model is None:
                 raise ConfigError(f"mode {self.mode!r} needs a trained model")
             expected = (2 * self.context + 1) * self.stft.n_bins
@@ -107,37 +109,31 @@ def _identify_model(model: MlpModel) -> dict:
 @dataclass
 class EnhancedUtterance:
     features: np.ndarray                 # (frames, n_mels) log-mel in the feature domain
-    enhanced_waveform: Optional[Waveform]  # present for the wpe modes
-
-
-def _mapped_mel(config: PipelineConfig, spectrogram) -> np.ndarray:
-    floor, mode = config.mel.magnitude_floor, config.mel.mode
-    logmag = log_magnitude(spectrogram, floor)
-    mapped = map_features(config.model, logmag, config.context, config.filterbank, floor, mode)
-    return mapped.denormalized
+    enhanced_waveform: Optional[Waveform]  # present for wpe_only
 
 
 def enhance_utterance(waveform: Waveform, config: PipelineConfig) -> EnhancedUtterance:
+    floor = config.mel.magnitude_floor
+    if config.mode in MAPPING_MODES:
+        wpe = config.wpe if config.mode == "wpe_dnn" else None
+        log_spec = input_features(waveform, config.stft, wpe, floor)
+        mapped = map_features(
+            config.model, log_spec, config.context, config.filterbank, floor, config.mel.mode
+        )
+        return EnhancedUtterance(mapped.denormalized, None)
+
     spectrogram = stft(waveform, config.stft)
-    if config.mode == "baseline":
-        feats = log_mel(spectrogram, config.filterbank, config.mel.magnitude_floor, config.mel.mode)
-        return EnhancedUtterance(feats, None)
-
-    if config.mode == "dnn_only":
-        return EnhancedUtterance(_mapped_mel(config, spectrogram), None)
-
-    # Each array is dropped once no later step reads it, which keeps the peak
-    # low while several utterances of a batch are in flight.
-    enhanced = wpe_dereverberate(spectrogram, config.wpe).enhanced
-    del spectrogram
-    enhanced_wave = istft(enhanced)
+    enhanced_wave = None
     if config.mode == "wpe_only":
+        # Each array is dropped once no later step reads it, which keeps the
+        # peak low while several utterances of a batch are in flight.
+        enhanced = wpe_dereverberate(spectrogram, config.wpe).enhanced
+        del spectrogram
+        enhanced_wave = istft(enhanced)
         del enhanced
-        respec = stft(enhanced_wave, config.stft)
-        feats = log_mel(respec, config.filterbank, config.mel.magnitude_floor, config.mel.mode)
-        return EnhancedUtterance(feats, enhanced_wave)
-
-    return EnhancedUtterance(_mapped_mel(config, enhanced), enhanced_wave)
+        spectrogram = stft(enhanced_wave, config.stft)
+    feats = log_mel(spectrogram, config.filterbank, floor, config.mel.mode)
+    return EnhancedUtterance(feats, enhanced_wave)
 
 
 @dataclass
@@ -163,23 +159,21 @@ def batch_enhance(
     recorded per utterance and do not stop the batch; any other error, such
     as a failed write, stops every thread from starting another utterance
     and is raised. The run log is one JSON object per line, in manifest
-    order.
+    order. save_waveforms writes wpe_only's waveforms, the only mode's
+    that has one, to waveforms/.
     """
     out_root = Path(out_dir)
     (out_root / "features").mkdir(parents=True, exist_ok=True)
-    if save_waveforms:
-        (out_root / "waveforms").mkdir(parents=True, exist_ok=True)
     entries = manifest.split_entries(split)
     digest = config_hash(config.describe())
 
     def enhance_entry(index: int) -> dict:
         """Load, enhance and write one utterance; its run-log record."""
         entry = entries[index]
-        noisy_path = manifest.resolve(entry.noisy_wav)
         record = {"id": entry.id, "config_hash": digest}
         started = time.perf_counter()
         try:
-            outcome = enhance_utterance(load_wav(noisy_path), config)
+            outcome = enhance_utterance(manifest.load_waveform(entry.noisy_wav), config)
         except (SpecmapError, OSError) as exc:
             outcome = exc
         record["seconds"] = round(time.perf_counter() - started, 4)
@@ -191,6 +185,7 @@ def batch_enhance(
         write_features(out_root / record["features"], outcome.features)
         if save_waveforms and outcome.enhanced_waveform is not None:
             record["waveform"] = f"waveforms/{entry.id}.wav"
+            (out_root / "waveforms").mkdir(exist_ok=True)
             save_wav(outcome.enhanced_waveform, out_root / record["waveform"], encoding="float32")
         return record
 

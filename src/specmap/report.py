@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import _pool
-from .audio import Waveform, load_wav
+from .audio import Waveform
 from .errors import ConfigError, ManifestError, ShapeError, SpecmapError
 from .featio import read_features
 from .metrics import log_spectral_distortion, mel_mse, segmental_snr_gain
@@ -142,10 +142,11 @@ def _score_utterance(manifest, system_dir: Path, mode: str, entries: list, stft_
     spectrum is computed once per truncation length. Each entry's system
     features, system waveform and degraded input are read for that entry.
 
-    lsd_db and segsnr_gain_db are both None without an output waveform. The
-    wpe modes save one, and for the baseline the degraded input itself plays
-    that role. LSD is against the clean log spectrum, and the segmental SNR
-    gain is over the degraded input.
+    lsd_db and segsnr_gain_db are both None without an output waveform.
+    wpe_only saves one, and for the baseline the degraded input itself plays
+    that role; dnn_only and wpe_dnn output features only. LSD is against the
+    clean log spectrum, and the segmental SNR gain is over the degraded
+    input. Every WAV is read at the manifest's rate (load_waveform).
     """
     reference_feats = read_features(manifest.resolve(entries[0].reference_features))
     clean = None
@@ -160,14 +161,15 @@ def _score_utterance(manifest, system_dir: Path, mode: str, entries: list, stft_
             )
         values = {m: fn(enhanced_feats, reference_feats) for m, fn in FEATURE_METRICS.items()}
         scored.append(values)
-        wave_path = system_dir / "waveforms" / f"{entry.id}.wav"
-        if not wave_path.is_file() and mode != "baseline":
+        wave_name = f"waveforms/{entry.id}.wav"
+        has_wave = (system_dir / wave_name).is_file()
+        if not has_wave and mode != "baseline":
             values.update(dict.fromkeys(WAVEFORM_METRICS))
             continue
         if clean is None:
-            clean = load_wav(manifest.resolve(entry.clean_wav))
-        degraded = load_wav(manifest.resolve(entry.noisy_wav))
-        system_wave = load_wav(wave_path) if wave_path.is_file() else degraded
+            clean = manifest.load_waveform(entry.clean_wav)
+        degraded = manifest.load_waveform(entry.noisy_wav)
+        system_wave = manifest.load_waveform(wave_name, root=system_dir) if has_wave else degraded
         n = min(len(system_wave), len(degraded), len(clean))
         if n not in clean_spectra:
             clean_wave = Waveform(clean.samples[:n], clean.sample_rate)
@@ -193,16 +195,17 @@ def evaluate_system(
     """Compute per-utterance metrics for one enhanced system.
 
     Each feature metric compares the system's feature files with the clean
-    references. The waveform metrics are undefined for dnn_only, which saves
-    no waveform, and are reported as null. Every feature file is checked for
-    first, in manifest order, so a missing one is a ManifestError naming the
-    first entry without one. The entries are then grouped by clean utterance
-    (its WAV and reference features), in manifest order, and the groups run
-    on the threads of specmap._pool, as batch_enhance's utterances do; each
-    group reads its clean side once (see _score_utterance). The values come
-    back in manifest order, so the evaluation does not depend on the number
-    of threads. When several utterances fail, the error's class is that of
-    a one-thread run, but which utterance its message names may vary.
+    references. The waveform metrics are undefined for dnn_only and wpe_dnn,
+    which save no waveform, and are reported as null. Every feature file is
+    checked for first, in manifest order, so a missing one is a
+    ManifestError naming the first entry without one. The entries are then
+    grouped by clean utterance (its WAV and reference features), in manifest
+    order, and the groups run on the threads of specmap._pool, as
+    batch_enhance's utterances do; each group reads its clean side once
+    (see _score_utterance). The values come back in manifest order, so the
+    evaluation does not depend on the number of threads. When several
+    utterances fail, the error's class is that of a one-thread run, but
+    which utterance its message names may vary.
     """
     check_choice(mode, MODES, "mode")
     system_dir = Path(system_dir)

@@ -8,6 +8,7 @@ import pytest
 from conftest import run_script
 import specmap
 from specmap import _pool, estimators
+from specmap.audio import Waveform, load_wav, save_wav
 from specmap.cli import main
 from specmap.corpus import CorpusConfig, CorpusManifest
 from specmap.estimators import SpectralFeatureMapper
@@ -424,3 +425,70 @@ def test_report_csv_parses_back_to_identical_values(cli_corpus, tmp_path):
     for row in rows[1:-1]:
         snr_key = f"{float(row[0]):g}"
         assert float(row[col]) == report["means"]["baseline"]["mel_mse"][snr_key]
+
+
+def test_enhance_wpe_dnn_writes_no_waveform_and_scores_none(cli_corpus, tmp_path):
+    manifest = str(cli_corpus / "manifest.json")
+    train_dir, system = tmp_path / "model", tmp_path / "sys_wpe_dnn"
+    assert main([
+        "train", "--manifest", manifest, "--out", str(train_dir), *TRAIN_OVERRIDES,
+        "--set", "input_processing=wpe",
+    ]) == 0
+    assert main([
+        "enhance", "--manifest", manifest, "--out", str(system), "--mode", "wpe_dnn",
+        "--checkpoint", str(train_dir / "model.sfmd"),
+    ]) == 0
+    assert not (system / "waveforms").exists()
+    assert len(list((system / "features").glob("*.sfmf"))) == 12
+    records = [json.loads(line) for line in (system / "run_log.jsonl").read_text().splitlines()]
+    assert records and all("waveform" not in r for r in records)
+    evaluation_path = tmp_path / "eval_wpe_dnn.json"
+    assert main([
+        "evaluate", "--manifest", manifest, "--system-dir", str(system), "--out", str(evaluation_path),
+    ]) == 0
+    for cond in json.loads(evaluation_path.read_text())["conditions"]:
+        assert cond["means"]["mel_mse"] is not None
+        for metric in ("lsd_db", "segsnr_gain_db"):
+            assert cond["means"][metric] is None
+            assert set(cond["per_utterance"][metric].values()) == {None}
+
+
+def _rewrite_at_rate(path, sample_rate):
+    """Rewrite a WAV with another sample rate in its header and the same samples."""
+    save_wav(Waveform(load_wav(path).samples, sample_rate), path, encoding="float32")
+
+
+@pytest.mark.parametrize("reader", ["train", "enhance", "evaluate_clean", "evaluate_system_waveform"])
+def test_a_wav_at_another_sample_rate_is_refused(cli_corpus, tmp_path, capsys, reader):
+    manifest_path = str(cli_corpus / "manifest.json")
+    manifest = CorpusManifest.load(manifest_path)
+    system = tmp_path / "system"
+    mode = "wpe_only" if reader == "evaluate_system_waveform" else "baseline"
+    if reader.startswith("evaluate"):
+        assert main(["enhance", "--manifest", manifest_path, "--out", str(system), "--mode", mode]) == 0
+    entry = manifest.split_entries("train" if reader == "train" else "test")[1]
+    path = {
+        "train": manifest.resolve(entry.noisy_wav),
+        "enhance": manifest.resolve(entry.noisy_wav),
+        "evaluate_clean": manifest.resolve(entry.clean_wav),
+        "evaluate_system_waveform": system / "waveforms" / f"{entry.id}.wav",
+    }[reader]
+    command = {
+        "train": ["train", "--manifest", manifest_path, "--out", str(tmp_path / "m"), *TRAIN_OVERRIDES],
+        "enhance": ["enhance", "--manifest", manifest_path, "--out", str(system), "--mode", mode],
+    }.get(reader, [
+        "evaluate", "--manifest", manifest_path, "--system-dir", str(system),
+        "--out", str(tmp_path / "eval.json"),
+    ])
+    original = path.read_bytes()
+    capsys.readouterr()
+    try:
+        _rewrite_at_rate(path, 8000)
+        code = main(command)
+    finally:
+        path.write_bytes(original)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}: sample rate 8000 != manifest rate 16000" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m").exists() and not (tmp_path / "eval.json").exists()

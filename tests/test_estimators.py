@@ -147,6 +147,27 @@ def test_fit_refuses_unpaired_dev_lists_before_normalizing(monkeypatch, recipe, 
         est.fit(xs[:3], ys[:3], X_dev, y_dev, mel_config=TOY_MEL)
 
 
+@pytest.mark.parametrize("recipe, expected", [
+    ("original", ("global_mvn", "global_minmax_01", "sigmoid", 0.0, False)),  # ignores dropout_rate
+    ("enhanced", ("utterance_mvn", "utterance_mvn", "linear", 0.3, True)),
+])
+def test_fit_trains_as_its_recipe_says(monkeypatch, recipe, expected):
+    seen = {}
+
+    def record_train(model, train_x, train_y, config, dev_x=None, dev_y=None):
+        seen.update(model=model, config=config)
+        return model, None
+
+    monkeypatch.setattr(estimators, "train", record_train)
+    xs, ys = _toy_training_data(4)
+    est = SpectralFeatureMapper(hidden_units=(8,), context=0, recipe=recipe, dropout_rate=0.3)
+    est.fit(xs[:3], ys[:3], xs[3:], ys[3:])
+    model, config = seen["model"], seen["config"]
+    norm = model.norm_spec
+    got = (norm.input_mode, norm.reference_mode, model.output_activation, config.dropout_rate, config.early_stop)
+    assert got == expected
+
+
 def test_fit_trains_the_model_init_model_returns_in_place(monkeypatch):
     original, made = estimators.init_model, []
 

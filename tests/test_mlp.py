@@ -304,6 +304,16 @@ def test_train_requires_dev_for_early_stop():
         train(model, x, y, TrainConfig(early_stop=True))
 
 
+@pytest.mark.parametrize("given", ["dev_inputs", "dev_references"])
+def test_train_refuses_unpaired_dev_data(given):
+    model = init_model([3, 4, 2], "sigmoid", seed=1)
+    x = np.zeros((10, 3))
+    y = np.full((10, 2), 0.5)
+    dev = {"dev_inputs": x[:4], "dev_references": y[:4]}
+    with pytest.raises(ConfigError, match="dev_inputs and dev_references together"):
+        train(model, x, y, TrainConfig(max_epochs=1), **{given: dev[given]})
+
+
 def test_train_bit_reproducible():
     rng = np.random.default_rng(24)
     x = rng.normal(size=(30, 4))

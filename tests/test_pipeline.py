@@ -84,11 +84,10 @@ def test_frame_counts_match_across_modes(tiny_corpus, toy_mapper):
         model = toy_mapper.model_ if mode != "wpe_only" else None
         result = enhance_utterance(wave, _pipeline_config(manifest, mode, model))
         assert result.features.shape == baseline.features.shape, mode
-        if mode.startswith("wpe"):
-            assert result.enhanced_waveform is not None
+        assert (result.enhanced_waveform is not None) == (mode == "wpe_only"), mode
 
 
-def test_cascade_composability(tiny_corpus, toy_mapper):
+def test_cascade_composability(tiny_corpus, toy_mapper, monkeypatch):
     manifest = tiny_corpus
     entry = manifest.split_entries("test")[1]
     wave = load_wav(manifest.resolve(entry.noisy_wav))
@@ -104,6 +103,22 @@ def test_cascade_composability(tiny_corpus, toy_mapper):
         magnitude_floor=floor,
     )
     assert np.array_equal(cascade.features, mapped.denormalized)
+
+    # Each mapping mode maps exactly the input training_features gives fit for the entry.
+    mapped_inputs = []
+
+    def recording_map_features(model, log_spec, *args):
+        mapped_inputs.append(log_spec)
+        return map_features(model, log_spec, *args)
+
+    monkeypatch.setattr(pipeline, "map_features", recording_map_features)
+    for mode, wpe in (("dnn_only", None), ("wpe_dnn", WpeConfig())):
+        mapped_inputs.clear()
+        enhance_utterance(wave, _pipeline_config(manifest, mode, toy_mapper.model_))
+        trained_on = training_features(manifest, "test", wpe)[0][1]
+        assert len(mapped_inputs) == 1, mode
+        assert mapped_inputs[0].dtype == trained_on.dtype and mapped_inputs[0].shape == trained_on.shape
+        assert mapped_inputs[0].tobytes() == trained_on.tobytes(), mode
 
 
 def test_no_hidden_state_between_utterances(tiny_corpus):
@@ -215,7 +230,7 @@ def test_batch_enhance_parallel_matches_serial(tiny_corpus, toy_mapper, tmp_path
         runs = _batch_runs(manifest, config, tmp_path / mode, monkeypatch)
         assert runs[1].features == runs[2].features and runs[1].waveforms == runs[2].waveforms
         assert len(runs[1].features) == len(manifest.split_entries("dev")) and not runs[2].failures
-        assert bool(runs[1].waveforms) == mode.startswith("wpe")
+        assert bool(runs[1].waveforms) == (mode == "wpe_only")
         assert _log_without_seconds(runs[1]) == _log_without_seconds(runs[2])
         for rel in [*runs[1].features.values(), *runs[1].waveforms.values()]:
             one, two = (tmp_path / mode / f"threads{n}" / rel for n in (1, 2))

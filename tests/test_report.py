@@ -10,7 +10,7 @@ import pytest
 from specmap.cli import main
 from specmap.errors import ConfigError, ManifestError, ShapeError, SpecmapError
 from specmap.featio import read_features, write_features
-from specmap import _pool, report
+from specmap import _pool, corpus, report
 from specmap.pipeline import PipelineConfig, batch_enhance
 from specmap.report import (
     ConditionMetrics,
@@ -208,7 +208,8 @@ def test_evaluate_system_on_corpus(tiny_corpus, tmp_path):
         assert cond.means["segsnr_gain_db"] == pytest.approx(0.0)
 
 
-def test_evaluate_system_dnn_waveform_metrics_absent(tiny_corpus, tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", ["dnn_only", "wpe_dnn"])
+def test_evaluate_system_dnn_waveform_metrics_absent(tiny_corpus, tmp_path, monkeypatch, mode):
     manifest = tiny_corpus
     out = tmp_path / "fake_dnn"
     (out / "features").mkdir(parents=True)
@@ -216,8 +217,8 @@ def test_evaluate_system_dnn_waveform_metrics_absent(tiny_corpus, tmp_path, monk
         reference = read_features(manifest.resolve(entry.reference_features))
         write_features(out / "features" / f"{entry.id}.sfmf", reference + 0.25)
     loaded = []
-    monkeypatch.setattr(report, "load_wav", lambda path: loaded.append(path))
-    evaluation = evaluate_system(manifest, out, mode="dnn_only", split="test")
+    monkeypatch.setattr(corpus, "load_wav", lambda path: loaded.append(path))  # every WAV evaluation reads
+    evaluation = evaluate_system(manifest, out, mode=mode, split="test")
     assert loaded == []  # no output waveform, so no WAV is read
     for cond in evaluation.conditions:
         assert cond.means["mel_mse"] == pytest.approx(0.0625)
@@ -285,7 +286,7 @@ def _counted(calls: Counter, fn):
 def test_each_clean_utterance_is_read_once(tiny_corpus, enhanced_systems, mode, monkeypatch):
     monkeypatch.setattr(_pool, "_thread_limit", 2)
     loads, reads = Counter(), Counter()
-    monkeypatch.setattr(report, "load_wav", _counted(loads, report.load_wav))
+    monkeypatch.setattr(corpus, "load_wav", _counted(loads, corpus.load_wav))
     monkeypatch.setattr(report, "read_features", _counted(reads, report.read_features))
     evaluate_system(tiny_corpus, enhanced_systems[mode], mode=mode)
     entries = tiny_corpus.split_entries("test")
