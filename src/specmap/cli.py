@@ -28,14 +28,8 @@ WPE_DEFAULTS = {f"wpe_{f.name}": f.default for f in dataclasses.fields(WpeConfig
 
 MAPPER_DEFAULTS = SpectralFeatureMapper().get_params()
 
-
-def _train_key(param: str) -> str:
-    """The train config key of a SpectralFeatureMapper parameter."""
-    return "hidden" if param == "hidden_units" else param
-
-
 TRAIN_DEFAULTS = {
-    **{_train_key(name): value for name, value in MAPPER_DEFAULTS.items()},
+    **MAPPER_DEFAULTS,
     "input_processing": "noisy",  # or "wpe": train on dereverberated inputs (matched)
     **WPE_DEFAULTS,
 }
@@ -95,7 +89,7 @@ def cmd_train(args) -> int:
     check_choice(config["input_processing"], ("noisy", "wpe"), "input_processing")
     wpe_config = _wpe_config(config)  # checked even when the inputs skip WPE
     wpe = wpe_config if config["input_processing"] == "wpe" else None
-    mapper = SpectralFeatureMapper(**{name: config[_train_key(name)] for name in MAPPER_DEFAULTS})
+    mapper = SpectralFeatureMapper(**{name: config[name] for name in MAPPER_DEFAULTS})
     manifest = corpus_mod.CorpusManifest.load(args.manifest)
     mapper.fit(
         *training_features(manifest, "train", wpe), *training_features(manifest, "dev", wpe)
@@ -108,9 +102,8 @@ def cmd_train(args) -> int:
         checkpoint,
         mapper.model_,
         config={
-            "context": config["context"],
             "recipe": config["recipe"],
-            "input_processing": config["input_processing"],
+            "wpe": None if wpe is None else dataclasses.asdict(wpe),
             "feature_config": manifest.feature_config,
             "sample_rate": manifest.sample_rate,
         },
@@ -133,6 +126,7 @@ def cmd_enhance(args) -> int:
     mode = config["mode"]
     manifest = corpus_mod.CorpusManifest.load(args.manifest)
     stft_config = manifest.stft_config()
+    wpe = _wpe_config(config)
     mapping = {}
     if mode in MAPPING_MODES:
         if not args.checkpoint:
@@ -142,6 +136,11 @@ def cmd_enhance(args) -> int:
             stored = model_config.get(key)
             if stored and stored != getattr(manifest, key):
                 raise ConfigError(f"checkpoint was trained with a different {key} than the manifest")
+        # A mapper trained on WPE output maps only inputs of the same WPE; one trained
+        # on noisy inputs (stored wpe null) is the cascade of two separately built stages.
+        trained_wpe, run_wpe = model_config.get("wpe"), dataclasses.asdict(wpe)
+        if mode == "wpe_dnn" and trained_wpe not in (None, run_wpe):
+            raise ConfigError(f"checkpoint was trained on WPE output with {trained_wpe}, not {run_wpe}")
         # The context a (2c+1)*n_bins input implies; PipelineConfig rejects any other dim.
         context = max(model.input_dim // stft_config.n_bins - 1, 0) // 2
         mapping = {"model": model, "context": context}
@@ -150,7 +149,7 @@ def cmd_enhance(args) -> int:
         mode=mode,
         stft=stft_config,
         mel=manifest.mel_config(),
-        wpe=_wpe_config(config),
+        wpe=wpe,
         **mapping,
     )
     out_dir = Path(args.out)

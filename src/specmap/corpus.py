@@ -7,6 +7,7 @@ the file-list arguments of build_corpus.
 """
 
 import json
+import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -210,6 +211,11 @@ def synth_noise(
     return Waveform(samples, sample_rate)
 
 
+def _finite_number(value) -> bool:
+    """Whether value is a finite real number and not a boolean: what an SNR in dB may be."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and bool(np.isfinite(value))
+
+
 @dataclass
 class ManifestEntry:
     """One mixture; the fields are exactly the manifest JSON keys of an entry."""
@@ -232,8 +238,7 @@ class ManifestEntry:
             nullable = f.name in ("noise_id", "rir_id")
             if f.name != "snr_db" and not isinstance(value, str) and not (nullable and value is None):
                 raise ConfigError(f"manifest entry field {f.name} must be a string, got {value!r}")
-        number = isinstance(self.snr_db, (int, float)) and not isinstance(self.snr_db, bool)
-        if self.snr_db is not None and not (number and np.isfinite(self.snr_db)):
+        if self.snr_db is not None and not _finite_number(self.snr_db):
             raise ConfigError(f"snr_db must be a finite number or None, got {self.snr_db!r}")
 
     def to_dict(self) -> dict:
@@ -330,12 +335,10 @@ class CorpusConfig:
     n_train: int = 20
     n_dev: int = 5
     n_test: int = 5
-    snr_grid: tuple = DEFAULT_SNR_GRID
-    add_noise: bool = True
+    snr_grid: tuple = DEFAULT_SNR_GRID  # empty: no additive noise
     noise_color: str = "pink"
-    reverb: bool = True
     t60: float = 0.5
-    n_rirs: int = 3
+    n_rirs: int = 3  # 0: no reverberation
     n_noises: int = 2
     frame_len: int = 400
     hop: int = 160
@@ -355,12 +358,17 @@ class CorpusConfig:
         check_choice(self.noise_color, tuple(_NOISE_POWER_SLOPES), "noise_color")
         for name, count in (("n_train", self.n_train), ("n_dev", self.n_dev), ("n_test", self.n_test)):
             check_nonnegative(count, name)
-        if self.add_noise and not self.snr_grid:
-            raise ConfigError("snr_grid must be nonempty when add_noise is on")
-        if self.reverb:
-            check_positive(self.n_rirs, "n_rirs")
-        if self.add_noise:
+        check_nonnegative(self.n_rirs, "n_rirs")
+        if self.snr_grid:
             check_positive(self.n_noises, "n_noises")
+        for snr_db in self.snr_grid:
+            if not _finite_number(snr_db):
+                raise ConfigError(f"snr_grid values must be finite numbers, got {snr_db!r}")
+        # Each value names its entries and seeds their mix, so two must not share a label.
+        labels = Counter(_snr_label(float(snr_db)) for snr_db in self.snr_grid)
+        repeated = sorted(label for label, n in labels.items() if n > 1)
+        if repeated:
+            raise ConfigError(f"snr_grid values must be distinct, repeated: {repeated}")
         check_positive(self.magnitude_floor, "magnitude_floor")
 
     def stft_config(self) -> StftConfig:
@@ -405,7 +413,9 @@ def build_corpus(
 
     Per entry: reverberant = clean * RIR truncated to the clean length (so
     frame counts match the reference); noisy = reverberant + scaled noise at
-    the entry's SNR. Reference mel features always come from the clean signal.
+    the entry's SNR. An empty snr_grid makes one entry per utterance with
+    no noise (snr_db None), n_rirs=0 leaves reverberant equal to clean (rir_id
+    None). Reference mel features always come from the clean signal.
     Every random choice derives from config.seed, so a rerun reproduces the
     corpus byte for byte. RIR and noise pools are drawn per split, so test
     rooms and noises differ from training ones.
@@ -426,30 +436,27 @@ def build_corpus(
         root=root, sample_rate=sr, feature_config=config.feature_config_dict()
     )
     counts = {"train": config.n_train, "dev": config.n_dev, "test": config.n_test}
-    snr_values: list[Optional[float]] = (
-        [float(s) for s in config.snr_grid] if config.add_noise else [None]
-    )
+    snr_values: list[Optional[float]] = [float(s) for s in config.snr_grid] or [None]
     # Each RIR ends at the nominal -60 dB point, with at least one tail sample.
     rir_len = max(int(round(config.t60 * sr)), 2)
 
     for split in SPLITS:
         rirs = []
-        if config.reverb:
-            for j in range(config.n_rirs):
-                # Rooms differ per split and per index: jittered t60 and DRR keep
-                # the reverberation from being a single learnable transformation.
-                param_rng = np.random.default_rng(derive_seed(config.seed, f"rirparams/{split}/{j}"))
-                t60 = config.t60 * (1.0 + T60_JITTER * param_rng.uniform(-1.0, 1.0))
-                drr_db = DRR_JITTER_DB * param_rng.uniform(-1.0, 1.0)
-                rir_cfg = RirConfig(
-                    t60=t60, length=rir_len, seed=derive_seed(config.seed, f"rir/{split}/{j}")
-                )
-                rir = synth_rir(rir_cfg, sr)
-                rir.samples[1:] *= 10.0 ** (-drr_db / 20.0)  # the tail after the direct path
-                save_wav(rir, root / "rir" / f"{split}_rir{j}.wav", encoding="float32")
-                rirs.append(rir)
+        for j in range(config.n_rirs):
+            # Rooms differ per split and per index: jittered t60 and DRR keep
+            # the reverberation from being a single learnable transformation.
+            param_rng = np.random.default_rng(derive_seed(config.seed, f"rirparams/{split}/{j}"))
+            t60 = config.t60 * (1.0 + T60_JITTER * param_rng.uniform(-1.0, 1.0))
+            drr_db = DRR_JITTER_DB * param_rng.uniform(-1.0, 1.0)
+            rir_cfg = RirConfig(
+                t60=t60, length=rir_len, seed=derive_seed(config.seed, f"rir/{split}/{j}")
+            )
+            rir = synth_rir(rir_cfg, sr)
+            rir.samples[1:] *= 10.0 ** (-drr_db / 20.0)  # the tail after the direct path
+            save_wav(rir, root / "rir" / f"{split}_rir{j}.wav", encoding="float32")
+            rirs.append(rir)
         noises = []
-        if config.add_noise:
+        if config.snr_grid:
             noise_duration = 2.0 * config.utterance_seconds + 1.0
             for j in range(config.n_noises):
                 if external_noise:
@@ -474,7 +481,7 @@ def build_corpus(
             save_wav(clean, root / clean_rel, encoding="float32")
 
             rir_id = None
-            if config.reverb:
+            if rirs:
                 rir_index = i % len(rirs)
                 rir_id = f"{split}_rir{rir_index}"
                 reverberant = Waveform(

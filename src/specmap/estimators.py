@@ -206,6 +206,7 @@ class SpectralFeatureMapper:
         assembled = self._assemble(X)
         norm = fit_normalizer(assembled, list(y), recipe.input_mode, recipe.reference_mode)
         train_x = _normalized_rows(assembled, norm, "input")
+        del assembled  # the padded copies behind the windows, not needed through training
         train_y = _normalized_rows(y, norm, "reference")
         dev_x = dev_y = None
         if has_dev:

@@ -332,7 +332,7 @@ def _end_to_end_run(root):
     assert cli_main([
         "train", "--manifest", manifest, "--out", str(model_dir),
         "--recipe", "original", "--seed", "17",
-        "--set", "hidden=12,12", "--set", "context=1",
+        "--set", "hidden_units=12,12", "--set", "context=1",
         "--set", "batch_size=64", "--set", "learning_rate=0.1", "--set", "max_epochs=2",
     ]) == 0
     checkpoint = str(model_dir / "model.sfmd")

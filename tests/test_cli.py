@@ -1,20 +1,24 @@
 import csv
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import run_script
 import specmap
-from specmap import _pool, estimators
+from specmap import _pool, cli, estimators
 from specmap.audio import Waveform, load_wav, save_wav
-from specmap.cli import main
+from specmap.cli import TRAIN_DEFAULTS, main
 from specmap.corpus import CorpusConfig, CorpusManifest
 from specmap.estimators import SpectralFeatureMapper
 from specmap.featio import load_model, read_features, save_model, write_features
 from specmap.features import NormalizationSpec
 from specmap.mlp import early_stop_decision, init_model
+from specmap.runconfig import resolve_config, write_resolved
 from specmap.wpe import WpeConfig
 
 BASE_OVERRIDES = [
@@ -24,7 +28,7 @@ BASE_OVERRIDES = [
 ]
 
 TRAIN_OVERRIDES = [
-    "--set", "hidden=12,12", "--set", "context=1",
+    "--set", "hidden_units=12,12", "--set", "context=1",
     "--set", "batch_size=64", "--set", "learning_rate=0.1", "--set", "max_epochs=2",
 ]
 
@@ -43,6 +47,31 @@ def test_simulate_writes_manifest_and_config(cli_corpus):
     assert len(manifest["entries"]) == (3 + 2 + 2) * 6
     frozen = (cli_corpus / "config.resolved").read_text()
     assert "seed=5" in frozen
+
+
+def _readme_walkthrough_commands():
+    """The specmap command lines of README's CLI walkthrough, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI walkthrough", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    lines = (line.strip() for line in block.splitlines())
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("specmap ")]
+
+
+def test_readme_cli_walkthrough_names_only_real_keys_and_choices():
+    # Parsed as the CLI parses it, which checks every --mode and --recipe
+    # choice; nothing runs. Each --set key must then be one of its command's.
+    defaults = {
+        "simulate": cli.SIMULATE_DEFAULTS, "train": cli.TRAIN_DEFAULTS,
+        "enhance": cli.ENHANCE_DEFAULTS, "evaluate": cli.EVALUATE_DEFAULTS,
+    }
+    commands = _readme_walkthrough_commands()
+    for tokens in commands:
+        args = cli.build_parser().parse_args(tokens[1:])
+        if args.command in defaults:
+            resolve_config(defaults[args.command], overrides=args.overrides, environ={})
+    assert {tokens[1] for tokens in commands} == {"simulate", "train", "enhance", "evaluate", "report"}
+    assert sum("--set" in tokens for tokens in commands) >= 3
 
 
 def test_every_exported_name_resolves():
@@ -73,6 +102,46 @@ def test_simulate_with_a_bad_front_end_writes_nothing(tmp_path, capsys, setting)
     assert main(["simulate", "--out", str(out), *BASE_OVERRIDES, "--set", setting]) == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0,0", "nan", "inf", "3,-6,3.0"])
+def test_simulate_refuses_an_snr_grid_it_cannot_build_and_writes_nothing(tmp_path, capsys, grid):
+    out = tmp_path / "corpus"
+    assert main(["simulate", "--out", str(out), *BASE_OVERRIDES, "--set", f"snr_grid={grid}"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: snr_grid values must be ")
+    assert not out.exists()
+
+
+def test_simulate_with_an_empty_snr_grid_reruns_from_its_config_resolved(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    overrides = [*BASE_OVERRIDES, "--set", "snr_grid=", "--set", "n_rirs=0"]
+    assert main(["simulate", "--out", str(first), *overrides]) == 0
+    assert main(["simulate", "--out", str(second), "--config", str(first / "config.resolved")]) == 0
+    manifest = CorpusManifest.load(first / "manifest.json")
+    assert len(manifest.entries) == 3 + 2 + 2
+    assert all(e.snr_db is None and e.rir_id is None for e in manifest.entries)
+    for name in ("manifest.json", "config.resolved"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command, old_key", [
+    ("simulate", "add_noise=true"), ("simulate", "reverb=false"), ("train", "hidden=12,12"),
+])
+def test_a_config_resolved_with_a_removed_key_is_refused(cli_corpus, tmp_path, capsys, command, old_key):
+    # add_noise and reverb are gone (an empty snr_grid, n_rirs=0), and hidden
+    # is spelled hidden_units like the mapper parameter it sets.
+    old = tmp_path / "old.resolved"
+    if command == "simulate":
+        old.write_text((cli_corpus / "config.resolved").read_text() + old_key + "\n")
+        args = ["simulate", "--out", str(tmp_path / "x")]
+    else:
+        write_resolved({k: v for k, v in TRAIN_DEFAULTS.items() if k != "hidden_units"}, tmp_path)
+        old.write_text((tmp_path / "config.resolved").read_text() + old_key + "\n")
+        args = ["train", "--manifest", str(cli_corpus / "manifest.json"), "--out", str(tmp_path / "x")]
+    assert main([*args, "--config", str(old)]) == 1
+    key = old_key.split("=")[0]
+    assert capsys.readouterr().err == f"configuration error: config file: unknown configuration key {key!r}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_mode_and_usage_errors(tmp_path, capsys):
@@ -149,9 +218,7 @@ def test_config_resolved_holds_exactly_the_derived_keys(cli_corpus, tmp_path):
     assert main(["train", "--manifest", manifest, "--out", str(train_dir), *TRAIN_OVERRIDES]) == 0
     assert main(["enhance", "--manifest", manifest, "--out", str(enhance_dir)]) == 0
     wpe_keys = {f"wpe_{f.name}" for f in dataclasses.fields(WpeConfig)}
-    mapper_keys = {
-        "hidden" if name == "hidden_units" else name for name in SpectralFeatureMapper().get_params()
-    }
+    mapper_keys = set(SpectralFeatureMapper().get_params())
     assert _resolved_keys(cli_corpus) == {f.name for f in dataclasses.fields(CorpusConfig)}
     assert _resolved_keys(train_dir) == mapper_keys | {"input_processing"} | wpe_keys
     assert _resolved_keys(enhance_dir) == {"mode", "split", "save_waveforms"} | wpe_keys
@@ -183,6 +250,28 @@ def test_enhance_rejects_a_checkpoint_of_another_sample_rate(cli_corpus, tmp_pat
     assert code == 1
     assert "sample_rate" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_wpe_dnn_refuses_a_mapper_trained_on_other_wpe_settings(cli_corpus, tmp_path, capsys):
+    manifest = str(cli_corpus / "manifest.json")
+    model_dir = tmp_path / "m"
+    assert main([
+        "train", "--manifest", manifest, "--out", str(model_dir),
+        "--set", "input_processing=wpe", "--set", "wpe_taps=5", *TRAIN_OVERRIDES,
+    ]) == 0
+    _, config = load_model(model_dir / "model.sfmd")
+    assert config["wpe"] == dataclasses.asdict(WpeConfig(taps=5))
+    assert "input_processing" not in config and "context" not in config
+    enhance = [
+        "enhance", "--manifest", manifest, "--mode", "wpe_dnn",
+        "--checkpoint", str(model_dir / "model.sfmd"), "--set", "save_waveforms=false",
+    ]
+    assert main([*enhance, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: checkpoint was trained on WPE output with {")
+    assert "'taps': 5" in err and "'taps': 10" in err
+    assert not (tmp_path / "x").exists()
+    assert main([*enhance, "--out", str(tmp_path / "y"), "--set", "wpe_taps=5"]) == 0
 
 
 def test_enhance_rejects_a_mapper_of_another_output_width(tmp_path):
@@ -269,7 +358,7 @@ def test_train_enhanced_recipe_records_consistent_history(cli_corpus, tmp_path):
     code = main([
         "train", "--manifest", str(cli_corpus / "manifest.json"), "--out", str(train_dir),
         "--recipe", "enhanced", "--seed", "4",
-        "--set", "hidden=12,12", "--set", "context=1",
+        "--set", "hidden_units=12,12", "--set", "context=1",
         "--set", "batch_size=64", "--set", "learning_rate=0.1", "--set", "max_epochs=6",
         "--set", "dropout_rate=0.1",
     ])

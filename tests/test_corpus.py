@@ -276,17 +276,35 @@ def test_build_corpus_rerun_is_byte_identical(tmp_path):
     assert [e.id for e in first.entries] == [e.id for e in second.entries]
 
 
-def test_build_corpus_no_noise_mode(tmp_path):
+def test_build_corpus_with_an_empty_snr_grid_adds_no_noise(tmp_path):
     config = CorpusConfig(
-        utterance_seconds=0.6, n_train=0, n_dev=0, n_test=3, add_noise=False, n_rirs=1, seed=4,
+        utterance_seconds=0.6, n_train=0, n_dev=0, n_test=3, snr_grid=(), n_rirs=1, seed=4,
     )
     manifest = build_corpus(config, tmp_path / "nn")
     entries = manifest.split_entries("test")
     assert len(entries) == 3
-    assert all(e.snr_db is None for e in entries)
+    assert all(e.snr_db is None and e.noise_id is None for e in entries)
+    assert all(e.rir_id == "test_rir0" for e in entries)
+    assert not list((tmp_path / "nn" / "noise").iterdir())
     noisy = load_wav(manifest.resolve(entries[0].noisy_wav))
     reverberant = load_wav(manifest.resolve(entries[0].reverberant_wav))
     assert np.array_equal(noisy.samples, reverberant.samples)
+
+
+def test_build_corpus_with_no_rirs_adds_no_reverberation(tmp_path):
+    config = CorpusConfig(
+        utterance_seconds=0.6, n_train=1, n_dev=1, n_test=2, snr_grid=(-6.0, 9.0), n_rirs=0,
+        n_noises=1, seed=4,
+    )
+    root = tmp_path / "noise_only"
+    manifest = build_corpus(config, root)
+    assert len(manifest.entries) == (1 + 1 + 2) * 2
+    assert {e.snr_db for e in manifest.entries} == {-6.0, 9.0}
+    assert all(e.rir_id is None for e in manifest.entries)
+    assert not list((root / "rir").iterdir())
+    for entry in manifest.entries:
+        reverberant = manifest.resolve(entry.reverberant_wav).read_bytes()
+        assert reverberant == manifest.resolve(entry.clean_wav).read_bytes(), entry.id
 
 
 def test_build_corpus_mixes_external_noise_files(tmp_path):
@@ -327,7 +345,27 @@ def test_missing_source_files_reported(tmp_path):
     assert "a.wav" in str(excinfo.value) and "b.wav" in str(excinfo.value)
 
 
-def test_invalid_corpus_config_names_field():
+@pytest.mark.parametrize("setting, named", [
+    ({"t60": -0.5}, "t60"),
+    ({"n_rirs": -1}, "n_rirs"),
+    ({"snr_grid": (0.0, 3.0, 0.0)}, "distinct, repeated: ['snr0']"),
+    ({"snr_grid": (3, 3.0)}, "distinct, repeated: ['snr3']"),
+    ({"snr_grid": (1.5, 1.5000001)}, "distinct, repeated: ['snr1p5']"),  # one label, one mix seed
+    ({"snr_grid": (0.0, float("nan"))}, "finite numbers, got nan"),
+    ({"snr_grid": (float("inf"),)}, "finite numbers, got inf"),
+    ({"snr_grid": (-float("inf"),)}, "finite numbers, got -inf"),
+    ({"snr_grid": ("3",)}, "finite numbers, got '3'"),
+    ({"snr_grid": (True,)}, "finite numbers, got True"),
+    ({"snr_grid": (None,)}, "finite numbers, got None"),
+])
+def test_invalid_corpus_config_names_field(setting, named):
     with pytest.raises(ConfigError) as excinfo:
-        CorpusConfig(t60=-0.5)
-    assert "t60" in str(excinfo.value)
+        CorpusConfig(**setting)
+    assert named in str(excinfo.value)
+
+
+def test_a_corpus_without_noise_or_reverberation_needs_no_noise_or_rir_count():
+    CorpusConfig(snr_grid=(), n_noises=0, n_rirs=0)
+    CorpusConfig(snr_grid=(np.float64(-6.0), np.int64(3)))
+    with pytest.raises(ConfigError, match="n_noises"):
+        CorpusConfig(n_noises=0)
