@@ -32,7 +32,6 @@ from .mlp import (
     MlpModel,
     TrainConfig,
     TrainHistory,
-    early_stop_decision,
     forward,
     init_model,
     map_features,
@@ -76,7 +75,6 @@ __all__ = [
     "build_report",
     "condition_average",
     "convolve",
-    "early_stop_decision",
     "enhance_utterance",
     "evaluate_system",
     "fit_normalizer",

@@ -114,10 +114,7 @@ def cmd_train(args) -> int:
         fh.write("\n")
     write_resolved(config, out_dir)
     print(f"checkpoint: {checkpoint}")
-    print(
-        f"epochs: {len(history.train_cost)}, stop_reason: {history.stop_reason}, "
-        f"best_epoch: {history.best_epoch}"
-    )
+    print(f"epochs: {len(history.train_cost)}, best_epoch: {history.best_epoch}")
     return 0
 
 
@@ -136,11 +133,14 @@ def cmd_enhance(args) -> int:
             stored = model_config.get(key)
             if stored and stored != getattr(manifest, key):
                 raise ConfigError(f"checkpoint was trained with a different {key} than the manifest")
-        # A mapper trained on WPE output maps only inputs of the same WPE; one trained
-        # on noisy inputs (stored wpe null) is the cascade of two separately built stages.
-        trained_wpe, run_wpe = model_config.get("wpe"), dataclasses.asdict(wpe)
-        if mode == "wpe_dnn" and trained_wpe not in (None, run_wpe):
-            raise ConfigError(f"checkpoint was trained on WPE output with {trained_wpe}, not {run_wpe}")
+        # A mapper trained on WPE output maps only inputs of the same WPE: wpe_dnn feeds
+        # it this run's WPE output and dnn_only noisy inputs. One trained on noisy inputs
+        # (stored wpe null) maps either; under wpe_dnn it is the paper's first cascade.
+        trained_wpe = model_config.get("wpe")
+        fed_wpe = dataclasses.asdict(wpe) if mode == "wpe_dnn" else None
+        if trained_wpe not in (None, fed_wpe):
+            fed = fed_wpe or "noisy inputs"
+            raise ConfigError(f"checkpoint was trained on WPE output with {trained_wpe}, not {fed}")
         # The context a (2c+1)*n_bins input implies; PipelineConfig rejects any other dim.
         context = max(model.input_dim // stft_config.n_bins - 1, 0) // 2
         mapping = {"model": model, "context": context}

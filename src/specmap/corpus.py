@@ -21,7 +21,7 @@ from .featio import write_features
 from .mel import MelConfig, log_mel, mel_matrix
 from .seeding import derive_seed
 from .stft import DEFAULT_MAGNITUDE_FLOOR, StftConfig, stft
-from .validation import check_choice, check_nonnegative, check_positive
+from .validation import check_choice, check_count, check_positive
 
 SPLITS = ("train", "dev", "test")
 DEFAULT_SNR_GRID = (-6.0, -3.0, 0.0, 3.0, 6.0, 9.0)
@@ -356,11 +356,9 @@ class CorpusConfig:
         check_positive(self.utterance_seconds, "utterance_seconds")
         check_positive(self.t60, "t60")
         check_choice(self.noise_color, tuple(_NOISE_POWER_SLOPES), "noise_color")
-        for name, count in (("n_train", self.n_train), ("n_dev", self.n_dev), ("n_test", self.n_test)):
-            check_nonnegative(count, name)
-        check_nonnegative(self.n_rirs, "n_rirs")
-        if self.snr_grid:
-            check_positive(self.n_noises, "n_noises")
+        for name in ("n_train", "n_dev", "n_test", "n_rirs"):
+            check_count(getattr(self, name), name)
+        check_count(self.n_noises, "n_noises", minimum=1 if self.snr_grid else 0)
         for snr_db in self.snr_grid:
             if not _finite_number(snr_db):
                 raise ConfigError(f"snr_grid values must be finite numbers, got {snr_db!r}")

@@ -33,7 +33,7 @@ class Recipe(NamedTuple):
     reference_mode: str
     output_activation: str
     dropout: bool     # whether dropout_rate applies; without it, no dropout at all
-    early_stop: bool  # cross-validates each epoch, so fit needs a dev set
+    early_stop: bool  # keeps the epoch of lowest dev cost, so fit needs a dev set
 
 
 RECIPES = {
@@ -106,8 +106,8 @@ class SpectralFeatureMapper:
     MVN-normalized inputs, [0,1] min-max references, a sigmoid output layer,
     no dropout (dropout_rate is ignored), and a fixed epoch count. The
     "enhanced" recipe switches both normalizations to utterance-level MVN,
-    uses a linear output (MVN targets leave (0,1)), enables dropout and
-    stops early on the dev set.
+    uses a linear output (MVN targets leave (0,1)), enables dropout, and
+    trains every epoch but keeps the one with the lowest dev cost.
     """
 
     def __init__(

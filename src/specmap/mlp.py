@@ -38,14 +38,11 @@ from .features import (
 from .mel import MEL_MODES
 from .seeding import derive_seed
 from .stft import DEFAULT_MAGNITUDE_FLOOR
-from .validation import all_finite, as_float32, as_float_matrix, check_choice, check_positive
+from .validation import all_finite, as_float32, as_float_matrix, check_choice, check_count, check_positive
 
 OUTPUT_ACTIVATIONS = ("sigmoid", "linear")
 
 ADAGRAD_EPSILON = 1e-8
-# The relative dev-cost thresholds of early_stop_decision.
-INCREASE_THRESHOLD = 0.01
-IMPROVEMENT_THRESHOLD = 0.001
 
 # (floor, ceiling) of the sigmoid per dtype. Each bound is representable in
 # its dtype: a float64 ceiling would round up to 1.0 in float32 and the
@@ -310,14 +307,12 @@ class TrainConfig:
     learning_rate: float = 0.01
     max_epochs: int = 50
     dropout_rate: float = 0.0
-    early_stop: bool = False
+    early_stop: bool = False  # return the epoch of lowest dev cost; needs a dev set
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        check_count(self.batch_size, "batch_size", minimum=1)
+        check_count(self.max_epochs, "max_epochs", minimum=1)
         check_positive(self.learning_rate, "learning_rate")
         if not np.isfinite(self.learning_rate):
             raise ConfigError(f"learning_rate must be finite, got {self.learning_rate!r}")
@@ -387,28 +382,10 @@ def evaluate_cost(model: MlpModel, inputs: np.ndarray, references: np.ndarray) -
     return total / max(1, references.size)
 
 
-def early_stop_decision(dev_costs: Sequence[float]) -> Optional[str]:
-    """Stop rule on the dev-cost sequence so far.
-
-    Returns "dev_increase" when the latest cost rose by more than
-    INCREASE_THRESHOLD relative to the previous epoch, "dev_plateau" when it
-    failed to improve by at least IMPROVEMENT_THRESHOLD relative, else None.
-    """
-    if len(dev_costs) < 2:
-        return None
-    prev, cur = dev_costs[-2], dev_costs[-1]
-    if cur > prev * (1.0 + INCREASE_THRESHOLD):
-        return "dev_increase"
-    if (prev - cur) < IMPROVEMENT_THRESHOLD * prev:
-        return "dev_plateau"
-    return None
-
-
 @dataclass
 class TrainHistory:
     train_cost: list[float] = field(default_factory=list)
     dev_cost: list[float] = field(default_factory=list)
-    stop_reason: str = "max_epochs"
     best_epoch: int = 0
 
     def to_dict(self) -> dict:
@@ -434,12 +411,15 @@ def train(
     and dev inputs without dev references, or the reverse (a ConfigError).
     Every batch is gathered from that one copy. The references stay
     float64. Each batch goes through train_step, and the dev cost is
-    evaluate_cost's. When a stop rule fires after epoch e, the
-    parameters from epoch e-1 are restored and reported as best_epoch. The
-    last step can leave parameters that are not finite with no later batch
-    cost to show it, as a learning rate far too large does; returning them
-    is a NumericError instead. Dedicated child seeds keep the shuffle and
-    dropout streams independent of each other and of init.
+    evaluate_cost's. Every run trains all max_epochs epochs. With
+    early_stop set, train returns the parameters of the first epoch with
+    the lowest dev cost and reports that epoch as best_epoch, copying the
+    parameters only when an epoch sets a new lowest cost; without it,
+    best_epoch is max_epochs. The last step can leave parameters that are
+    not finite with no later batch cost to show it, as a learning rate far
+    too large does; returning them is a NumericError instead. Dedicated
+    child seeds keep the shuffle and dropout streams independent of each
+    other and of init.
     """
     x = as_float32(train_inputs, "train inputs", 2)
     y = as_float_matrix(train_references, "train references")
@@ -465,10 +445,9 @@ def train(
     hidden_dims = model.layer_dims[1:-1]
     adagrad = AdagradState(model)
     history = TrainHistory(best_epoch=config.max_epochs)
+    best = None
 
     for epoch in range(1, config.max_epochs + 1):
-        if config.early_stop:
-            previous = model.copy_parameters()
         order = shuffle_rng.permutation(x.shape[0])
         batch_costs = []
         for start in range(0, len(order), config.batch_size):
@@ -480,13 +459,11 @@ def train(
         history.train_cost.append(float(np.mean(batch_costs)))
         if has_dev:
             history.dev_cost.append(evaluate_cost(model, dev_x, dev_y))
-        if config.early_stop:
-            reason = early_stop_decision(history.dev_cost)
-            if reason is not None:
-                model.weights, model.biases = previous
-                history.stop_reason = reason
-                history.best_epoch = epoch - 1
-                break
+        if config.early_stop and history.dev_cost[-1] < min(history.dev_cost[:-1], default=np.inf):
+            best = model.copy_parameters()
+            history.best_epoch = epoch
+    if best is not None:
+        model.weights, model.biases = best
     if not all(all_finite(p) for p in model.weights + model.biases):
         raise NumericError("training diverged: the trained parameters are not finite")
     return model, history

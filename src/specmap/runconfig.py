@@ -1,19 +1,17 @@
-"""Flat key=value run configuration with env and command-line overrides.
+"""Flat key=value run configuration with command-line overrides.
 
-Precedence (lowest to highest): built-in defaults, config file, environment
-variables prefixed SPECMAP_, --set key=value flags. Values are coerced to
-the type of the default; list-valued keys take comma-separated items, and
-a key whose default is None takes `none` or a float.
+Precedence (lowest to highest): built-in defaults, config file, --set
+key=value flags. A key that has no default is an error in either source.
+Values are coerced to the type of the default; list-valued keys take
+comma-separated items, and a key whose default is None takes `none` or a
+float.
 """
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 from .errors import ConfigError
-
-ENV_PREFIX = "SPECMAP_"
 
 
 def parse_kv_file(path) -> dict:
@@ -65,30 +63,18 @@ def _coerce(key: str, raw: str, default):
     return raw
 
 
-def env_overrides(environ=None) -> dict:
-    environ = os.environ if environ is None else environ
-    found = {}
-    for name, value in environ.items():
-        if name.startswith(ENV_PREFIX):
-            found[name[len(ENV_PREFIX):].lower()] = value
-    return found
-
-
-def resolve_config(defaults: dict, file_path=None, overrides=None, environ=None) -> dict:
-    """Merge all sources; unknown keys in explicit overrides are errors."""
+def resolve_config(defaults: dict, file_path=None, overrides=None) -> dict:
+    """Merge the defaults, the config file and the overrides; unknown keys are errors."""
     resolved = dict(defaults)
     layers = []
     if file_path is not None:
-        layers.append(("config file", parse_kv_file(file_path), False))
-    layers.append(("environment", env_overrides(environ), True))
-    layers.append(("override", parse_overrides(overrides), False))
-    for source, values, lenient in layers:
+        layers.append(("config file", parse_kv_file(file_path)))
+    layers.append(("override", parse_overrides(overrides)))
+    for source, values in layers:
         for key, raw in values.items():
             if key not in defaults:
-                if lenient:
-                    continue
                 raise ConfigError(f"{source}: unknown configuration key {key!r}")
-            resolved[key] = _coerce(key, raw, defaults[key]) if isinstance(raw, str) else raw
+            resolved[key] = _coerce(key, raw, defaults[key])
     return resolved
 
 

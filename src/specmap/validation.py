@@ -76,6 +76,12 @@ def check_nonnegative(value, name: str) -> None:
         raise ConfigError(f"{name} must be >= 0, got {value!r}")
 
 
+def check_count(value, name: str, minimum: int = 0) -> None:
+    """ConfigError unless value is an integer, not a bool, of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def check_choice(value, options, name: str) -> None:
     if value not in options:
         raise ConfigError(f"{name} must be one of {sorted(options)}, got {value!r}")

@@ -19,10 +19,12 @@ from specmap.featio import read_features
 from specmap.mel import log_mel, mel_matrix
 from specmap.metrics import log_spectral_distortion, mel_mse
 from specmap.mlp import (
-    early_stop_decision,
+    TrainConfig,
+    evaluate_cost,
     init_model,
     loss_and_gradients,
     make_dropout_masks,
+    train,
 )
 from specmap.pipeline import PipelineConfig, enhance_utterance
 from specmap.report import build_report, SystemEvaluation, ConditionMetrics
@@ -150,40 +152,49 @@ def test_criterion_04_wpe_objective_monotone(reverb_only_utterances):
 
 
 def test_criterion_05_early_stop_oracle():
-    def reference(costs, increase=0.01, improvement=0.001):
-        # independent reimplementation of the two stop rules
-        for epoch in range(2, len(costs) + 1):
-            prev, cur = costs[epoch - 2], costs[epoch - 1]
-            if cur > prev * (1 + increase):
-                return epoch, epoch - 1, "dev_increase"
-            if (prev - cur) < improvement * prev:
-                return epoch, epoch - 1, "dev_plateau"
-        return len(costs), len(costs), "max_epochs"
+    # Each case learns a noisy linear map from 24 frames, so its dev cost
+    # reaches its lowest value at an epoch that varies from case to case.
+    mismatches, best_epochs = 0, []
+    for case in range(40):
+        rng = np.random.default_rng(case)
+        w = rng.normal(size=(4, 2))
+        x = rng.normal(size=(24, 4))
+        y = x @ w + rng.normal(size=(24, 2))
+        dev_x = rng.normal(size=(10, 4))
+        dev_y = dev_x @ w + rng.normal(0.0, 0.5, size=2)
+        activation = ("linear", "sigmoid")[case % 2]
+        if activation == "sigmoid":
+            y, dev_y = 1.0 / (1.0 + np.exp(-y)), 1.0 / (1.0 + np.exp(-dev_y))
 
-    def training_loop_decision(costs):
-        # replays the decision sequence exactly as the epoch loop applies it
-        seen = []
-        for epoch, cost in enumerate(costs, start=1):
-            seen.append(cost)
-            reason = early_stop_decision(seen)
-            if reason is not None:
-                return epoch, epoch - 1, reason
-        return len(costs), len(costs), "max_epochs"
+        def run(max_epochs, early_stop):
+            config = TrainConfig(
+                batch_size=8, learning_rate=0.1, max_epochs=max_epochs,
+                dropout_rate=(0.0, 0.2)[case // 2 % 2], early_stop=early_stop, rng_seed=case,
+            )
+            model = init_model([4, 12, 2], activation, seed=100 + case)
+            return train(model, x, y, config, dev_x, dev_y)
 
-    rng = np.random.default_rng(123)
-    mismatches = 0
-    for _ in range(1000):
-        length = int(rng.integers(1, 15))
-        base = float(rng.uniform(0.5, 20.0))
-        steps = rng.normal(0, 0.01 * base, size=length)
-        costs = np.abs(base + np.cumsum(steps)).tolist()
-        if training_loop_decision(costs) != reference(costs):
+        stopped, history = run(12, True)
+        best = history.best_epoch
+        best_epochs.append(best)
+        fresh, _ = run(best, False)
+        same_bytes = all(
+            a.tobytes() == b.tobytes()
+            for a, b in zip(stopped.weights + stopped.biases, fresh.weights + fresh.biases)
+        )
+        if not (
+            len(history.dev_cost) == 12
+            and best == 1 + int(np.argmin(history.dev_cost))
+            and same_bytes
+            and evaluate_cost(stopped, dev_x, dev_y) == min(history.dev_cost)
+        ):
             mismatches += 1
     _criterion(
         5,
-        "training-loop stop epoch matches the rule oracle on 1000 random dev sequences",
+        "early stopping returns the first epoch of lowest dev cost, bit for bit, on 40 runs",
         mismatches == 0,
-        f"mismatches={mismatches}",
+        f"mismatches={mismatches}, best epochs {min(best_epochs)}-{max(best_epochs)}, "
+        f"{sum(1 < b < 12 for b in best_epochs)} between the first and last",
     )
 
 

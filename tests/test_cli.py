@@ -17,7 +17,7 @@ from specmap.corpus import CorpusConfig, CorpusManifest
 from specmap.estimators import SpectralFeatureMapper
 from specmap.featio import load_model, read_features, save_model, write_features
 from specmap.features import NormalizationSpec
-from specmap.mlp import early_stop_decision, init_model
+from specmap.mlp import init_model
 from specmap.runconfig import resolve_config, write_resolved
 from specmap.wpe import WpeConfig
 
@@ -69,7 +69,7 @@ def test_readme_cli_walkthrough_names_only_real_keys_and_choices():
     for tokens in commands:
         args = cli.build_parser().parse_args(tokens[1:])
         if args.command in defaults:
-            resolve_config(defaults[args.command], overrides=args.overrides, environ={})
+            resolve_config(defaults[args.command], overrides=args.overrides)
     assert {tokens[1] for tokens in commands} == {"simulate", "train", "enhance", "evaluate", "report"}
     assert sum("--set" in tokens for tokens in commands) >= 3
 
@@ -162,8 +162,8 @@ def test_train_original_and_enhance_flow(cli_corpus, tmp_path):
     assert model.layer_dims == [3 * 257, 12, 12, 40]
     assert config["recipe"] == "original"
     history = json.loads((train_dir / "history.json").read_text())
-    assert history["stop_reason"] == "max_epochs"
-    assert len(history["train_cost"]) == 2
+    assert sorted(history) == ["best_epoch", "dev_cost", "train_cost"]
+    assert history["best_epoch"] == len(history["train_cost"]) == 2
 
     enhance_dir = tmp_path / "enhanced"
     code = main([
@@ -274,6 +274,26 @@ def test_wpe_dnn_refuses_a_mapper_trained_on_other_wpe_settings(cli_corpus, tmp_
     assert main([*enhance, "--out", str(tmp_path / "y"), "--set", "wpe_taps=5"]) == 0
 
 
+def test_dnn_only_refuses_a_mapper_trained_on_wpe_output(cli_corpus, tmp_path, capsys):
+    # dnn_only feeds the mapper noisy inputs, which a WPE-trained mapper never saw.
+    manifest = str(cli_corpus / "manifest.json")
+    model_dir = tmp_path / "m"
+    assert main([
+        "train", "--manifest", manifest, "--out", str(model_dir),
+        "--set", "input_processing=wpe", *TRAIN_OVERRIDES,
+    ]) == 0
+    enhance = [
+        "enhance", "--manifest", manifest, "--checkpoint", str(model_dir / "model.sfmd"),
+        "--set", "save_waveforms=false",
+    ]
+    assert main([*enhance, "--out", str(tmp_path / "x"), "--mode", "dnn_only"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: checkpoint was trained on WPE output with {")
+    assert err.endswith(", not noisy inputs\n")
+    assert not (tmp_path / "x").exists()
+    assert main([*enhance, "--out", str(tmp_path / "y"), "--mode", "wpe_dnn"]) == 0
+
+
 def test_enhance_rejects_a_mapper_of_another_output_width(tmp_path):
     # A library-saved checkpoint stores no front end, so only the mapper's
     # 40 outputs can tell it does not fit a 24-mel manifest.
@@ -353,7 +373,7 @@ def test_train_names_a_reference_of_another_width_and_writes_no_model(
     assert not (tmp_path / "m" / "model.sfmd").exists()
 
 
-def test_train_enhanced_recipe_records_consistent_history(cli_corpus, tmp_path):
+def test_train_enhanced_recipe_records_consistent_history(cli_corpus, tmp_path, capsys):
     train_dir = tmp_path / "enhanced_model"
     code = main([
         "train", "--manifest", str(cli_corpus / "manifest.json"), "--out", str(train_dir),
@@ -367,18 +387,11 @@ def test_train_enhanced_recipe_records_consistent_history(cli_corpus, tmp_path):
     assert model.output_activation == "linear"
     assert model.norm_spec.input_mode == "utterance_mvn"
     history = json.loads((train_dir / "history.json").read_text())
-    # recompute the stop rule from the logged dev costs
+    # every epoch runs, and the kept one is the first of lowest dev cost
     costs = history["dev_cost"]
-    expected_reason = "max_epochs"
-    for epoch in range(1, len(costs) + 1):
-        reason = early_stop_decision(costs[:epoch])
-        if reason is not None:
-            expected_reason = reason
-            assert epoch == len(costs)
-            break
-    assert history["stop_reason"] == expected_reason
-    if expected_reason != "max_epochs":
-        assert history["best_epoch"] == len(costs) - 1
+    assert len(costs) == len(history["train_cost"]) == 6
+    assert history["best_epoch"] == 1 + int(np.argmin(costs))
+    assert f"epochs: 6, best_epoch: {history['best_epoch']}\n" in capsys.readouterr().out
 
 
 def test_rerun_from_config_resolved_reproduces_artifacts(cli_corpus, tmp_path):

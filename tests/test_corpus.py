@@ -357,11 +357,19 @@ def test_missing_source_files_reported(tmp_path):
     ({"snr_grid": ("3",)}, "finite numbers, got '3'"),
     ({"snr_grid": (True,)}, "finite numbers, got True"),
     ({"snr_grid": (None,)}, "finite numbers, got None"),
+    ({"n_rirs": 1.5}, "n_rirs must be an integer >= 0, got 1.5"),
+    ({"n_train": 2.0}, "n_train must be an integer >= 0, got 2.0"),
+    ({"n_dev": True}, "n_dev must be an integer >= 0, got True"),
+    ({"n_test": "3"}, "n_test must be an integer >= 0, got '3'"),
+    ({"n_noises": 1.5}, "n_noises must be an integer >= 1, got 1.5"),
+    ({"n_noises": 0.5, "snr_grid": ()}, "n_noises must be an integer >= 0, got 0.5"),
 ])
-def test_invalid_corpus_config_names_field(setting, named):
+def test_invalid_corpus_config_names_field(tmp_path, setting, named):
+    out = tmp_path / "corpus"
     with pytest.raises(ConfigError) as excinfo:
-        CorpusConfig(**setting)
+        build_corpus(CorpusConfig(**setting), out)
     assert named in str(excinfo.value)
+    assert not out.exists()
 
 
 def test_a_corpus_without_noise_or_reverberation_needs_no_noise_or_rir_count():

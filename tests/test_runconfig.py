@@ -33,17 +33,13 @@ def test_parse_kv_file_rejects_garbage(tmp_path):
         parse_kv_file(path)
 
 
-def test_resolution_order_and_coercion(tmp_path):
+def test_resolution_order_and_coercion(tmp_path, monkeypatch):
     path = tmp_path / "run.conf"
     path.write_text("count=5\nrate=0.25\nenabled=false\n")
-    resolved = resolve_config(
-        DEFAULTS,
-        path,
-        overrides=["count=9", "grid=0,3,6"],
-        environ={"SPECMAP_RATE": "0.75", "SPECMAP_IGNORED_OTHER": "x", "PATH": "/bin"},
-    )
+    monkeypatch.setenv("SPECMAP_RATE", "0.75")  # the environment is no source
+    resolved = resolve_config(DEFAULTS, path, overrides=["count=9", "grid=0,3,6"])
     assert resolved["count"] == 9          # --set beats file
-    assert resolved["rate"] == 0.75        # env beats file
+    assert resolved["rate"] == 0.25        # file beats default
     assert resolved["enabled"] is False
     assert resolved["grid"] == [0.0, 3.0, 6.0]
     assert resolved["name"] == "hann"      # default survives
