@@ -7,34 +7,20 @@ runs on its utterance's thread. run_items shares the items between the
 calling thread and up to one helper thread per further CPU the process may
 run on (os.sched_getaffinity): each thread claims the next unclaimed item
 until none is left or one has raised. An item that reaches run_items again runs
-those items inline, on its own thread: a helper that handed them out would
-wait on its own busy executor. The helper threads start on the first call
-that needs them and live as long as the process; a forked child starts its
-own.
+those items inline, on its own thread: the outer call already keeps a
+thread busy on every CPU it may use. The helper threads start and end with
+each call.
 """
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 # Threads that share one call's items; None means one per CPU the process
 # may run on.
 _thread_limit: Optional[int] = None
-_helpers: list[ThreadPoolExecutor] = []  # one thread each, started as calls need them
-_helpers_lock = threading.Lock()
 _sharing = threading.local()  # .active while this thread runs run_items' items
-
-
-def _forget_helpers() -> None:
-    # A forked child has none of its parent's threads: a task handed to an
-    # inherited executor would never run.
-    global _helpers, _helpers_lock
-    _helpers, _helpers_lock = [], threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def _cpu_count() -> int:
@@ -80,14 +66,9 @@ def run_items(run_item: Callable[[int], object], n_items: int) -> list:
         finally:
             _sharing.active = False
 
-    with _helpers_lock:
-        while len(_helpers) < n_helpers:
-            _helpers.append(ThreadPoolExecutor(1, thread_name_prefix="specmap"))
-        futures = [helper.submit(drain) for helper in _helpers[:n_helpers]]
-    try:
+    with ThreadPoolExecutor(n_helpers, thread_name_prefix="specmap") as helpers:
+        futures = [helpers.submit(drain) for _ in range(n_helpers)]
         drain()
-    finally:
-        wait(futures)
     for future in futures:
         future.result()
     return results

@@ -2,8 +2,7 @@
 
 The built-in sources are a harmonic speech-like generator (random-walk pitch,
 syllabic amplitude modulation, a little broadband excitation) and seeded
-white/pink noise. Real clean or noise recordings can be substituted through
-the file-list arguments of build_corpus.
+white/pink noise.
 """
 
 import json
@@ -11,7 +10,7 @@ import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,7 @@ class RirConfig:
 
     def __post_init__(self):
         check_positive(self.t60, "t60")
-        check_positive(self.length, "length")
+        check_count(self.length, "length", minimum=1)
 
 
 def synth_rir(config: RirConfig, sample_rate: int) -> Waveform:
@@ -312,9 +311,10 @@ class CorpusManifest:
             feature_config = payload["feature_config"]
             if not isinstance(feature_config, dict) or set(feature_config) != set(FEATURE_KEYS):
                 raise ManifestError(f"{path}: feature_config must hold exactly {FEATURE_KEYS}")
+            check_count(payload["sample_rate"], "sample_rate", minimum=1)
             manifest = cls(
                 root=path.parent,
-                sample_rate=int(payload["sample_rate"]),
+                sample_rate=payload["sample_rate"],
                 feature_config=feature_config,
                 entries=[ManifestEntry.from_dict(e) for e in payload["entries"]],
             )
@@ -388,25 +388,7 @@ def _snr_label(snr_db: Optional[float]) -> str:
     return "snr" + f"{snr_db:g}".replace("-", "m").replace(".", "p")
 
 
-def _load_sources(paths: Sequence, sample_rate: int, kind: str) -> list[Waveform]:
-    missing = [str(p) for p in paths if not Path(p).is_file()]
-    if missing:
-        raise ManifestError(f"missing {kind} source file(s): " + ", ".join(missing))
-    loaded = []
-    for p in paths:
-        w = load_wav(p)
-        if w.sample_rate != sample_rate:
-            raise ManifestError(f"{p}: sample rate {w.sample_rate} != corpus rate {sample_rate}")
-        loaded.append(w)
-    return loaded
-
-
-def build_corpus(
-    config: CorpusConfig,
-    out_dir,
-    clean_files: Optional[Sequence] = None,
-    noise_files: Optional[Sequence] = None,
-) -> CorpusManifest:
+def build_corpus(config: CorpusConfig, out_dir) -> CorpusManifest:
     """Generate all waveforms, reference features and the manifest.
 
     Per entry: reverberant = clean * RIR truncated to the clean length (so
@@ -422,9 +404,6 @@ def build_corpus(
     stft_cfg = config.stft_config()
     filterbank = mel_matrix(config.mel_config())
     sr = config.sample_rate
-
-    external_clean = _load_sources(clean_files, sr, "clean") if clean_files else None
-    external_noise = _load_sources(noise_files, sr, "noise") if noise_files else None
 
     root = Path(out_dir)
     for sub in ("clean", "reverb", "noisy", "ref_mel", "rir", "noise"):
@@ -457,24 +436,18 @@ def build_corpus(
         if config.snr_grid:
             noise_duration = 2.0 * config.utterance_seconds + 1.0
             for j in range(config.n_noises):
-                if external_noise:
-                    noises.append(external_noise[j % len(external_noise)])
-                else:
-                    noise = synth_noise(
-                        noise_duration, sr, derive_seed(config.seed, f"noise/{split}/{j}"),
-                        config.noise_color,
-                    )
-                    save_wav(noise, root / "noise" / f"{split}_noise{j}.wav", encoding="float32")
-                    noises.append(noise)
+                noise = synth_noise(
+                    noise_duration, sr, derive_seed(config.seed, f"noise/{split}/{j}"),
+                    config.noise_color,
+                )
+                save_wav(noise, root / "noise" / f"{split}_noise{j}.wav", encoding="float32")
+                noises.append(noise)
 
         for i in range(counts[split]):
             clean_id = f"{split}_{i:03d}"
-            if external_clean:
-                clean = external_clean[i % len(external_clean)]
-            else:
-                clean = synth_speech(
-                    config.utterance_seconds, sr, derive_seed(config.seed, f"clean/{split}/{i}")
-                )
+            clean = synth_speech(
+                config.utterance_seconds, sr, derive_seed(config.seed, f"clean/{split}/{i}")
+            )
             clean_rel = f"clean/{clean_id}.wav"
             save_wav(clean, root / clean_rel, encoding="float32")
 

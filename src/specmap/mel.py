@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .stft import DEFAULT_MAGNITUDE_FLOOR, Spectrogram
-from .validation import as_complex_matrix, check_choice, check_positive
+from .validation import as_complex_matrix, check_choice, check_count, check_positive
 
 
 MEL_MODES = ("power", "magnitude")  # what the filterbank weights: |X|^2 or |X|
@@ -34,10 +34,9 @@ class MelConfig:
     magnitude_floor: float = DEFAULT_MAGNITUDE_FLOOR
 
     def __post_init__(self):
-        if self.n_mels < 1:
-            raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
+        check_count(self.n_mels, "n_mels", minimum=1)
         check_positive(self.sample_rate, "sample_rate")
-        check_positive(self.fft_size, "fft_size")
+        check_count(self.fft_size, "fft_size", minimum=1)
         if not 0.0 <= self.f_min < self.f_max <= self.sample_rate / 2:
             raise ConfigError(
                 f"need 0 <= f_min < f_max <= sample_rate/2, got "

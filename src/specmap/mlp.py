@@ -90,7 +90,9 @@ class MlpModel:
     as is and rounds any other as save_model does, so a model built by hand
     from float64 arrays and its reloaded checkpoint hold the same bits. A
     parameter it refuses is a NumericError naming its layer, so every model
-    can be saved and loaded back.
+    can be saved and loaded back. Normalization statistics that do not fit
+    the layers (input_mean and input_var of input_dim, ref_min and ref_max
+    of output_dim) are a ShapeError.
     """
 
     weights: list[np.ndarray]
@@ -111,6 +113,14 @@ class MlpModel:
                 raise ShapeError(f"layer {i}: weight {w.shape} and bias {b.shape} mismatch")
             if i and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise ShapeError(f"layer {i}: input dim breaks the layer chain")
+        if self.norm_spec is not None:
+            for name, dim in (
+                ("input_mean", self.input_dim), ("input_var", self.input_dim),
+                ("ref_min", self.output_dim), ("ref_max", self.output_dim),
+            ):
+                value = getattr(self.norm_spec, name)
+                if value is not None and np.shape(value) != (dim,):
+                    raise ShapeError(f"norm_spec {name} has shape {np.shape(value)}, not ({dim},)")
         check_choice(self.output_activation, OUTPUT_ACTIVATIONS, "output_activation")
 
     @property

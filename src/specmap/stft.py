@@ -6,7 +6,7 @@ import numpy as np
 
 from .audio import Waveform
 from .errors import ConfigError, ShapeError
-from .validation import as_complex_matrix, check_positive
+from .validation import as_complex_matrix, check_count, check_positive
 
 WINDOW_NAMES = ("hann", "hamming", "rectangular")
 
@@ -33,7 +33,8 @@ class StftConfig:
     window: str = "hann"
 
     def __post_init__(self):
-        check_positive(self.hop, "hop")
+        for name in ("frame_len", "hop", "fft_size"):
+            check_count(getattr(self, name), name, minimum=1)
         if not 0 < self.hop <= self.frame_len <= self.fft_size:
             raise ConfigError(
                 f"need 0 < hop <= frame_len <= fft_size, got "

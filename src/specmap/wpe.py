@@ -15,12 +15,10 @@ through all its iterations, sized so that a block's stack stays in cache.
 A call runs its blocks one after another on its calling thread; what runs
 in parallel is utterances (batch_enhance, training_features), each on its
 own thread. Every bin's arithmetic is the same under any split, so the
-output does not depend on it, bit for bit. Each thread keeps its scratch
-buffer, at most _BLOCK_BYTES, for later calls.
+output does not depend on it, bit for bit.
 """
 
 import logging
-import threading
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -28,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .stft import Spectrogram
-from .validation import as_complex_matrix, check_positive
+from .validation import as_complex_matrix, check_count, check_positive
 
 log = logging.getLogger(__name__)
 
@@ -50,17 +48,12 @@ class WpeConfig:
     for which the objective is provably non-increasing across iterations."""
 
     def __post_init__(self):
-        if self.taps < 1:
-            raise ConfigError(f"taps must be >= 1, got {self.taps}")
-        if self.delay < 1:
-            raise ConfigError(f"delay must be >= 1, got {self.delay}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("taps", "delay", "iterations"):
+            check_count(getattr(self, name), name, minimum=1)
+        check_count(self.variance_context, "variance_context")
         check_positive(self.variance_floor, "variance_floor")
         if self.delta is not None and self.delta < 0:
             raise ConfigError(f"delta must be >= 0, got {self.delta}")
-        if self.variance_context < 0:
-            raise ConfigError(f"variance_context must be >= 0, got {self.variance_context}")
 
 
 @dataclass
@@ -157,20 +150,17 @@ def solve_hermitian(matrix: np.ndarray, rhs: np.ndarray, delta: float = 0.0) -> 
     return g[0]
 
 
-def _tap_stack(
-    data: np.ndarray, taps: int, delay: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _tap_stack(data: np.ndarray, taps: int, delay: int) -> np.ndarray:
     """Real stack (bins, 2*taps + 2, valid_frames) of the delayed taps and the target.
 
     Row k < taps holds Re y[t - delay - k], row taps + k its Im, and the last
-    two rows Re y[t] and Im y[t], for t from delay + taps - 1 on. Written
-    into out when given.
+    two rows Re y[t] and Im y[t], for t from delay + taps - 1 on.
     """
     n_frames, n_bins = data.shape
     first_valid = delay + taps - 1
     n_valid = n_frames - first_valid
     parts = data.view(np.float64).reshape(n_frames, n_bins, 2).transpose(1, 2, 0)
-    stack = np.empty((n_bins, 2 * taps + 2, n_valid)) if out is None else out
+    stack = np.empty((n_bins, 2 * taps + 2, n_valid))
     for k in range(taps):
         start = first_valid - delay - k
         stack[:, k, :] = parts[:, 0, start:start + n_valid]
@@ -180,8 +170,7 @@ def _tap_stack(
 
 
 # Bins whose weighted taps wpe_dereverberate holds at once. Four and eight
-# bins timed alike on 3 s utterances, and four kept peak memory lower; each
-# thread that runs WPE holds its own.
+# bins timed alike on 3 s utterances, and four kept peak memory lower.
 _WEIGHTED_BINS = 4
 
 
@@ -272,47 +261,23 @@ def _bin_blocks(n_bins: int, taps: int, n_valid: int) -> list[slice]:
     ]
 
 
-_scratch = threading.local()
-
-
-def _thread_scratch(width: int, taps: int, n_valid: int):
-    """This thread's stack (width, 2K + 2, Tv) and weighted (n, 2K, Tv) buffers.
-
-    n is min(width, _WEIGHTED_BINS). Both are views of one buffer, which the
-    thread keeps for later calls if it fits _BLOCK_BYTES, as it does unless
-    the two-bin minimum of _bin_blocks made the block wider than the budget.
-    """
-    chunk = min(width, _WEIGHTED_BINS)
-    stack_size = width * (2 * taps + 2) * n_valid
-    size = stack_size + chunk * 2 * taps * n_valid
-    buffer = getattr(_scratch, "buffer", None)
-    if buffer is None or buffer.size < size:
-        buffer = np.empty(size)
-        _scratch.buffer = buffer if buffer.nbytes <= _BLOCK_BYTES else None
-    stack = buffer[:stack_size].reshape(width, 2 * taps + 2, n_valid)
-    weighted = buffer[stack_size:size].reshape(chunk, 2 * taps, n_valid)
-    return stack, weighted
-
-
 def _dereverberate_block(
-    data: np.ndarray, config: WpeConfig, bins: slice, widest: int, result: WpeResult
+    data: np.ndarray, config: WpeConfig, bins: slice, result: WpeResult
 ) -> list[int]:
     """The WPE iterations on one block of bins, into result's full-size arrays.
 
     data is the C-ordered (frames, bins) observation, with complete
-    contexts, and result.enhanced starts as its copy; the block's scratch
-    is carved from this thread's buffer for a block widest bins wide.
-    Returns the block's own indices of the bins that fell back, sorted.
+    contexts, and result.enhanced starts as its copy. Returns the block's
+    own indices of the bins that fell back, sorted.
     """
     n_frames = len(data)
     width = bins.stop - bins.start
     taps = config.taps
     first_valid = config.delay + taps - 1
-    stack, weighted = _thread_scratch(widest, taps, n_frames - first_valid)
-    stack = stack[:width]
     observed, enhanced = data[:, bins], result.enhanced[:, bins]
     variance, objective = result.variance[:, bins], result.objective[:, bins]
-    _tap_stack(observed, taps, config.delay, out=stack)
+    stack = _tap_stack(observed, taps, config.delay)
+    weighted = np.empty((min(width, _WEIGHTED_BINS), 2 * taps, n_frames - first_valid))
     # Re/Im views (frames, bins, 2) of the observation and of the output.
     observed_parts = observed.view(np.float64).reshape(n_frames, width, 2)
     enhanced_parts = enhanced.view(np.float64).reshape(n_frames, width, 2)
@@ -362,10 +327,9 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
     The bins run in contiguous blocks, one after another on the calling
     thread, sized so that a block's stack stays in cache through all its
     iterations. Every bin's arithmetic is the same whatever the split, so
-    the result does not depend on it. The calling thread keeps its scratch
-    buffer, at most _BLOCK_BYTES, for later calls, so a call holds at most
-    _BLOCK_BYTES of scratch beside its inputs and outputs (more only where
-    a block cannot be narrower than two bins).
+    the result does not depend on it. A block holds at most _BLOCK_BYTES of
+    scratch beside the call's inputs and outputs (more only where a block
+    cannot be narrower than two bins).
 
     Each block is first laid out as one real (bins, 2*taps + 2, frames)
     stack: the real parts of the taps, their imaginary parts, and the real
@@ -409,11 +373,10 @@ def wpe_dereverberate(observation, config: WpeConfig = WpeConfig()) -> WpeResult
         objective=np.empty((config.iterations, n_bins)),
     )
     blocks = _bin_blocks(n_bins, taps, n_frames - (delay + taps - 1))
-    widest = max(bins.stop - bins.start for bins in blocks)
     result.fallback_bins = tuple(
         bins.start + b
         for bins in blocks
-        for b in _dereverberate_block(data, config, bins, widest, result)
+        for b in _dereverberate_block(data, config, bins, result)
     )
     if result.fallback_bins:
         log.warning("WPE fell back to zero filters on %d bin(s)", len(result.fallback_bins))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from specmap.audio import Waveform, load_wav, save_wav
+from specmap.audio import Waveform, load_wav
 from specmap.corpus import (
     CorpusConfig,
     CorpusManifest,
@@ -31,6 +31,8 @@ def test_rir_direct_impulse_and_determinism():
     assert np.array_equal(synth_rir(RirConfig(length=1), 16000).samples, [1.0])
     with pytest.raises(ConfigError, match="length"):
         RirConfig(length=0)
+    with pytest.raises(ConfigError, match="length must be an integer >= 1, got 8000.5"):
+        RirConfig(length=8000.5)
 
 
 def test_rir_tail_energy_matches_direct():
@@ -249,6 +251,8 @@ def _test_snr(value):
         _repeat_an_id,
         _front_end("hop", "x"), _front_end("magnitude_floor", -1), _front_end("n_mels", 0),
         _front_end("window", "blackman"), _front_end("sample_rate", 0),
+        _front_end("hop", 160.5), _front_end("fft_size", 512.0), _front_end("n_mels", 40.5),
+        _front_end("sample_rate", 16000.5), _front_end("sample_rate", "16000"),
     ],
 )
 def test_malformed_manifest_is_a_manifest_error(tiny_corpus, tmp_path, capsys, damage):
@@ -307,44 +311,6 @@ def test_build_corpus_with_no_rirs_adds_no_reverberation(tmp_path):
         assert reverberant == manifest.resolve(entry.clean_wav).read_bytes(), entry.id
 
 
-def test_build_corpus_mixes_external_noise_files(tmp_path):
-    paths = []
-    for j, color in enumerate(("white", "brown")):
-        paths.append(tmp_path / f"ext{j}.wav")
-        save_wav(synth_noise(2.0, 16000, 40 + j, color), paths[-1], encoding="float32")
-    config = CorpusConfig(
-        utterance_seconds=0.6, n_train=1, n_dev=0, n_test=2, snr_grid=(-3.0, 6.0),
-        n_rirs=1, n_noises=2, seed=6,
-    )
-    manifest = build_corpus(config, tmp_path / "ext", noise_files=paths)
-    assert not list((tmp_path / "ext" / "noise").iterdir())  # nothing synthesized
-    externals = [load_wav(p).samples for p in paths]
-    for entry in manifest.entries:
-        index = int(entry.clean_id[-3:]) % 2
-        assert entry.noise_id == f"{entry.split}_noise{index}"
-        reverberant = load_wav(manifest.resolve(entry.reverberant_wav)).samples
-        added = load_wav(manifest.resolve(entry.noisy_wav)).samples - reverberant
-        snr = 10.0 * np.log10(np.sum(reverberant ** 2) / np.sum(added ** 2))
-        assert snr == pytest.approx(entry.snr_db, abs=1e-3)
-        # the added noise is a scaled crop of the entry's external file
-        fit = np.correlate(externals[index], added, "valid")
-        window = np.convolve(externals[index] ** 2, np.ones(len(added)), "valid")
-        cosine = np.max(fit / np.sqrt(window * np.sum(added ** 2)))
-        assert cosine > 1.0 - 1e-6
-
-    slow = tmp_path / "slow.wav"
-    save_wav(synth_noise(2.0, 8000, 42), slow, encoding="float32")
-    with pytest.raises(ManifestError):
-        build_corpus(config, tmp_path / "bad", noise_files=[paths[0], slow])
-
-
-def test_missing_source_files_reported(tmp_path):
-    config = CorpusConfig(utterance_seconds=0.6, n_train=1, n_dev=0, n_test=0, seed=5)
-    with pytest.raises(ManifestError) as excinfo:
-        build_corpus(config, tmp_path / "x", clean_files=[tmp_path / "a.wav", tmp_path / "b.wav"])
-    assert "a.wav" in str(excinfo.value) and "b.wav" in str(excinfo.value)
-
-
 @pytest.mark.parametrize("setting, named", [
     ({"t60": -0.5}, "t60"),
     ({"n_rirs": -1}, "n_rirs"),
@@ -363,6 +329,10 @@ def test_missing_source_files_reported(tmp_path):
     ({"n_test": "3"}, "n_test must be an integer >= 0, got '3'"),
     ({"n_noises": 1.5}, "n_noises must be an integer >= 1, got 1.5"),
     ({"n_noises": 0.5, "snr_grid": ()}, "n_noises must be an integer >= 0, got 0.5"),
+    ({"frame_len": 400.0}, "frame_len must be an integer >= 1, got 400.0"),
+    ({"hop": 160.5}, "hop must be an integer >= 1, got 160.5"),
+    ({"fft_size": 512.0}, "fft_size must be an integer >= 1, got 512.0"),
+    ({"n_mels": 40.5}, "n_mels must be an integer >= 1, got 40.5"),
 ])
 def test_invalid_corpus_config_names_field(tmp_path, setting, named):
     out = tmp_path / "corpus"

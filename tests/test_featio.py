@@ -90,7 +90,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_save_load_save_bit_exact(tmp_path):
-    model = init_model([5, 3, 2], "linear", seed=9, norm_spec=_norm_spec())
+    model = init_model([6, 3, 2], "linear", seed=9, norm_spec=_norm_spec())
     first = tmp_path / "a.sfmd"
     second = tmp_path / "b.sfmd"
     save_model(first, model, config={"k": 1})
@@ -150,6 +150,12 @@ BAD_METADATA = {
         **meta, "norm_spec": {k: v for k, v in meta["norm_spec"].items() if k != "epsilon"}
     },
     "config_not_an_object": lambda meta: {**meta, "config": [5]},
+    "norm_spec_narrower_than_the_input": lambda meta: {
+        **meta, "norm_spec": {**meta["norm_spec"], "input_mean": [0.0] * 5}
+    },
+    "norm_spec_wider_than_the_output": lambda meta: {
+        **meta, "norm_spec": {**meta["norm_spec"], "ref_min": [0.0] * 3, "ref_max": [1.0] * 3}
+    },
 }
 
 

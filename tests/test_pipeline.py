@@ -346,9 +346,9 @@ def test_batch_enhance_workers_run_wpe_on_one_thread(tiny_corpus, tmp_path, monk
     # being reused by a later utterance's result on another thread.
     threads_per_call = {}
 
-    def spy(data, config, bins, widest, result):
+    def spy(data, config, bins, result):
         threads_per_call.setdefault(id(result), (result, set()))[1].add(threading.get_ident())
-        return original(data, config, bins, widest, result)
+        return original(data, config, bins, result)
 
     monkeypatch.setattr(wpe_module, "_dereverberate_block", spy)
     config = _pipeline_config(tiny_corpus, "wpe_only")
@@ -372,15 +372,17 @@ def test_batch_enhance_parallel_mapper_matches_serial(tiny_corpus, toy_mapper, t
         assert np.array_equal(written, expected.astype(np.float32))
 
 
-def test_wpe_only_peak_memory_stays_within_a_few_spectrograms():
+def test_wpe_only_peak_memory_stays_within_a_few_spectrograms(monkeypatch):
     # While two utterances of a batch are in flight, each one's arrays add to
     # the process's peak: the noisy spectrogram is dropped once WPE is done,
     # the WPE result once its waveform is synthesized, and stft and istft
-    # copy nothing they need not.
+    # copy nothing they need not. Blocks of two bins keep WPE's own scratch
+    # small beside the arrays measured here.
+    monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", 1)
     _, reverberant, _ = make_reverberant_pair(0, seconds=3.0)
     config = PipelineConfig(mode="wpe_only")
     noisy_bytes = stft(reverberant, config.stft).data.nbytes
-    expected = enhance_utterance(reverberant, config)  # WPE's scratch, kept from here, stays out
+    expected = enhance_utterance(reverberant, config)
     tracemalloc.start()
     try:
         features = enhance_utterance(reverberant, config).features

@@ -83,3 +83,22 @@ def test_items_that_share_items_again_run_them_on_their_own_thread(monkeypatch):
         return threading.get_ident()
 
     assert len(set(_pool.run_items(meeting, 3))) == 3
+
+
+def test_no_helper_thread_outlives_a_call(monkeypatch):
+    monkeypatch.setattr(_pool, "_thread_limit", 3)
+
+    def helpers_alive():
+        return [t for t in threading.enumerate() if t.name.startswith("specmap")]
+
+    assert _pool.run_items(lambda i: i, 6) == list(range(6))
+    assert helpers_alive() == []
+
+    def run_item(index):
+        if index == 4:
+            raise ValueError(index)
+        return index
+
+    with pytest.raises(ValueError):
+        _pool.run_items(run_item, 6)
+    assert helpers_alive() == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_reverberant_pair
-from specmap.errors import NumericError
+from specmap.errors import ConfigError, NumericError
 from specmap.metrics import log_spectral_distortion
 from specmap.stft import StftConfig, log_magnitude, stft
 from specmap.wpe import (
@@ -67,6 +67,21 @@ def test_solve_rejects_bad_inputs():
     # singular and inconsistent: no solution within tolerance
     with pytest.raises(NumericError):
         solve_hermitian(np.zeros((2, 2)), np.array([1.0, 0.0]), delta=0.0)
+
+
+@pytest.mark.parametrize("setting, named", [
+    ({"taps": 0}, "taps must be an integer >= 1, got 0"),
+    ({"taps": 2.5}, "taps must be an integer >= 1, got 2.5"),
+    ({"delay": 3.0}, "delay must be an integer >= 1, got 3.0"),
+    ({"iterations": True}, "iterations must be an integer >= 1, got True"),
+    ({"variance_context": -1}, "variance_context must be an integer >= 0, got -1"),
+    ({"variance_context": 0.5}, "variance_context must be an integer >= 0, got 0.5"),
+    ({"delta": -1.0}, "delta must be >= 0"),
+])
+def test_invalid_config_names_field(setting, named):
+    with pytest.raises(ConfigError) as excinfo:
+        WpeConfig(**setting)
+    assert named in str(excinfo.value)
 
 
 def test_zero_input_passes_through():
@@ -525,24 +540,12 @@ def test_singular_and_failing_bins_do_not_depend_on_the_bin_blocks(monkeypatch):
         assert_same_result(result, results[0])
 
 
-def kept_scratch(wpe_module, drop=False):
-    """Bytes of scratch the calling thread keeps; drop frees it."""
-    buffer = getattr(wpe_module._scratch, "buffer", None)
-    if drop:
-        wpe_module._scratch.buffer = None
-    return 0 if buffer is None else buffer.nbytes
-
-
-def test_peak_memory_stays_within_a_few_inputs(monkeypatch):
+def test_peak_memory_stays_within_a_few_inputs():
     # Whole-utterance buffers peaked at 25x the input (102 MB here); blocks
     # of bins keep the working set to a few MB whatever the utterance
-    # length. Scratch kept from earlier calls would escape tracemalloc, so
-    # the call starts without any.
-    import specmap.wpe as wpe_module
-
+    # length.
     rng = np.random.default_rng(10)
     data = rng.normal(size=(1000, 257)) + 1j * rng.normal(size=(1000, 257))
-    kept_scratch(wpe_module, drop=True)
     tracemalloc.start()
     try:
         wpe_dereverberate(data)
@@ -550,14 +553,3 @@ def test_peak_memory_stays_within_a_few_inputs(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * data.nbytes
-    assert 0 < kept_scratch(wpe_module) <= wpe_module._BLOCK_BYTES
-    # The next call reuses the calling thread's scratch.
-    buffer = wpe_module._scratch.buffer
-    wpe_dereverberate(data)
-    assert wpe_module._scratch.buffer is buffer
-    # Blocks that the two-bin minimum makes wider than the budget get scratch
-    # for the call only.
-    kept_scratch(wpe_module, drop=True)
-    monkeypatch.setattr(wpe_module, "_BLOCK_BYTES", 1)
-    wpe_dereverberate(data[:100])
-    assert kept_scratch(wpe_module) == 0
